@@ -259,7 +259,6 @@ void BM_IndexScanVsFullScan(benchmark::State& state) {
   const int64_t selectivity_bp = state.range(0);  // basis points (1/10000)
   const bool use_index = state.range(1) != 0;
   const int64_t span = std::max<int64_t>(1, kRows * selectivity_bp / 10000);
-  table->set_index_scan_enabled(use_index);
 
   ScanPredicate lo;
   lo.kind = ScanPredicate::Kind::kGreaterThanOrEqual;
@@ -272,7 +271,12 @@ void BM_IndexScanVsFullScan(benchmark::State& state) {
 
   int64_t result_rows = 0;
   for (auto _ : state) {
-    auto puller = table->ScanBatchedFiltered(1024, {lo, hi});
+    ScanSpec spec;
+    spec.batch_size = 1024;
+    spec.predicates = {lo, hi};
+    spec.access_path =
+        use_index ? AccessPath::kForceIndex : AccessPath::kForceHeap;
+    auto puller = table->OpenScan(spec);
     if (!puller.ok()) {
       state.SkipWithError("scan failed");
       return;
@@ -288,7 +292,6 @@ void BM_IndexScanVsFullScan(benchmark::State& state) {
       benchmark::DoNotOptimize(batch.value());
     }
   }
-  table->set_index_scan_enabled(true);
   state.counters["rows_per_sec"] = benchmark::Counter(
       static_cast<double>(result_rows), benchmark::Counter::kIsRate);
 }

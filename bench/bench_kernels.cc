@@ -320,12 +320,9 @@ void BM_KernelHashGroupResolve(benchmark::State& state) {
   call.args = {1};
   call.name = "s";
   call.type = t.tf.CreateSqlType(SqlTypeName::kInteger, -1, true);
-  auto builder = ColumnarAggBuilder::TryCreate(
-      {static_cast<int>(state.range(0))}, {call});
-  if (builder == nullptr) {
-    state.SkipWithError("ColumnarAggBuilder::TryCreate returned null");
-    return;
-  }
+  auto builder = std::make_unique<ColumnarAggBuilder>(
+      std::vector<int>{static_cast<int>(state.range(0))},
+      std::vector<AggregateCall>{call});
   size_t rows_processed = 0;
   for (auto _ : state) {
     Status s = builder->Feed(t.batch);

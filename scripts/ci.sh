@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: configure -> build -> ctest -> bench smoke-run.
+# CI entry point: configure -> build -> ctest -> bench smoke-run -> end-to-end
+# SQL check.
 # Usage: scripts/ci.sh [build-dir] [sanitizer|scalar]
-#   scripts/ci.sh build           # regular build + full test suite + bench smoke
+#   scripts/ci.sh build           # regular build + full test suite + bench
+#                                 # smoke + sqlbench correctness pass
 #   scripts/ci.sh build-tsan thread
 #                                 # ThreadSanitizer build; runs the
 #                                 # concurrency-focused tests (the morsel-driven
@@ -145,5 +147,23 @@ if [[ -x "$BUILD_DIR/bench_kernels" ]]; then
 else
   echo "bench_kernels not built (google-benchmark not found); skipping"
 fi
+
+echo "=== end-to-end SQL (sqlbench) ==="
+# One short traced pass of the standing TPC-H-shaped suite: every query runs
+# through the public Connection API and is checked against the serial
+# row-major reference engine. olap_par drives the morsel-parallel executor,
+# short_queries the parse/plan path. Fails on any wrong or failed query.
+for workload in olap_par short_queries; do
+  result="$(python3 sqlbench/run.py --workload "$workload" --seed 1 \
+    --seconds 1 --trace 1 | tail -n 1)"
+  echo "$workload: $result"
+  python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+    "$result" || {
+    echo "sqlbench $workload: incorrect or failed queries"
+    exit 1
+  }
+done
 
 echo "=== done ==="

@@ -32,11 +32,6 @@ class CassandraTable final : public Table {
   Result<RowBatchPuller> ScanBatchedFiltered(
       size_t batch_size, ScanPredicateList predicates) const override;
 
-  /// The simulated backend's rows double as stable storage for
-  /// morsel-parallel scans on the enumerable side of the convention
-  /// boundary.
-  const std::vector<Row>* MaterializedRows() const override { return &rows_; }
-
   /// The simulated backend is immutable after construction, so the columnar
   /// decomposition is built once and cached.
   TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {

@@ -41,9 +41,6 @@ class CsvTable final : public Table {
     return FilterSliceRows(rows_, batch_size, std::move(predicates));
   }
 
-  /// The parsed file doubles as stable storage for morsel-parallel scans.
-  const std::vector<Row>* MaterializedRows() const override { return &rows_; }
-
   /// The parsed file is immutable, so the columnar decomposition is built
   /// once and never invalidated.
   TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {

@@ -31,17 +31,8 @@ ColumnVector ShiftColumn(const ColumnVector& col, size_t base) {
 }
 }  // namespace
 
-std::unique_ptr<ColumnarAggBuilder> ColumnarAggBuilder::TryCreate(
-    const std::vector<int>& group_keys,
-    const std::vector<AggregateCall>& calls) {
-  if (group_keys.size() > 1) return nullptr;
-  return std::unique_ptr<ColumnarAggBuilder>(
-      new ColumnarAggBuilder(group_keys, calls));
-}
-
-uint32_t ColumnarAggBuilder::NewGroup(Value key) {
-  uint32_t gid = static_cast<uint32_t>(group_key_values_.size());
-  group_key_values_.push_back(std::move(key));
+uint32_t ColumnarAggBuilder::NewGroup() {
+  const uint32_t gid = static_cast<uint32_t>(num_groups_++);
   accs_.reserve(accs_.size() + calls_.size());
   for (const AggregateCall& call : calls_) {
     accs_.emplace_back(call);
@@ -52,8 +43,18 @@ uint32_t ColumnarAggBuilder::NewGroup(Value key) {
 uint32_t ColumnarAggBuilder::GroupIdForValue(const Value& key) {
   auto it = group_index_.find(key);
   if (it != group_index_.end()) return it->second;
-  uint32_t gid = NewGroup(key);
+  const uint32_t gid = NewGroup();
+  group_key_values_.push_back(key);
   group_index_.emplace(key, gid);
+  return gid;
+}
+
+uint32_t ColumnarAggBuilder::GroupIdForRow(const Row& key) {
+  auto it = row_index_.find(key);
+  if (it != row_index_.end()) return it->second;
+  const uint32_t gid = NewGroup();
+  group_key_values_.insert(group_key_values_.end(), key.begin(), key.end());
+  row_index_.emplace(key, gid);
   return gid;
 }
 
@@ -117,8 +118,20 @@ void ColumnarAggBuilder::ResolveGroups(const ColumnBatch& batch) {
   gids_.clear();
   gids_.reserve(active);
   if (group_keys_.empty()) {
-    if (group_key_values_.empty()) NewGroup(Value::Null());
+    if (num_groups_ == 0) NewGroup();
     gids_.assign(active, 0);
+    return;
+  }
+  if (group_keys_.size() > 1) {
+    // Composite keys: box the key cells into one reused Row per live row.
+    Row key(group_keys_.size());
+    for (size_t k = 0; k < active; ++k) {
+      const size_t i = batch.ActiveIndex(k);
+      for (size_t c = 0; c < group_keys_.size(); ++c) {
+        key[c] = batch.cols[static_cast<size_t>(group_keys_[c])].GetValue(i);
+      }
+      gids_.push_back(GroupIdForRow(key));
+    }
     return;
   }
   const ColumnVector& key = batch.cols[static_cast<size_t>(group_keys_[0])];
@@ -293,13 +306,20 @@ Status ColumnarAggBuilder::Feed(const ColumnBatch& batch) {
 
 Status ColumnarAggBuilder::MergeFrom(const ColumnarAggBuilder& other) {
   const size_t stride = calls_.size();
-  for (size_t og = 0; og < other.group_key_values_.size(); ++og) {
+  const size_t width = group_keys_.size();
+  Row key(width);
+  for (size_t og = 0; og < other.num_groups_; ++og) {
     uint32_t gid;
-    if (group_keys_.empty()) {
-      if (group_key_values_.empty()) NewGroup(Value::Null());
+    if (width == 0) {
+      if (num_groups_ == 0) NewGroup();
       gid = 0;
-    } else {
+    } else if (width == 1) {
       gid = GroupIdForValue(other.group_key_values_[og]);
+    } else {
+      std::copy_n(other.group_key_values_.begin() +
+                      static_cast<ptrdiff_t>(og * width),
+                  width, key.begin());
+      gid = GroupIdForRow(key);
     }
     for (size_t j = 0; j < stride; ++j) {
       CALCITE_RETURN_IF_ERROR(
@@ -312,19 +332,18 @@ Status ColumnarAggBuilder::MergeFrom(const ColumnarAggBuilder& other) {
 RowBatch ColumnarAggBuilder::EmitBatch(size_t batch_size) {
   if (!finalized_) {
     // Global aggregate over empty input still produces one row.
-    if (group_keys_.empty() && group_key_values_.empty()) {
-      NewGroup(Value::Null());
-    }
+    if (group_keys_.empty() && num_groups_ == 0) NewGroup();
     finalized_ = true;
   }
   const size_t stride = calls_.size();
+  const size_t width = group_keys_.size();
   RowBatch out;
-  while (emit_pos_ < group_key_values_.size() && out.size() < batch_size) {
+  while (emit_pos_ < num_groups_ && out.size() < batch_size) {
     const size_t g = emit_pos_++;
     Row result;
-    result.reserve(group_keys_.size() + stride);
-    if (!group_keys_.empty()) {
-      result.push_back(std::move(group_key_values_[g]));
+    result.reserve(width + stride);
+    for (size_t c = 0; c < width; ++c) {
+      result.push_back(std::move(group_key_values_[g * width + c]));
     }
     for (size_t j = 0; j < stride; ++j) {
       result.push_back(accs_[g * stride + j].Finish());

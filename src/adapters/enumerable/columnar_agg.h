@@ -15,9 +15,9 @@ namespace calcite {
 
 /// Columnar hash-aggregate state: consumes ColumnBatches straight off the
 /// columnar hot path, resolving group ids and feeding the typed adders of
-/// AggAccumulator without boxing non-NULL cells. Covers the global
-/// (ungrouped) case and single-column group keys — wider keys stay on the
-/// row path (TryCreate returns nullptr).
+/// AggAccumulator without boxing non-NULL cells. Any number of group keys:
+/// none (a global aggregate), one (typed-column fast path below), or several
+/// (composite keys resolve through a boxed key Row).
 ///
 /// The produced groups match the row-path hash aggregate exactly: first-seen
 /// key order, Value-equality group unification (Int(2) and Double(2.0) land
@@ -26,12 +26,10 @@ namespace calcite {
 /// suite enforces this).
 class ColumnarAggBuilder {
  public:
-  /// Returns a builder when the grouping shape is supported (zero or one
-  /// group key), else nullptr. `calls` are copied; the builder is
-  /// self-contained after construction.
-  static std::unique_ptr<ColumnarAggBuilder> TryCreate(
-      const std::vector<int>& group_keys,
-      const std::vector<AggregateCall>& calls);
+  /// `calls` are copied; the builder is self-contained after construction.
+  ColumnarAggBuilder(std::vector<int> group_keys,
+                     std::vector<AggregateCall> calls)
+      : group_keys_(std::move(group_keys)), calls_(std::move(calls)) {}
 
   ColumnarAggBuilder(const ColumnarAggBuilder&) = delete;
   ColumnarAggBuilder& operator=(const ColumnarAggBuilder&) = delete;
@@ -50,15 +48,17 @@ class ColumnarAggBuilder {
   RowBatch EmitBatch(size_t batch_size);
 
  private:
-  ColumnarAggBuilder(std::vector<int> group_keys,
-                     std::vector<AggregateCall> calls)
-      : group_keys_(std::move(group_keys)), calls_(std::move(calls)) {}
+  /// Appends a new group (its accumulators; the caller appends its key
+  /// values) and returns its id.
+  uint32_t NewGroup();
 
-  /// Appends a new group keyed by `key` and returns its id.
-  uint32_t NewGroup(Value key);
-
-  /// Group id for boxed key `key`, creating the group on first sight.
+  /// Group id for boxed single-column key `key`, creating the group on
+  /// first sight.
   uint32_t GroupIdForValue(const Value& key);
+
+  /// Group id for composite key `key` (one Value per group key), creating
+  /// the group on first sight.
+  uint32_t GroupIdForRow(const Row& key);
 
   /// Probe-miss slow path: resolves cell `key[row]` through the
   /// authoritative boxed table, then fills the empty `slot` with
@@ -83,12 +83,14 @@ class ColumnarAggBuilder {
   /// ids already resolved into gids_.
   Status FeedCall(const ColumnBatch& batch, size_t call_idx);
 
-  std::vector<int> group_keys_;  // empty (global) or exactly one index
+  std::vector<int> group_keys_;  // empty for a global aggregate
   std::vector<AggregateCall> calls_;
 
-  // Authoritative group table, keyed by boxed key value (Value hash/equality
+  // Authoritative group tables, keyed by the boxed key: group_index_ for a
+  // single key column, row_index_ for composite keys (Value hash/equality
   // unifies numerically-equal ints and doubles, and gives NULL one group).
   std::unordered_map<Value, uint32_t, ValueHash> group_index_;
+  std::unordered_map<Row, uint32_t, RowHash> row_index_;
 
   // Fast path for typed key columns: a flat open-addressing table (linear
   // probing, power-of-two capacity, gid_plus_1 == 0 marks an empty slot)
@@ -112,8 +114,11 @@ class ColumnarAggBuilder {
   size_t hash_count_ = 0;
   std::vector<uint64_t> hashes_;  // per-Feed scratch for HashColumn
 
-  std::vector<Value> group_key_values_;         // per group, first-seen order
-  std::vector<AggAccumulator> accs_;            // groups x calls, row-major
+  // Groups in first-seen order: key values (groups x keys) and
+  // accumulators (groups x calls), both row-major.
+  size_t num_groups_ = 0;
+  std::vector<Value> group_key_values_;
+  std::vector<AggAccumulator> accs_;
   std::vector<uint32_t> gids_;                  // per-Feed scratch
   size_t emit_pos_ = 0;
   bool finalized_ = false;

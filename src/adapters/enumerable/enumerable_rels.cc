@@ -555,21 +555,26 @@ bool JoinEmitsCombinedRows(JoinType join_type) {
   return false;
 }
 
-void JoinEmitPerLeftRow(JoinType join_type, bool matched, Row&& lrow,
-                        size_t right_width, RowBatch* out) {
+bool JoinEmitsLeftRow(JoinType join_type, bool matched) {
   switch (join_type) {
     case JoinType::kLeft:
     case JoinType::kFull:
-      if (!matched) out->push_back(PadNullRight(lrow, right_width));
-      break;
-    case JoinType::kSemi:
-      if (matched) out->push_back(std::move(lrow));
-      break;
     case JoinType::kAnti:
-      if (!matched) out->push_back(std::move(lrow));
-      break;
+      return !matched;
+    case JoinType::kSemi:
+      return matched;
     default:
-      break;
+      return false;  // inner/right need no per-left-row emission
+  }
+}
+
+void JoinEmitPerLeftRow(JoinType join_type, bool matched, Row&& lrow,
+                        size_t right_width, RowBatch* out) {
+  if (!JoinEmitsLeftRow(join_type, matched)) return;
+  if (join_type == JoinType::kLeft || join_type == JoinType::kFull) {
+    out->push_back(PadNullRight(lrow, right_width));
+  } else {
+    out->push_back(std::move(lrow));
   }
 }
 
@@ -701,21 +706,9 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
               }
             }
           }
-          switch (join_type) {
-            case JoinType::kLeft:
-            case JoinType::kFull:
-              if (!matched) {
-                out.push_back(PadNullRight(lrow_ref(), right_width));
-              }
-              break;
-            case JoinType::kSemi:
-              if (matched) out.push_back(std::move(lrow_ref()));
-              break;
-            case JoinType::kAnti:
-              if (!matched) out.push_back(std::move(lrow_ref()));
-              break;
-            default:
-              break;  // inner/right need no per-left-row emission
+          if (JoinEmitsLeftRow(join_type, matched)) {
+            JoinEmitPerLeftRow(join_type, matched, std::move(lrow_ref()),
+                               right_width, &out);
           }
         }
         if (!out.empty()) return FlushPending(state.get(), batch_size);
@@ -951,30 +944,29 @@ Result<RowBatchPuller> EnumerableAggregate::ExecuteBatched(
   }
   // Columnar consumer: batches feed the typed accumulator adders straight
   // from raw column storage — group-key probing and NULL skipping never box
-  // a cell unless the group key is genuinely new.
-  if (auto builder = std::shared_ptr<ColumnarAggBuilder>(
-          ColumnarAggBuilder::TryCreate(group_keys_, agg_calls_))) {
-    if (auto columnar = input(0)->TryExecuteColumnar(opts)) {
-      if (!columnar->ok()) return columnar->status();
-      ColumnBatchPuller pull = std::move(*columnar).value();
-      RelNodePtr self = shared_from_this();
-      const size_t batch_size = NormalizedBatchSize(opts);
-      auto built = std::make_shared<bool>(false);
-      return RowBatchPuller(
-          [self, builder, pull, built, batch_size]() -> Result<RowBatch> {
-            if (!*built) {
-              for (;;) {
-                auto batch = pull();
-                if (!batch.ok()) return batch.status();
-                const ColumnBatch& cols = batch.value();
-                if (cols.AtEnd()) break;
-                CALCITE_RETURN_IF_ERROR(builder->Feed(cols));
-              }
-              *built = true;
+  // a cell unless the group key is genuinely new (or composite).
+  if (auto columnar = input(0)->TryExecuteColumnar(opts)) {
+    if (!columnar->ok()) return columnar->status();
+    ColumnBatchPuller pull = std::move(*columnar).value();
+    RelNodePtr self = shared_from_this();
+    auto builder =
+        std::make_shared<ColumnarAggBuilder>(group_keys_, agg_calls_);
+    const size_t batch_size = NormalizedBatchSize(opts);
+    auto built = std::make_shared<bool>(false);
+    return RowBatchPuller(
+        [self, builder, pull, built, batch_size]() -> Result<RowBatch> {
+          if (!*built) {
+            for (;;) {
+              auto batch = pull();
+              if (!batch.ok()) return batch.status();
+              const ColumnBatch& cols = batch.value();
+              if (cols.AtEnd()) break;
+              CALCITE_RETURN_IF_ERROR(builder->Feed(cols));
             }
-            return builder->EmitBatch(batch_size);
-          });
-    }
+            *built = true;
+          }
+          return builder->EmitBatch(batch_size);
+        });
   }
   // Selection-aware consumer: only the live rows of each input batch feed
   // the accumulators, so a filter below never compacts.

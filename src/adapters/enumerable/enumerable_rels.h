@@ -238,12 +238,8 @@ Row ConcatRows(const Row& left, const Row& right);
 Row PadNullRight(const Row& left, size_t right_width);
 Row PadNullLeft(size_t left_width, const Row& right);
 
-/// Batch-granularity operator kernels, shared by the serial pull pipelines
-/// above and the morsel-driven parallel executor (exec/parallel/): a single
-/// implementation of filter/project semantics, whichever thread runs it.
-/// Filter semantics live in RexInterpreter::NarrowSelection (selection
-/// narrowing); the project kernel below consumes the selection.
-///
+/// Row-path project kernel of the serial pull pipelines (the columnar path
+/// and the morsel-parallel executor project through FusedExpr instead).
 /// Projects the *selected* rows of `batch` in place. Projection writes one
 /// fresh output row per live input row, so it compacts as a side effect:
 /// on return the batch is dense (has_sel false) with ActiveCount() rows.
@@ -261,6 +257,10 @@ std::optional<Row> JoinSideKey(const Row& row,
 /// True for the join types that emit the concatenated row per match
 /// (SEMI/ANTI decide emission per left row instead).
 bool JoinEmitsCombinedRows(JoinType join_type);
+/// True when a probed left row emits on its own once its matches ran:
+/// LEFT/FULL pad an unmatched row, SEMI keeps a matched one, ANTI an
+/// unmatched one. Columnar probes ask this before gathering the row.
+bool JoinEmitsLeftRow(JoinType join_type, bool matched);
 /// Emission decided once per probed left row, after its matches ran.
 void JoinEmitPerLeftRow(JoinType join_type, bool matched, Row&& lrow,
                         size_t right_width, RowBatch* out);

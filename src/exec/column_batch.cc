@@ -611,8 +611,8 @@ uint64_t HashValue64(const Value& v) {
 
 uint64_t HashRowKey64(const Row& key) {
   if (key.size() == 1) return HashValue64(key[0]);
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const Value& v : key) h = (h ^ HashValue64(v)) * 0x100000001b3ULL;
+  uint64_t h = kKeyHashSeed;
+  for (const Value& v : key) h = FoldKeyHash(h, HashValue64(v));
   return h;
 }
 

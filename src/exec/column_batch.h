@@ -211,8 +211,14 @@ uint64_t HashValue64(const Value& v);
 /// Hash of a join/group key row. A single-column key hashes exactly as
 /// HashValue64 of its one cell — the contract that lets typed column fast
 /// paths and boxed per-row paths probe the same table — and wider keys fold
-/// the per-cell hashes FNV-style.
+/// the per-cell hashes FNV-style, starting from kKeyHashSeed.
 uint64_t HashRowKey64(const Row& key);
+
+/// HashRowKey64's fold step, shared with column-at-a-time key hashers.
+inline constexpr uint64_t kKeyHashSeed = 0xcbf29ce484222325ULL;
+inline uint64_t FoldKeyHash(uint64_t h, uint64_t cell_hash) {
+  return (h ^ cell_hash) * 0x100000001b3ULL;
+}
 
 /// Blocked column-at-a-time hashing: hashes the `n` cells of `col` named by
 /// sel[0..n) (or rows 0..n-1 when `sel` is null) into out[0..n), agreeing
@@ -239,8 +245,9 @@ ColumnBatchPuller ScanTableColumns(TableColumnsPtr columns, size_t batch_size,
 /// column-to-row conversion boundary used by unconverted consumers).
 void ColumnsToRows(const ColumnBatch& batch, RowBatch* out);
 
-/// Decomposes a RowBatch into an owned ColumnBatch (test and bridge helper;
-/// the hot path never converts this direction). Fails on ragged rows.
+/// Decomposes a RowBatch into an owned ColumnBatch (the bridge that feeds
+/// paged leaves, which decode rows, to the morsel-parallel executor's
+/// columnar workers). Fails on ragged rows.
 Result<ColumnBatch> RowsToColumns(const RowBatch& rows,
                                   const RelDataType& row_type);
 

@@ -22,10 +22,10 @@ namespace calcite {
 /// consumer.
 ///
 /// The batch type is a template parameter because the exchange ships
-/// whatever the fragment's workers produce: dense RowBatches on the row
-/// path, or ColumnBatches on the columnar path — the latter move only
-/// column pointers and shared storage owners through the queue (zero-copy);
-/// cells are first materialized on the consumer side, if at all.
+/// whatever the fragment's workers produce: ColumnBatches from pipeline
+/// workers — which move only column pointers and shared storage owners
+/// through the queue (zero-copy; cells are first materialized on the
+/// consumer side) — or the dense RowBatches a hash-join probe emits.
 template <typename BatchT>
 class BasicExchangeQueue {
  public:
@@ -100,8 +100,8 @@ class BasicExchangeQueue {
   std::condition_variable not_full_cv_;
 };
 
-/// The row exchange (dense RowBatches) and the columnar exchange, which
-/// ships (columns, selection) pairs without touching cell data.
+/// The row exchange (join output) and the columnar exchange, which ships
+/// (columns, selection) pairs without touching cell data.
 using ExchangeQueue = BasicExchangeQueue<RowBatch>;
 using ColumnExchangeQueue = BasicExchangeQueue<ColumnBatch>;
 

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "adapters/enumerable/aggregates.h"
 #include "adapters/enumerable/columnar_agg.h"
 #include "adapters/enumerable/enumerable_rels.h"
 #include "exec/arena.h"
@@ -17,7 +17,6 @@
 #include "exec/parallel/task_scheduler.h"
 #include "exec/simd.h"
 #include "rel/core.h"
-#include "rex/rex_columnar.h"
 #include "rex/rex_fuse.h"
 #include "rex/rex_interpreter.h"
 
@@ -38,57 +37,50 @@ struct PipelineStage {
 };
 
 /// A recognized morsel-parallelizable fragment: a (Filter|Project)* chain
-/// over a TableScan or Values leaf, plus the row storage morsels index
-/// into. Shared read-only by every worker of the fragment.
+/// over a TableScan leaf, plus the leaf storage morsels index into. Built
+/// on the consumer thread before any worker starts, then shared read-only
+/// by every worker of the fragment. Exactly one leaf kind is set:
+///  - `columns`: the table's in-memory columnar decomposition; a morsel is
+///    a row range, sliced into zero-copy ColumnBatches;
+///  - paged (`columns` null): a morsel is one scan unit of the table (for a
+///    disk table, a run of heap pages), read by a unit-ranged OpenScan and
+///    decoded through RowsToColumns.
 struct FragmentSource {
-  std::vector<RelNodePtr> pinned;  // fragment nodes (keep exprs/tuples alive)
-  TablePtr table;                  // set when the leaf is a table scan
-  const std::vector<Row>* rows = nullptr;        // stable leaf storage
-  std::shared_ptr<std::vector<Row>> owned_rows;  // fallback materialization
-  std::vector<PipelineStage> stages;             // applied bottom-up
-  /// Columnar decomposition of the leaf, set once on the consumer thread
-  /// before workers start (see PrepareColumnar). When set, workers slice
-  /// zero-copy ColumnBatches out of it instead of copying rows.
+  std::vector<RelNodePtr> pinned;  // fragment nodes (keep exprs alive)
+  TablePtr table;
+  RelDataTypePtr row_type;         // leaf row type (decodes paged units)
+  std::vector<PipelineStage> stages;  // applied bottom-up
   TableColumnsPtr columns;
-
-  /// Ensures `rows` points at the leaf data. Tables without stable row
-  /// storage are materialized through Scan() exactly once, on the consumer
-  /// thread, before any worker starts.
-  Status Materialize() {
-    if (rows != nullptr) return Status::OK();
-    auto scanned = table->Scan();
-    if (!scanned.ok()) return scanned.status();
-    owned_rows =
-        std::make_shared<std::vector<Row>>(std::move(scanned).value());
-    rows = owned_rows.get();
-    return Status::OK();
-  }
-
-  /// Fetches the leaf table's cached columnar decomposition (building it if
-  /// this is its first use), when the fragment is eligible for the columnar
-  /// path. Must run on the consumer thread, before any worker starts —
-  /// workers then share the immutable snapshot read-only.
-  void PrepareColumnar(const ExecOptions& opts) {
-    if (!opts.enable_columnar || table == nullptr) return;
-    TypeFactory type_factory;
-    columns = table->MaterializedColumns(type_factory);
-  }
+  size_t morsel_count = 0;  // rows of `columns`, or scan units when paged
+  size_t morsel_size = 1;
 };
 
-/// Matches the fragment shape the morsel executor can run: a chain of
-/// enumerable Filter/Project nodes over an enumerable TableScan or Values
-/// leaf. Converters (EnumerableInterpreter) and every other operator stop
-/// the chain — fragments never cross a calling-convention boundary.
-bool RecognizeMorselPipeline(const RelNode& root, FragmentSource* out) {
+/// Rows per morsel: small enough that the tail of a scan still spreads
+/// across the pool, large enough that the atomic claim amortizes.
+size_t PickMorselSize(size_t total_rows, size_t num_threads) {
+  size_t target = total_rows / (num_threads * 4);
+  return std::min(kDefaultMorselSize, std::max<size_t>(256, target));
+}
+
+/// Matches the fragment shape the morsel executor can run — a chain of
+/// enumerable Filter/Project nodes over an enumerable TableScan — and
+/// resolves its leaf storage. Returns null (the fragment stays serial) for
+/// any other shape, for stream scans, and for tables with neither a
+/// columnar decomposition nor scan units. Converters (EnumerableInterpreter)
+/// and every other operator stop the chain — fragments never cross a
+/// calling-convention boundary.
+std::shared_ptr<const FragmentSource> RecognizeMorselPipeline(
+    const RelNode& root, const ExecOptions& opts) {
+  auto out = std::make_shared<FragmentSource>();
   const RelNode* cur = &root;
   std::vector<PipelineStage> top_down;
   for (;;) {
-    if (cur->convention() != Convention::Enumerable()) return false;
+    if (cur->convention() != Convention::Enumerable()) return nullptr;
+    out->pinned.push_back(cur->shared_from_this());
     if (const auto* filter = dynamic_cast<const Filter*>(cur)) {
       PipelineStage stage;
       stage.filter = filter->condition();
       top_down.push_back(std::move(stage));
-      out->pinned.push_back(cur->shared_from_this());
       cur = filter->input(0).get();
       continue;
     }
@@ -96,51 +88,30 @@ bool RecognizeMorselPipeline(const RelNode& root, FragmentSource* out) {
       PipelineStage stage;
       stage.project = &project->exprs();
       top_down.push_back(std::move(stage));
-      out->pinned.push_back(cur->shared_from_this());
       cur = project->input(0).get();
       continue;
     }
-    if (const auto* scan = dynamic_cast<const TableScan*>(cur)) {
-      // Streams are time-ordered by contract (Table::IsStream) and morsel
-      // workers racing for row ranges would interleave their events, so
-      // stream scans always stay serial.
-      if (scan->table()->IsStream()) return false;
-      out->pinned.push_back(cur->shared_from_this());
-      out->table = scan->table();
-      out->rows = scan->table()->MaterializedRows();
-      break;
-    }
-    if (const auto* values = dynamic_cast<const Values*>(cur)) {
-      out->pinned.push_back(cur->shared_from_this());
-      out->rows = &values->tuples();
-      break;
-    }
-    return false;
+    const auto* scan = dynamic_cast<const TableScan*>(cur);
+    // Streams are time-ordered by contract (Table::IsStream) and morsel
+    // workers racing for row ranges would interleave their events, so
+    // stream scans always stay serial.
+    if (scan == nullptr || scan->table()->IsStream()) return nullptr;
+    out->table = scan->table();
+    out->row_type = scan->row_type();
+    break;
   }
   out->stages.assign(top_down.rbegin(), top_down.rend());
-  return true;
-}
 
-/// Runs the fragment's filter/project chain over one batch, using the same
-/// selection-aware kernels as the serial pipelines (one implementation of
-/// operator semantics, whichever thread runs it). Filters narrow the
-/// batch's selection vector instead of compacting; a project consumes the
-/// selection (compacting as it writes). The batch is left possibly still
-/// carrying a selection — consumers either iterate ActiveRow() or call
-/// Compact() once before handing rows on.
-Status ApplyStagesSel(const std::vector<PipelineStage>& stages,
-                      SelBatch* batch) {
-  for (const PipelineStage& stage : stages) {
-    if (batch->ActiveCount() == 0) return Status::OK();
-    if (stage.filter != nullptr) {
-      batch->EnsureSelection();
-      CALCITE_RETURN_IF_ERROR(RexInterpreter::NarrowSelection(
-          stage.filter, batch->rows, &batch->sel));
-    } else {
-      CALCITE_RETURN_IF_ERROR(ApplyProjectToSelBatch(*stage.project, batch));
-    }
+  TypeFactory type_factory;
+  out->columns = out->table->MaterializedColumns(type_factory);
+  if (out->columns != nullptr) {
+    out->morsel_count = out->columns->num_rows;
+    out->morsel_size = PickMorselSize(out->morsel_count, opts.num_threads);
+  } else {
+    out->morsel_count = out->table->ScanUnitCount();
+    if (out->morsel_count == 0) return nullptr;
   }
-  return Status::OK();
+  return out;
 }
 
 /// Worker-local fused view of one pipeline stage: a FusedExpr per filter
@@ -172,16 +143,15 @@ std::vector<FusedStage> BuildFusedStages(
   return out;
 }
 
-/// Columnar counterpart of ApplyStagesSel, one implementation of stage
-/// semantics on raw columns whichever worker thread runs it: filter stages
-/// narrow the batch's selection via the columnar kernels (fused bytecode
-/// where the predicate lowers), project stages rebuild the batch densely
-/// (selection consumed on write). `scratch_pool` recycles filter-scratch
-/// arenas; it and `stages` are worker-local, so acquire/release and the
-/// fused interpreter state stay on one thread. Project outputs get a
-/// *fresh* arena each time: those batches cross the exchange to the
-/// consumer thread, and an arena must never be recycled by one thread
-/// while another still reads it.
+/// Runs the fragment's stage chain over one batch — the same columnar
+/// kernels as the serial pipelines, whichever worker thread runs it: filter
+/// stages narrow the batch's selection (fused bytecode where the predicate
+/// lowers), project stages rebuild the batch densely (selection consumed on
+/// write). `scratch_pool` recycles filter-scratch arenas; it and `stages`
+/// are worker-local, so acquire/release and the fused interpreter state
+/// stay on one thread. Project outputs get a *fresh* arena each time: those
+/// batches may cross the exchange to the consumer thread, and an arena must
+/// never be recycled by one thread while another still reads it.
 Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
                            ArenaPool* scratch_pool, ColumnBatch* batch) {
   for (FusedStage& stage : *stages) {
@@ -211,466 +181,169 @@ Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
   return Status::OK();
 }
 
-/// Rows per morsel: small enough that the tail of a scan still spreads
-/// across the pool, large enough that the atomic claim amortizes.
-size_t PickMorselSize(size_t total_rows, size_t num_threads) {
-  size_t target = total_rows / (num_threads * 4);
-  return std::min(kDefaultMorselSize, std::max<size_t>(256, target));
-}
+/// The one per-worker reader of every parallel fragment: claims morsels,
+/// turns each into leaf ColumnBatches of at most batch_size rows, and runs
+/// the stage chain on them. Pipeline, aggregate and probe workers differ
+/// only in what they do with the batches Next() hands out.
+class MorselReader {
+ public:
+  MorselReader(std::shared_ptr<const FragmentSource> src,
+               MorselSource* morsels, QueryCancelState* cancel,
+               const ExecOptions& opts)
+      : src_(std::move(src)),
+        morsels_(morsels),
+        cancel_(cancel),
+        batch_size_(opts.batch_size),
+        stages_(BuildFusedStages(src_->stages, opts.enable_fusion)) {}
+
+  /// The next batch with at least one live row. nullopt once the morsels
+  /// run dry or the fragment is cancelled — a failure is recorded in the
+  /// cancel state first, so callers only need to stop.
+  std::optional<ColumnBatch> Next() {
+    while (!cancel_->cancelled()) {
+      Result<ColumnBatch> leaf = NextLeafBatch();
+      if (!leaf.ok()) {
+        cancel_->Cancel(leaf.status());
+        break;
+      }
+      ColumnBatch batch = std::move(leaf).value();
+      if (batch.AtEnd()) break;
+      Status status = ApplyStagesColumnar(&stages_, &scratch_pool_, &batch);
+      if (!status.ok()) {
+        cancel_->Cancel(std::move(status));
+        break;
+      }
+      if (batch.ActiveCount() > 0) return batch;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  /// The next unfiltered leaf batch; AtEnd() once no morsel is left.
+  Result<ColumnBatch> NextLeafBatch() {
+    for (;;) {
+      if (pos_ < end_) {
+        const size_t n = std::min(batch_size_, end_ - pos_);
+        ColumnBatch batch = SliceTableColumns(src_->columns, pos_, n, src_);
+        pos_ += n;
+        return batch;
+      }
+      if (unit_scan_) {
+        CALCITE_ASSIGN_OR_RETURN(RowBatch rows, unit_scan_());
+        if (!rows.empty()) return RowsToColumns(rows, *src_->row_type);
+        unit_scan_ = nullptr;
+      }
+      std::optional<Morsel> morsel = morsels_->Next();
+      if (!morsel.has_value()) return ColumnBatch{};
+      if (src_->columns != nullptr) {
+        pos_ = morsel->begin;
+        end_ = morsel->end;
+      } else {
+        // One unit-ranged OpenScan per morsel: the table streams its own
+        // pages (page run at a time through the buffer pool), so a worker
+        // never holds more than the unit it claimed.
+        ScanSpec spec;
+        spec.batch_size = batch_size_;
+        spec.unit_begin = morsel->begin;
+        spec.unit_end = morsel->end;
+        CALCITE_ASSIGN_OR_RETURN(unit_scan_, src_->table->OpenScan(spec));
+      }
+    }
+  }
+
+  std::shared_ptr<const FragmentSource> src_;
+  MorselSource* morsels_;
+  QueryCancelState* cancel_;
+  const size_t batch_size_;
+  std::vector<FusedStage> stages_;
+  ArenaPool scratch_pool_;
+  size_t pos_ = 0;  // row range of the claimed morsel (columnar leaf)
+  size_t end_ = 0;
+  RowBatchPuller unit_scan_;  // scan of the claimed unit (paged leaf)
+};
 
 // ---------------------------------------------------------------------------
 // Morsel-parallel scan -> filter -> project pipeline
 // ---------------------------------------------------------------------------
 
-/// Worker loop of a pipeline fragment: claim a morsel, slice it into
-/// batches, run the stage chain, exchange survivors. Stops at the next
-/// batch boundary once the fragment is cancelled.
-void RunPipelineWorker(const FragmentSource& src, QueryCancelState* cancel,
-                       ExchangeQueue* queue, MorselSource* morsels,
-                       size_t batch_size) {
-  const std::vector<Row>& rows = *src.rows;
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      SelBatch batch;
-      batch.rows.assign(rows.begin() + static_cast<ptrdiff_t>(pos),
-                        rows.begin() + static_cast<ptrdiff_t>(pos + n));
-      pos += n;
-      Status status = ApplyStagesSel(src.stages, &batch);
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        queue->Cancel();
-        return;
-      }
-      if (batch.ActiveCount() == 0) continue;
-      // The exchange carries dense RowBatches: compact once, at the very
-      // end of the stage chain (a trailing project already did).
-      batch.Compact();
-      if (!queue->Push(std::move(batch.rows))) return;
-    }
-  }
-}
-
-/// Paged worker loop for out-of-core leaves (tables that expose a scan-unit
-/// surface instead of MaterializedRows): claim one scan unit — for a disk
-/// table, a run of heap pages — per morsel, materialize just that unit into
-/// a worker-local buffer, run the stage chain, exchange survivors. Memory
-/// stays bounded by units-in-flight (one per worker), never the whole
-/// table.
-void RunPagedPipelineWorker(const FragmentSource& src, QueryCancelState* cancel,
-                            ExchangeQueue* queue, MorselSource* morsels,
-                            size_t batch_size) {
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    // One unit-ranged OpenScan per morsel: the table streams its own pages
-    // (for a disk table, page-run at a time through the buffer pool), so
-    // the worker never materializes more than a page run.
-    ScanSpec spec;
-    spec.batch_size = batch_size;
-    spec.unit_begin = morsel->begin;
-    spec.unit_end = morsel->end;
-    auto scan = src.table->OpenScan(spec);
-    if (!scan.ok()) {
-      cancel->Cancel(scan.status());
-      queue->Cancel();
-      return;
-    }
-    RowBatchPuller pull = std::move(scan).value();
-    for (;;) {
-      if (cancel->cancelled()) return;
-      auto pulled = pull();
-      if (!pulled.ok()) {
-        cancel->Cancel(pulled.status());
-        queue->Cancel();
-        return;
-      }
-      if (pulled.value().empty()) break;
-      SelBatch batch;
-      batch.rows = std::move(pulled).value();
-      Status status = ApplyStagesSel(src.stages, &batch);
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        queue->Cancel();
-        return;
-      }
-      if (batch.ActiveCount() == 0) continue;
-      batch.Compact();
-      if (!queue->Push(std::move(batch.rows))) return;
-    }
-  }
-}
-
-/// Columnar worker loop: claim a morsel, slice zero-copy column views out
-/// of the table's decomposition, run the stage chain on raw columns, ship
-/// the surviving (columns, selection) pairs through the exchange without
-/// materializing a single row.
-void RunColumnarPipelineWorker(const std::shared_ptr<FragmentSource>& src,
-                               QueryCancelState* cancel,
-                               ColumnExchangeQueue* queue,
-                               MorselSource* morsels, size_t batch_size,
-                               bool enable_fusion) {
-  ArenaPool scratch_pool;
-  std::vector<FusedStage> stages = BuildFusedStages(src->stages, enable_fusion);
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      ColumnBatch batch = SliceTableColumns(src->columns, pos, n, src);
-      pos += n;
-      Status status = ApplyStagesColumnar(&stages, &scratch_pool, &batch);
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        queue->Cancel();
-        return;
-      }
-      if (batch.ActiveCount() == 0) continue;
-      if (!queue->Push(std::move(batch))) return;
-    }
-  }
-}
-
-Result<RowBatchPuller> ExecutePipelineParallel(FragmentSource fragment,
-                                               const ExecOptions& opts) {
+/// Workers push their batches through the exchange without materializing a
+/// single row; the gather boxes survivors on the consumer thread.
+Result<RowBatchPuller> ExecutePipelineParallel(
+    std::shared_ptr<const FragmentSource> src, const ExecOptions& opts) {
   const size_t threads = opts.num_threads;
-  const size_t batch_size = opts.batch_size;
-  auto src = std::make_shared<FragmentSource>(std::move(fragment));
   auto cancel = std::make_shared<QueryCancelState>();
-
-  src->PrepareColumnar(opts);
-  if (src->columns != nullptr) {
-    const bool enable_fusion = opts.enable_fusion;
-    auto queue = std::make_shared<ColumnExchangeQueue>(threads * 2, threads);
-    auto start = [src, cancel, queue, threads, batch_size,
-                  enable_fusion]() -> std::shared_ptr<TaskScheduler> {
-      auto morsels = std::make_shared<MorselSource>(
-          src->columns->num_rows,
-          PickMorselSize(src->columns->num_rows, threads));
-      auto scheduler = std::make_shared<TaskScheduler>(threads);
-      for (size_t t = 0; t < threads; ++t) {
-        scheduler->Submit(
-            [src, cancel, queue, morsels, batch_size, enable_fusion]() {
-              RunColumnarPipelineWorker(src, cancel.get(), queue.get(),
-                                        morsels.get(), batch_size,
-                                        enable_fusion);
-              queue->ProducerDone();
-            });
-      }
-      return scheduler;
-    };
-    return MakeColumnarGatherPuller(std::move(cancel), std::move(queue),
-                                    std::move(start));
-  }
-
-  // Out-of-core leaves: no stable row storage, but a paged scan surface.
-  // Workers claim whole scan units as morsels instead of row ranges of a
-  // materialized copy that would defeat the point of out-of-core storage.
-  const size_t scan_units =
-      (src->rows == nullptr && src->table != nullptr)
-          ? src->table->ScanUnitCount()
-          : 0;
-  if (scan_units > 0) {
-    auto queue = std::make_shared<ExchangeQueue>(threads * 2, threads);
-    auto start = [src, cancel, queue, threads, batch_size,
-                  scan_units]() -> std::shared_ptr<TaskScheduler> {
-      auto morsels =
-          std::make_shared<MorselSource>(scan_units, /*morsel_size=*/1);
-      auto scheduler = std::make_shared<TaskScheduler>(threads);
-      for (size_t t = 0; t < threads; ++t) {
-        scheduler->Submit([src, cancel, queue, morsels, batch_size]() {
-          RunPagedPipelineWorker(*src, cancel.get(), queue.get(),
-                                 morsels.get(), batch_size);
-          queue->ProducerDone();
-        });
-      }
-      return scheduler;
-    };
-    return MakeGatherPuller(std::move(cancel), std::move(queue),
-                            std::move(start));
-  }
-
-  auto queue = std::make_shared<ExchangeQueue>(threads * 2, threads);
-  auto start = [src, cancel, queue, threads,
-                batch_size]() -> std::shared_ptr<TaskScheduler> {
-    Status status = src->Materialize();
-    if (!status.ok()) {
-      cancel->Cancel(std::move(status));
-      queue->Cancel();
-      return nullptr;
-    }
-    auto morsels = std::make_shared<MorselSource>(
-        src->rows->size(), PickMorselSize(src->rows->size(), threads));
-    auto scheduler = std::make_shared<TaskScheduler>(threads);
-    for (size_t t = 0; t < threads; ++t) {
-      scheduler->Submit([src, cancel, queue, morsels, batch_size]() {
-        RunPipelineWorker(*src, cancel.get(), queue.get(), morsels.get(),
-                          batch_size);
+  auto queue = std::make_shared<ColumnExchangeQueue>(threads * 2, threads);
+  auto start = [src, cancel, queue, opts]() -> std::shared_ptr<TaskScheduler> {
+    auto morsels =
+        std::make_shared<MorselSource>(src->morsel_count, src->morsel_size);
+    auto scheduler = std::make_shared<TaskScheduler>(opts.num_threads);
+    for (size_t t = 0; t < opts.num_threads; ++t) {
+      scheduler->Submit([src, cancel, queue, morsels, opts]() {
+        MorselReader reader(src, morsels.get(), cancel.get(), opts);
+        while (auto batch = reader.Next()) {
+          if (!queue->Push(std::move(*batch))) break;
+        }
+        if (cancel->cancelled()) queue->Cancel();
         queue->ProducerDone();
       });
     }
     return scheduler;
   };
-  return MakeGatherPuller(std::move(cancel), std::move(queue),
-                          std::move(start));
+  return MakeColumnarGatherPuller(std::move(cancel), std::move(queue),
+                                  std::move(start));
 }
 
 // ---------------------------------------------------------------------------
 // Partitioned hash aggregate (thread-local build + merge)
 // ---------------------------------------------------------------------------
 
-/// Thread-local aggregation state: one group table per worker, merged by
-/// the consumer once every morsel has been aggregated. Group output order
-/// is first-seen order across the merge — deterministic for one thread,
-/// unspecified across threads (workers race for morsels).
-struct LocalAggState {
-  std::unordered_map<Row, size_t, RowHash> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<AggAccumulator>> accs;
-};
-
-Status FeedLocalAgg(const std::vector<int>& group_keys,
-                    const std::vector<AggregateCall>& agg_calls,
-                    const SelBatch& batch, LocalAggState* local) {
-  auto new_group = [&](Row key) {
-    local->keys.push_back(std::move(key));
-    std::vector<AggAccumulator> accs;
-    accs.reserve(agg_calls.size());
-    for (const AggregateCall& call : agg_calls) accs.emplace_back(call);
-    local->accs.push_back(std::move(accs));
-  };
-  if (group_keys.empty()) {
-    // Global aggregate: one accumulator set per worker, batch-fed through
-    // the selection (an upstream filter stage never compacted).
-    if (local->accs.empty()) new_group(Row{});
-    const SelectionVector* sel = batch.has_sel ? &batch.sel : nullptr;
-    for (AggAccumulator& acc : local->accs[0]) {
-      CALCITE_RETURN_IF_ERROR(acc.AddBatchSel(batch.rows, sel));
-    }
-    return Status::OK();
-  }
-  Row scratch_key;
-  scratch_key.reserve(group_keys.size());
-  const size_t active = batch.ActiveCount();
-  for (size_t i = 0; i < active; ++i) {
-    const Row& row = batch.ActiveRow(i);
-    scratch_key.clear();
-    for (int k : group_keys) {
-      scratch_key.push_back(row[static_cast<size_t>(k)]);
-    }
-    size_t group;
-    auto it = local->index.find(scratch_key);
-    if (it != local->index.end()) {
-      group = it->second;
-    } else {
-      group = local->accs.size();
-      local->index.emplace(scratch_key, group);
-      new_group(scratch_key);
-    }
-    for (AggAccumulator& acc : local->accs[group]) {
-      CALCITE_RETURN_IF_ERROR(acc.Add(row));
-    }
-  }
-  return Status::OK();
-}
-
-void RunAggWorker(const FragmentSource& src,
-                  const std::vector<int>& group_keys,
-                  const std::vector<AggregateCall>& agg_calls,
-                  QueryCancelState* cancel, MorselSource* morsels,
-                  size_t batch_size, LocalAggState* local) {
-  const std::vector<Row>& rows = *src.rows;
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      SelBatch batch;
-      batch.rows.assign(rows.begin() + static_cast<ptrdiff_t>(pos),
-                        rows.begin() + static_cast<ptrdiff_t>(pos + n));
-      pos += n;
-      Status status = ApplyStagesSel(src.stages, &batch);
-      if (status.ok() && batch.ActiveCount() > 0) {
-        status = FeedLocalAgg(group_keys, agg_calls, batch, local);
-      }
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        return;
-      }
-    }
-  }
-}
-
-/// Columnar aggregation worker: morsels are sliced as zero-copy column
-/// views, run through the columnar stage chain, and fed to a worker-local
-/// ColumnarAggBuilder via the typed accumulator adders — no cell is boxed
-/// unless it opens a new group.
-void RunColumnarAggWorker(const std::shared_ptr<FragmentSource>& src,
-                          QueryCancelState* cancel, MorselSource* morsels,
-                          size_t batch_size, bool enable_fusion,
-                          ColumnarAggBuilder* local) {
-  ArenaPool scratch_pool;
-  std::vector<FusedStage> stages = BuildFusedStages(src->stages, enable_fusion);
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      ColumnBatch batch = SliceTableColumns(src->columns, pos, n, src);
-      pos += n;
-      Status status = ApplyStagesColumnar(&stages, &scratch_pool, &batch);
-      if (status.ok() && batch.ActiveCount() > 0) {
-        status = local->Feed(batch);
-      }
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        return;
-      }
-    }
-  }
-}
-
-struct ParallelAggState {
-  bool built = false;
-  /// Set on the columnar path: the merged builder emits directly.
-  std::unique_ptr<ColumnarAggBuilder> merged;
-  std::vector<Row> out_rows;
-  size_t pos = 0;
-};
-
-Result<RowBatchPuller> ExecuteAggregateParallel(const Aggregate& agg,
-                                                FragmentSource fragment,
-                                                const ExecOptions& opts) {
-  const size_t threads = opts.num_threads;
-  const size_t batch_size = opts.batch_size;
-  auto src = std::make_shared<FragmentSource>(std::move(fragment));
+/// Each worker feeds its batches to a worker-local ColumnarAggBuilder; the
+/// consumer merges the builders (accumulator merge, not re-aggregation)
+/// once every morsel has been aggregated. Group output order is first-seen
+/// order across the merge — unspecified across threads (workers race for
+/// morsels).
+Result<RowBatchPuller> ExecuteAggregateParallel(
+    const Aggregate& agg, std::shared_ptr<const FragmentSource> src,
+    const ExecOptions& opts) {
   RelNodePtr self = agg.shared_from_this();  // pins group_keys_/agg_calls_
   const Aggregate* node = &agg;
-  auto state = std::make_shared<ParallelAggState>();
-
-  ExecOptions opts_copy = opts;
-  return RowBatchPuller([src, self, node, state, threads, batch_size,
-                         opts_copy]() -> Result<RowBatch> {
-    const std::vector<int>& group_keys = node->group_keys();
-    const std::vector<AggregateCall>& agg_calls = node->agg_calls();
-    if (!state->built && state->merged == nullptr) {
-      // Columnar build phase: worker-local ColumnarAggBuilders over column
-      // morsels, merged serially once the workers are joined.
-      if (auto merged = ColumnarAggBuilder::TryCreate(group_keys, agg_calls)) {
-        src->PrepareColumnar(opts_copy);
-        if (src->columns != nullptr) {
-          auto cancel = std::make_shared<QueryCancelState>();
-          std::vector<std::unique_ptr<ColumnarAggBuilder>> locals(threads);
-          for (size_t t = 0; t < threads; ++t) {
-            locals[t] = ColumnarAggBuilder::TryCreate(group_keys, agg_calls);
-          }
-          {
-            MorselSource morsels(
-                src->columns->num_rows,
-                PickMorselSize(src->columns->num_rows, threads));
-            TaskScheduler scheduler(threads);
-            const bool enable_fusion = opts_copy.enable_fusion;
-            for (size_t t = 0; t < threads; ++t) {
-              ColumnarAggBuilder* local = locals[t].get();
-              scheduler.Submit([src, cancel, &morsels, batch_size,
-                                enable_fusion, local]() {
-                RunColumnarAggWorker(src, cancel.get(), &morsels, batch_size,
-                                     enable_fusion, local);
-              });
-            }
-            scheduler.WaitIdle();
-          }
-          CALCITE_RETURN_IF_ERROR(cancel->status());
-          for (const auto& local : locals) {
-            CALCITE_RETURN_IF_ERROR(merged->MergeFrom(*local));
-          }
-          state->merged = std::move(merged);
-          state->built = true;
-        }
+  auto merged =
+      std::make_shared<ColumnarAggBuilder>(agg.group_keys(), agg.agg_calls());
+  auto built = std::make_shared<bool>(false);
+  return RowBatchPuller([self, node, src, merged, built,
+                         opts]() -> Result<RowBatch> {
+    if (!*built) {
+      // The scheduler lives only for the build phase; WaitIdle orders the
+      // workers' writes before the merge reads the locals.
+      const size_t threads = opts.num_threads;
+      QueryCancelState cancel;
+      std::vector<std::unique_ptr<ColumnarAggBuilder>> locals;
+      for (size_t t = 0; t < threads; ++t) {
+        locals.push_back(std::make_unique<ColumnarAggBuilder>(
+            node->group_keys(), node->agg_calls()));
       }
-    }
-    if (state->merged != nullptr) {
-      return state->merged->EmitBatch(batch_size);
-    }
-    if (!state->built) {
-      // Build phase: thread-local aggregation over morsels, then a serial
-      // merge. The scheduler lives only for this phase; its destructor
-      // joins the workers, so locals are safe to read afterwards.
-      CALCITE_RETURN_IF_ERROR(src->Materialize());
-      auto cancel = std::make_shared<QueryCancelState>();
-      std::vector<LocalAggState> locals(threads);
       {
-        MorselSource morsels(src->rows->size(),
-                             PickMorselSize(src->rows->size(), threads));
+        MorselSource morsels(src->morsel_count, src->morsel_size);
         TaskScheduler scheduler(threads);
         for (size_t t = 0; t < threads; ++t) {
-          LocalAggState* local = &locals[t];
-          scheduler.Submit([src, &group_keys, &agg_calls, cancel, &morsels,
-                            batch_size, local]() {
-            RunAggWorker(*src, group_keys, agg_calls, cancel.get(), &morsels,
-                         batch_size, local);
+          ColumnarAggBuilder* local = locals[t].get();
+          scheduler.Submit([&src, &morsels, &cancel, &opts, local]() {
+            MorselReader reader(src, &morsels, &cancel, opts);
+            while (auto batch = reader.Next()) {
+              Status status = local->Feed(*batch);
+              if (!status.ok()) cancel.Cancel(std::move(status));
+            }
           });
         }
         scheduler.WaitIdle();
       }
-      CALCITE_RETURN_IF_ERROR(cancel->status());
-
-      // Merge: accumulate worker-local groups into one table, combining
-      // accumulators (partial-state merge, not re-aggregation).
-      std::unordered_map<Row, size_t, RowHash> merged_index;
-      std::vector<Row> merged_keys;
-      std::vector<std::vector<AggAccumulator>> merged_accs;
-      for (LocalAggState& local : locals) {
-        for (size_t g = 0; g < local.keys.size(); ++g) {
-          auto it = merged_index.find(local.keys[g]);
-          if (it == merged_index.end()) {
-            merged_index.emplace(local.keys[g], merged_keys.size());
-            merged_keys.push_back(std::move(local.keys[g]));
-            merged_accs.push_back(std::move(local.accs[g]));
-          } else {
-            std::vector<AggAccumulator>& into = merged_accs[it->second];
-            for (size_t a = 0; a < into.size(); ++a) {
-              CALCITE_RETURN_IF_ERROR(into[a].MergeFrom(local.accs[g][a]));
-            }
-          }
-        }
+      CALCITE_RETURN_IF_ERROR(cancel.status());
+      for (const auto& local : locals) {
+        CALCITE_RETURN_IF_ERROR(merged->MergeFrom(*local));
       }
-      // Global aggregate over empty input still produces one row.
-      if (group_keys.empty() && merged_keys.empty()) {
-        merged_keys.push_back(Row{});
-        std::vector<AggAccumulator> accs;
-        for (const AggregateCall& call : agg_calls) accs.emplace_back(call);
-        merged_accs.push_back(std::move(accs));
-      }
-      state->out_rows.reserve(merged_keys.size());
-      for (size_t g = 0; g < merged_keys.size(); ++g) {
-        Row result = std::move(merged_keys[g]);
-        result.reserve(result.size() + agg_calls.size());
-        for (const AggAccumulator& acc : merged_accs[g]) {
-          result.push_back(acc.Finish());
-        }
-        state->out_rows.push_back(std::move(result));
-      }
-      state->built = true;
+      *built = true;
     }
-    RowBatch out;
-    size_t n = std::min(batch_size, state->out_rows.size() - state->pos);
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(state->out_rows[state->pos + i]));
-    }
-    state->pos += n;
-    return out;
+    return merged->EmitBatch(opts.batch_size);
   });
 }
 
@@ -678,35 +351,49 @@ Result<RowBatchPuller> ExecuteAggregateParallel(const Aggregate& agg,
 // Partitioned hash join
 // ---------------------------------------------------------------------------
 
-/// Hashes a block of extracted join keys at once (HashRowKey64 semantics).
-/// All-single-int64 blocks gather the raw keys into a scratch column and
-/// hash in SIMD lanes; everything else hashes per row. An empty Row is the
-/// "no key" sentinel (a real key is never empty) — its hash slot is written
-/// arbitrarily and must not be read.
+/// Hashes a block of extracted build-side join keys at once (HashRowKey64
+/// semantics). All-single-int64 blocks gather the raw keys into a scratch
+/// column and hash in SIMD lanes; everything else hashes per row.
 void HashKeyBlock(const std::vector<Row>& keys, std::vector<uint64_t>* out,
                   std::vector<int64_t>* i64_scratch) {
   const size_t n = keys.size();
   out->resize(n);
   bool single_int = n >= 8;
-  if (single_int) {
-    for (const Row& k : keys) {
-      if (k.empty()) continue;
-      if (k.size() != 1 || !k[0].is_int()) {
-        single_int = false;
-        break;
-      }
-    }
+  for (size_t j = 0; single_int && j < n; ++j) {
+    single_int = keys[j].size() == 1 && keys[j][0].is_int();
   }
   if (single_int) {
     i64_scratch->resize(n);
-    for (size_t j = 0; j < n; ++j) {
-      (*i64_scratch)[j] = keys[j].empty() ? 0 : keys[j][0].AsInt();
-    }
+    for (size_t j = 0; j < n; ++j) (*i64_scratch)[j] = keys[j][0].AsInt();
     simd::HashI64(i64_scratch->data(), n, out->data());
     return;
   }
-  for (size_t j = 0; j < n; ++j) {
-    if (!keys[j].empty()) (*out)[j] = HashRowKey64(keys[j]);
+  for (size_t j = 0; j < n; ++j) (*out)[j] = HashRowKey64(keys[j]);
+}
+
+/// Probe-side counterpart of HashKeyBlock: HashRowKey64 of every live row's
+/// left join key, computed column-at-a-time off the key columns (HashColumn
+/// agrees with HashValue64 cell by cell, NULLs included).
+void HashKeyColumns(const ColumnBatch& batch,
+                    const std::vector<std::pair<int, int>>& keys,
+                    std::vector<uint64_t>* out,
+                    std::vector<uint64_t>* cell_scratch) {
+  const size_t n = batch.ActiveCount();
+  const uint32_t* sel = batch.has_sel ? batch.sel.data() : nullptr;
+  out->resize(n);
+  if (keys.size() == 1) {
+    HashColumn(batch.cols[static_cast<size_t>(keys[0].first)], sel, n,
+               out->data());
+    return;
+  }
+  out->assign(n, kKeyHashSeed);
+  cell_scratch->resize(n);
+  for (const auto& key : keys) {
+    HashColumn(batch.cols[static_cast<size_t>(key.first)], sel, n,
+               cell_scratch->data());
+    for (size_t j = 0; j < n; ++j) {
+      (*out)[j] = FoldKeyHash((*out)[j], (*cell_scratch)[j]);
+    }
   }
 }
 
@@ -723,7 +410,7 @@ struct BuildPartition {
 /// the per-partition hash tables (each written by exactly one build task,
 /// read by every probe worker), and the matched flags outer joins need.
 struct ParallelJoinShared {
-  FragmentSource probe;
+  std::shared_ptr<const FragmentSource> probe;
   RelNodePtr self;        // pins condition / row types
   RelNodePtr build_node;  // right input, drained serially
   std::vector<std::pair<int, int>> keys;
@@ -831,16 +518,17 @@ Status BuildPartitionedTable(ParallelJoinShared* shared,
   return Status::OK();
 }
 
-/// Probe worker: stream left morsels through the fragment's filter/project
-/// chain, probe the read-only partition tables, emit per the join type.
-void RunProbeWorker(const ParallelJoinShared& shared, QueryCancelState* cancel,
-                    ExchangeQueue* queue, MorselSource* morsels,
+/// Probe worker: reads left batches off the fragment's morsel reader,
+/// hashes their key columns, probes the read-only partition tables, and
+/// emits per the join type. Like the serial columnar probe, a key is boxed
+/// only on a hash hit and a left row is gathered only when it emits.
+void RunProbeWorker(const ParallelJoinShared& shared, MorselReader* reader,
+                    QueryCancelState* cancel, ExchangeQueue* queue,
                     size_t batch_size) {
-  const std::vector<Row>& rows = *shared.probe.rows;
   RowBatch out;
-  std::vector<Row> key_scratch;
-  std::vector<uint64_t> hash_scratch;
-  std::vector<int64_t> i64_scratch;
+  std::vector<uint64_t> hashes;
+  std::vector<uint64_t> cell_scratch;
+  Row key(shared.keys.size());
   // Hands accumulated output to the exchange in <= batch_size chunks.
   auto flush = [&]() -> bool {
     size_t pos = 0;
@@ -855,77 +543,68 @@ void RunProbeWorker(const ParallelJoinShared& shared, QueryCancelState* cancel,
     out.clear();
     return true;
   };
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      SelBatch batch;
-      batch.rows.assign(rows.begin() + static_cast<ptrdiff_t>(pos),
-                        rows.begin() + static_cast<ptrdiff_t>(pos + n));
-      pos += n;
-      Status status = ApplyStagesSel(shared.probe.stages, &batch);
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        queue->Cancel();
-        return;
+  // Probes one live left row; false once the fragment failed.
+  auto probe_row = [&](const ColumnBatch& cols, size_t k) -> bool {
+    const size_t i = cols.ActiveIndex(k);
+    bool matched = false;
+    Row lrow;
+    bool have_lrow = false;
+    auto lrow_ref = [&]() -> Row& {
+      if (!have_lrow) {
+        lrow = cols.GatherRow(i);
+        have_lrow = true;
       }
-      // Probe only the live rows — the selection an upstream filter stage
-      // left behind is consumed here, with no compaction in between.
-      const size_t active = batch.ActiveCount();
-      // Extract and hash every live key in one block before probing (an
-      // empty Row marks a NULL-keyed row that can never match).
-      key_scratch.clear();
-      key_scratch.reserve(active);
-      for (size_t k = 0; k < active; ++k) {
-        auto key = JoinSideKey(batch.ActiveRow(k), shared.keys,
-                               /*left_side=*/true);
-        key_scratch.push_back(key.has_value() ? std::move(*key) : Row());
+      return lrow;
+    };
+    bool null_key = false;  // NULL keys never match
+    for (const auto& lr : shared.keys) {
+      null_key |= cols.cols[static_cast<size_t>(lr.first)].IsNullAt(i);
+    }
+    const uint64_t h = hashes[k];
+    const BuildPartition& part = shared.tables[h % shared.partitions];
+    auto it = null_key ? part.index.end() : part.index.find(h);
+    if (it != part.index.end()) {
+      for (size_t c = 0; c < shared.keys.size(); ++c) {
+        key[c] = cols.cols[static_cast<size_t>(shared.keys[c].first)]
+                     .GetValue(i);
       }
-      HashKeyBlock(key_scratch, &hash_scratch, &i64_scratch);
-      for (size_t k = 0; k < active; ++k) {
-        Row& lrow = batch.ActiveRow(k);
-        const Row& key = key_scratch[k];
-        bool matched = false;
-        if (!key.empty()) {
-          const uint64_t h = hash_scratch[k];
-          const BuildPartition& part = shared.tables[h % shared.partitions];
-          auto it = part.index.find(h);
-          if (it != part.index.end()) {
-            for (uint32_t eid : it->second) {
-              if (!(part.entries[eid].first == key)) continue;  // collision
-              const size_t ri = part.entries[eid].second;
-              Row combined = ConcatRows(lrow, shared.right_data[ri]);
-              bool pass = true;
-              for (const RexNodePtr& pred : shared.remaining) {
-                auto result = RexInterpreter::EvalPredicate(pred, combined);
-                if (!result.ok()) {
-                  cancel->Cancel(result.status());
-                  queue->Cancel();
-                  return;
-                }
-                if (!result.value()) {
-                  pass = false;
-                  break;
-                }
-              }
-              if (!pass) continue;
-              matched = true;
-              shared.right_matched[ri].store(true, std::memory_order_relaxed);
-              if (JoinEmitsCombinedRows(shared.join_type)) {
-                out.push_back(std::move(combined));
-              }
-              if (shared.join_type == JoinType::kSemi) break;
-            }
+      for (uint32_t eid : it->second) {
+        if (!(part.entries[eid].first == key)) continue;  // collision
+        const size_t ri = part.entries[eid].second;
+        Row combined = ConcatRows(lrow_ref(), shared.right_data[ri]);
+        bool pass = true;
+        for (const RexNodePtr& pred : shared.remaining) {
+          auto result = RexInterpreter::EvalPredicate(pred, combined);
+          if (!result.ok()) {
+            cancel->Cancel(result.status());
+            return false;
+          }
+          if (!result.value()) {
+            pass = false;
+            break;
           }
         }
-        JoinEmitPerLeftRow(shared.join_type, matched, std::move(lrow),
-                           shared.right_width, &out);
+        if (!pass) continue;
+        matched = true;
+        shared.right_matched[ri].store(true, std::memory_order_relaxed);
+        if (JoinEmitsCombinedRows(shared.join_type)) {
+          out.push_back(std::move(combined));
+        }
+        if (shared.join_type == JoinType::kSemi) break;
       }
-      if (!flush()) return;
     }
+    if (JoinEmitsLeftRow(shared.join_type, matched)) {
+      JoinEmitPerLeftRow(shared.join_type, matched, std::move(lrow_ref()),
+                         shared.right_width, &out);
+    }
+    return true;
+  };
+  while (auto batch = reader->Next()) {
+    HashKeyColumns(*batch, shared.keys, &hashes, &cell_scratch);
+    const size_t active = batch->ActiveCount();
+    bool ok = true;
+    for (size_t k = 0; ok && k < active; ++k) ok = probe_row(*batch, k);
+    if (!ok || !flush()) break;
   }
 }
 
@@ -939,8 +618,8 @@ struct JoinTailState {
 
 Result<RowBatchPuller> ExecuteHashJoinParallel(
     const Join& join, std::vector<std::pair<int, int>> keys,
-    std::vector<RexNodePtr> remaining, FragmentSource probe,
-    const ExecOptions& opts) {
+    std::vector<RexNodePtr> remaining,
+    std::shared_ptr<const FragmentSource> probe, const ExecOptions& opts) {
   const size_t threads = opts.num_threads;
   const size_t batch_size = opts.batch_size;
   auto shared = std::make_shared<ParallelJoinShared>();
@@ -956,26 +635,23 @@ Result<RowBatchPuller> ExecuteHashJoinParallel(
 
   auto cancel = std::make_shared<QueryCancelState>();
   auto queue = std::make_shared<ExchangeQueue>(threads * 2, threads);
-  ExecOptions opts_copy = opts;
-  auto start = [shared, cancel, queue, threads, batch_size,
-                opts_copy]() -> std::shared_ptr<TaskScheduler> {
-    auto scheduler = std::make_shared<TaskScheduler>(threads);
-    Status status = shared->probe.Materialize();
-    if (status.ok()) {
-      status = BuildPartitionedTable(shared.get(), scheduler.get(), opts_copy);
-    }
+  auto start = [shared, cancel, queue,
+                opts]() -> std::shared_ptr<TaskScheduler> {
+    auto scheduler = std::make_shared<TaskScheduler>(opts.num_threads);
+    Status status = BuildPartitionedTable(shared.get(), scheduler.get(), opts);
     if (!status.ok()) {
       cancel->Cancel(std::move(status));
       queue->Cancel();
       return scheduler;  // idle; the gather still joins it
     }
-    auto morsels = std::make_shared<MorselSource>(
-        shared->probe.rows->size(),
-        PickMorselSize(shared->probe.rows->size(), threads));
-    for (size_t t = 0; t < threads; ++t) {
-      scheduler->Submit([shared, cancel, queue, morsels, batch_size]() {
-        RunProbeWorker(*shared, cancel.get(), queue.get(), morsels.get(),
-                       batch_size);
+    auto morsels = std::make_shared<MorselSource>(shared->probe->morsel_count,
+                                                  shared->probe->morsel_size);
+    for (size_t t = 0; t < opts.num_threads; ++t) {
+      scheduler->Submit([shared, cancel, queue, morsels, opts]() {
+        MorselReader reader(shared->probe, morsels.get(), cancel.get(), opts);
+        RunProbeWorker(*shared, &reader, cancel.get(), queue.get(),
+                       opts.batch_size);
+        if (cancel->cancelled()) queue->Cancel();
         queue->ProducerDone();
       });
     }
@@ -1014,25 +690,26 @@ Result<RowBatchPuller> ExecuteHashJoinParallel(
 std::optional<Result<RowBatchPuller>> TryExecuteParallel(
     const RelNode& node, const ExecOptions& raw_opts) {
   ExecOptions opts = raw_opts.Normalized();
-  if (opts.num_threads < 2) return std::nullopt;
+  if (opts.num_threads < 2 || !opts.enable_columnar) return std::nullopt;
 
-  if (const auto* agg = dynamic_cast<const Aggregate*>(&node)) {
-    FragmentSource src;
-    if (!RecognizeMorselPipeline(*agg->input(0), &src)) return std::nullopt;
-    return ExecuteAggregateParallel(*agg, std::move(src), opts);
+  const auto* agg = dynamic_cast<const Aggregate*>(&node);
+  const auto* join = dynamic_cast<const Join*>(&node);
+  std::vector<std::pair<int, int>> keys;
+  std::vector<RexNodePtr> remaining;
+  if (join != nullptr && !join->AnalyzeEquiKeys(&keys, &remaining)) {
+    return std::nullopt;
   }
-  if (const auto* join = dynamic_cast<const Join*>(&node)) {
-    std::vector<std::pair<int, int>> keys;
-    std::vector<RexNodePtr> remaining;
-    if (!join->AnalyzeEquiKeys(&keys, &remaining)) return std::nullopt;
-    FragmentSource src;
-    if (!RecognizeMorselPipeline(*join->input(0), &src)) return std::nullopt;
+  const RelNode& pipeline = agg != nullptr    ? *agg->input(0)
+                            : join != nullptr ? *join->input(0)
+                                              : node;
+  auto src = RecognizeMorselPipeline(pipeline, opts);
+  if (src == nullptr) return std::nullopt;
+  if (agg != nullptr) return ExecuteAggregateParallel(*agg, src, opts);
+  if (join != nullptr) {
     return ExecuteHashJoinParallel(*join, std::move(keys),
-                                   std::move(remaining), std::move(src), opts);
+                                   std::move(remaining), src, opts);
   }
-  FragmentSource src;
-  if (!RecognizeMorselPipeline(node, &src)) return std::nullopt;
-  return ExecutePipelineParallel(std::move(src), opts);
+  return ExecutePipelineParallel(src, opts);
 }
 
 }  // namespace calcite

@@ -13,25 +13,32 @@ namespace calcite {
 /// their serial pipeline: when `opts.num_threads > 1` and the plan fragment
 /// rooted at `node` has a parallel physical path, returns a RowBatchPuller
 /// that runs it on a worker pool and gathers the results back into the
-/// single-consumer pull protocol. Returns nullopt when the fragment stays
-/// serial — either because num_threads is 1 (the serial path is then
-/// byte-identical to the pre-parallel engine) or because the shape is not
-/// parallelizable; the caller falls through to its serial pipeline, whose
-/// *inputs* may still parallelize recursively.
+/// single-consumer pull protocol. The decision is made before returning:
+/// nullopt means the fragment declined and the caller runs its serial
+/// operators (whose *inputs* may still parallelize recursively). A fragment
+/// declines when num_threads is 1, when `opts.enable_columnar` is off (the
+/// serial row-major reference engine), when its shape is not
+/// parallelizable, or when its leaf table has neither a columnar
+/// decomposition nor scan units (Values leaves, Scan()-only tables).
 ///
-/// Parallel physical paths:
-///  - Morsel-driven pipelines: (Filter|Project)* over a TableScan or Values
-///    leaf. Workers claim row-range morsels of the leaf atomically, run the
-///    whole filter/project chain morsel-at-a-time, and exchange surviving
-///    batches to the consumer.
+/// Every worker is columnar: one per-worker morsel reader claims a morsel,
+/// turns it into ColumnBatches — zero-copy slices of the table's
+/// MaterializedColumns, or, for paged tables such as DiskTable, one
+/// unit-ranged OpenScan per scan unit decoded through RowsToColumns — and
+/// runs the fragment's filter/project chain on them with the same columnar
+/// kernels as the serial pipelines. Parallel physical paths:
+///  - Morsel-driven pipelines: (Filter|Project)* over a TableScan leaf.
+///    Workers exchange their surviving ColumnBatches to the consumer, which
+///    boxes rows once, at the gather.
 ///  - Partitioned hash aggregate: the same pipeline shape under an
-///    Aggregate. Workers build thread-local hash-aggregation states over
-///    their morsels; the consumer merges them (accumulator merge, not
-///    re-aggregation) and emits the merged groups.
+///    Aggregate. Workers feed worker-local ColumnarAggBuilders; the consumer
+///    merges them (accumulator merge, not re-aggregation) and emits the
+///    merged groups.
 ///  - Partitioned hash join: an equi-join whose probe (left) side is such a
 ///    pipeline. The build side is drained once, then partitioned and hashed
 ///    in parallel (each partition owned by one task — no locks); probe
-///    workers stream left morsels against the read-only partition tables.
+///    workers hash the key columns of their batches against the read-only
+///    partition tables and gather a left row only when it emits.
 ///
 /// Ordering: fragments executed in parallel do not preserve row order —
 /// workers race for morsels and the exchange interleaves their output. SQL

@@ -50,19 +50,21 @@ struct ExecOptions {
   size_t batch_size = kDefaultBatchSize;
   /// Degree of parallelism for the morsel-driven executor
   /// (src/exec/parallel/): eligible plan fragments — scan→filter→project
-  /// pipelines, hash aggregates, hash joins — run on this many worker
-  /// threads, exchanged back into the single-consumer pull protocol by a
-  /// gather operator. 1 (the default) keeps today's fully serial execution
-  /// and its exact row ordering; > 1 trades deterministic row order within
+  /// pipelines, hash aggregates, hash joins — run on this many columnar
+  /// worker threads, exchanged back into the single-consumer pull protocol
+  /// by a gather operator. 1 (the default) keeps fully serial execution and
+  /// its exact row ordering; > 1 trades deterministic row order within
   /// unordered fragments for throughput.
   size_t num_threads = 1;
 
-  /// When true (the default), eligible serial plan fragments run on the
+  /// When true (the default), eligible plan fragments run on the
   /// column-major ColumnBatch path (exec/column_batch.h): leaf scans
   /// produce typed column views, filters/projections run the columnar
   /// kernels, and rows are only materialized at the conversion boundary.
-  /// Turning it off forces the row-major path everywhere; the differential
-  /// parity suite executes every query both ways.
+  /// Turning it off selects the serial row-major reference engine: every
+  /// operator runs row-major and the morsel-parallel executor (which is
+  /// columnar-only) is bypassed whatever num_threads says. The differential
+  /// parity suites execute queries both ways.
   bool enable_columnar = true;
 
   /// When true (the default), columnar expression evaluation lowers whole
@@ -78,9 +80,7 @@ struct ExecOptions {
 
   /// Access-path hint handed to every leaf scan (via ScanSpec). kAuto is
   /// the cost-based default; the forced settings exist for benchmarks,
-  /// plan-stability debugging, and the differential parity suites. This
-  /// replaces the old per-table DiskTable::set_index_scan_enabled escape
-  /// hatch, which survives only as a deprecated shim.
+  /// plan-stability debugging, and the differential parity suites.
   AccessPath access_path = AccessPath::kAuto;
 
   /// Both knobs clamped to their valid range: a zero batch_size would make
@@ -114,7 +114,7 @@ struct ExecOptions {
 /// column-major ColumnBatch (exec/column_batch.h) — typed column vectors
 /// plus null bytemaps, bump-allocated from a per-query arena and freed
 /// wholesale — between converted operators (scan, filter, project,
-/// hash-aggregate, hash-join probe, the morsel-parallel exchange). A
+/// hash-aggregate, hash-join probe, every morsel-parallel worker). A
 /// RowBatchPuller is the *conversion boundary*: operators that still think
 /// in rows (sort, outer-join emit, set ops, window, QueryResult) pull row
 /// batches, and a columnar producer boxes its active rows through
@@ -131,10 +131,10 @@ using RowBatchPuller = std::function<Result<RowBatch>()>;
 using SelectionVector = std::vector<uint32_t>;
 
 /// A batch plus an optional selection vector naming its live rows. This is
-/// the currency of the selection-aware pipeline (ExecuteSelBatched): a
+/// the currency of the serial row-major pipeline (ExecuteSelBatched): a
 /// filter narrows `sel` instead of physically compacting `rows`, and the
-/// downstream operator (project, aggregate, join probe, exchange) iterates
-/// only the selected indexes. Compaction — the per-row moves the selection
+/// downstream operator (project, aggregate, join probe) iterates only the
+/// selected indexes. Compaction — the per-row moves the selection
 /// vector exists to avoid — happens at most once per batch, at the first
 /// consumer that needs physically dense rows.
 ///
@@ -252,9 +252,9 @@ struct ScanSpec {
 
   /// Restricts the scan to units [unit_begin, unit_end) of the table's
   /// paged scan surface (ScanUnitCount tiling) — the morsel-driven parallel
-  /// executor's per-worker slice. Only meaningful for tables that expose
-  /// scan units; unit_begin past the unit count is an error, mirroring
-  /// ScanUnitRows.
+  /// executor reads one unit per morsel this way. Only meaningful for
+  /// tables that expose scan units; unit_begin past the unit count is an
+  /// error, mirroring ScanUnitRows.
   size_t unit_begin = 0;
   size_t unit_end = kAllUnits;
 

@@ -141,9 +141,9 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
   /// Selection-aware batch execution: like ExecuteBatched, but each yielded
   /// batch may carry a selection vector naming its live rows, so a filter
   /// can hand its selection to the consumer instead of physically
-  /// compacting the batch. Selection-aware consumers (project, aggregate,
-  /// join probes, the morsel-parallel exchange) iterate only the selected
-  /// indexes; everything else bridges through CompactSelBatches. The
+  /// compacting the batch. Selection-aware consumers (the row-path project,
+  /// aggregate and join probes) iterate only the selected indexes;
+  /// everything else bridges through CompactSelBatches. The
   /// default lifts ExecuteBatched's compact batches (all rows live), so
   /// only operators that benefit — today the enumerable Filter — override
   /// it. Same ownership contract as ExecuteBatched.
@@ -161,10 +161,12 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
   /// operators (table scan over columnar-capable tables, filter, project)
   /// override this; consumers (aggregate, join probe, the conversion
   /// boundary) probe their input with it. Implementations must respect
-  /// opts.enable_columnar and return nullopt when it is off. Same ownership
-  /// contract as ExecuteBatched: the puller shares ownership of the node,
-  /// and each yielded batch owns (or pins) everything its columns point
-  /// into.
+  /// opts.enable_columnar and return nullopt when it is off (the serial
+  /// row-major reference engine). Parallel fragments do not come through
+  /// here: the morsel-parallel executor reads leaf columns itself. Same
+  /// ownership contract as ExecuteBatched: the puller shares ownership of
+  /// the node, and each yielded batch owns (or pins) everything its columns
+  /// point into.
   virtual std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const {
     (void)opts;

@@ -79,24 +79,14 @@ class Table {
   /// spec.access_path themselves. Same lifetime contract as ScanBatched.
   virtual Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const;
 
-  /// The table's rows as stable in-memory storage, or nullptr when the
-  /// table does not physically hold materialized rows. This is the access
-  /// path of the morsel-driven parallel executor (src/exec/parallel/):
-  /// workers claim row-range morsels of the returned vector directly, with
-  /// no intermediate copy. The storage must stay alive and unchanged while
-  /// scans are in flight (same pinning contract as ScanBatched); tables
-  /// that return nullptr are materialized through Scan() once before
-  /// parallel workers start.
-  virtual const std::vector<Row>* MaterializedRows() const { return nullptr; }
-
   /// Paged scan surface for tables whose rows live out-of-core and so have
-  /// no MaterializedRows(): the table partitions itself into independently
-  /// scannable units — for a disk table, a run of heap pages — and the
-  /// morsel-driven parallel executor claims whole units as morsels, each
-  /// worker materializing only the unit it claimed (bounded memory instead
-  /// of a whole-table copy before workers start). 0 (the default) means no
-  /// paged surface; the executor then falls back to MaterializedRows() or a
-  /// one-shot Scan(). Units must tile the table: concatenating
+  /// no MaterializedColumns(): the table partitions itself into
+  /// independently scannable units — for a disk table, a run of heap pages
+  /// — and the morsel-driven parallel executor claims whole units as
+  /// morsels, each worker reading only the unit it claimed (a unit-ranged
+  /// OpenScan) instead of a whole-table copy. 0 (the default) means no
+  /// paged surface; a table with neither surface runs its fragments on the
+  /// serial operators. Units must tile the table: concatenating
   /// ScanUnitRows(0..ScanUnitCount()-1) yields exactly Scan()'s rows.
   virtual size_t ScanUnitCount() const { return 0; }
 
@@ -109,9 +99,11 @@ class Table {
 
   /// The table's contents decomposed into column-major typed storage
   /// (exec/column_batch.h), or nullptr when the table cannot provide it.
-  /// This is the access path of the columnar hot path: scans slice
-  /// zero-copy column views out of the returned decomposition and evaluate
-  /// pushed predicates on the raw columns before any row materialization.
+  /// This is the access path of the columnar hot path and of the
+  /// morsel-driven parallel executor: scans slice zero-copy column views
+  /// out of the returned decomposition (parallel workers claim row-range
+  /// morsels of it) and evaluate pushed predicates on the raw columns
+  /// before any row materialization.
   /// Tables that physically hold rows build the decomposition lazily on
   /// first use and cache it (ColumnarCache); the shared_ptr keeps it alive
   /// for in-flight scans even if the cache is invalidated by a mutation.
@@ -158,8 +150,6 @@ class MemTable : public Table {
       size_t batch_size, ScanPredicateList predicates) const override {
     return FilterSliceRows(rows_, batch_size, std::move(predicates));
   }
-
-  const std::vector<Row>* MaterializedRows() const override { return &rows_; }
 
   TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {
     return columnar_.Get(rows_, row_type_);

@@ -747,11 +747,7 @@ Result<RowBatchPuller> DiskTable::OpenScan(const ScanSpec& raw_spec) const {
         spec);
   }
 
-  // kAuto in the spec defers to the table-level default (kAuto unless the
-  // deprecated set_index_scan_enabled shim pinned a path).
-  AccessPath path = spec.access_path == AccessPath::kAuto
-                        ? default_access_path_
-                        : spec.access_path;
+  const AccessPath path = spec.access_path;
 
   KeyRange range;
   bool use_index = false;

@@ -52,11 +52,11 @@ struct DiskTableOptions {
 ///  - Analyze() collects per-column statistics (schema/analyze.h) and
 ///    persists them into dedicated kStats catalog pages; Open() reloads
 ///    them, so a reopened table is cost-based immediately.
-///  - MaterializedRows()/MaterializedColumns() return nullptr: the columnar
-///    cache is bypassed for disk tables (it would pin the whole table in
-///    RAM), and the morsel-parallel executor uses the paged scan-unit
-///    surface (ScanUnitCount/ScanUnitRows — a page run = a morsel) instead
-///    of row-range morsels.
+///  - MaterializedColumns() returns nullptr: the columnar cache is bypassed
+///    for disk tables (it would pin the whole table in RAM), and the
+///    morsel-parallel executor uses the paged scan-unit surface instead of
+///    row-range morsels — a page run is a morsel, read by a unit-ranged
+///    OpenScan.
 ///
 /// Mutation (InsertRows) is single-writer and must not run concurrently
 /// with scans — the MemTable contract. Readers may run concurrently with
@@ -109,29 +109,16 @@ class DiskTable : public Table {
   calcite::Result<RowBatchPuller> ScanBatchedFiltered(
       size_t batch_size, ScanPredicateList predicates) const override;
 
-  /// The unified scan surface. Resolves spec.access_path (kAuto defers to
-  /// the deprecated per-table override, then to the cost model) and honours
-  /// the scan-unit range with a page-range heap scan, so parallel morsel
-  /// workers and ANALYZE sampling go through the same entry point.
+  /// The unified scan surface. Resolves spec.access_path (kAuto goes to the
+  /// cost model) and honours the scan-unit range with a page-range heap
+  /// scan, so parallel morsel workers and ANALYZE sampling go through the
+  /// same entry point.
   calcite::Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const override;
 
   size_t ScanUnitCount() const override;
   calcite::Result<std::vector<Row>> ScanUnitRows(size_t unit) const override;
 
   // --------------------------- observability --------------------------
-
-  /// Deprecated shim over the pre-ScanSpec escape hatch: `true` pins the
-  /// table to AccessPath::kForceIndex (the historical "index whenever a
-  /// range derives" behavior), `false` to kForceHeap — the parity switch
-  /// the differential tests flip. A fresh table is kAuto (cost-based);
-  /// prefer ExecOptions::access_path / ScanSpec::access_path per scan.
-  void set_index_scan_enabled(bool enabled) {
-    default_access_path_ =
-        enabled ? AccessPath::kForceIndex : AccessPath::kForceHeap;
-  }
-  bool index_scan_enabled() const {
-    return default_access_path_ != AccessPath::kForceHeap;
-  }
 
   /// The statistics loaded from the catalog pages (empty `columns` until
   /// the first Analyze()).
@@ -199,9 +186,6 @@ class DiskTable : public Table {
   /// kInvalidPageId before the first Analyze()).
   TableStats stats_;
   PageId stats_head_ = kInvalidPageId;
-  /// Table-level default when a ScanSpec says kAuto; only the deprecated
-  /// set_index_scan_enabled shim moves it off kAuto.
-  AccessPath default_access_path_ = AccessPath::kAuto;
   mutable std::atomic<bool> last_scan_used_index_{false};
 };
 

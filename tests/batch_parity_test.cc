@@ -54,10 +54,12 @@ std::vector<Row> MakeRows(size_t n) {
   return rows;
 }
 
-Result<std::vector<Row>> RunBatched(const RelNodePtr& node,
-                                    size_t batch_size) {
+Result<std::vector<Row>> RunBatched(
+    const RelNodePtr& node, size_t batch_size,
+    AccessPath access_path = AccessPath::kAuto) {
   ExecOptions opts;
   opts.batch_size = batch_size;
+  opts.access_path = access_path;
   auto puller = node->ExecuteBatched(opts);
   if (!puller.ok()) return puller.status();
   // Drain by hand so the batching discipline itself is checked: every
@@ -310,6 +312,65 @@ TEST_F(BatchParityTest, AggregateGlobalAndGrouped) {
       auto row_type = DeriveAggregateRowType(rt, {1, 2}, calls, tf_);
       ExpectParity(EnumerableAggregate::Create(leaf, {1, 2}, calls, row_type),
                    "Aggregate(k,s) n=" + std::to_string(n));
+    }
+  }
+}
+
+// Fragments the morsel-parallel executor declines run on the serial
+// operators, so 4 threads reproduce the 1-thread output row for row: Values
+// leaves, and every fragment with enable_columnar off (the serial row-major
+// reference engine).
+TEST_F(BatchParityTest, DeclinedParallelFragmentsMatchSerialExactly) {
+  auto run = [](const RelNodePtr& node, size_t threads, bool columnar) {
+    ExecOptions opts;
+    opts.num_threads = threads;
+    opts.enable_columnar = columnar;
+    auto puller = node->ExecuteBatched(opts);
+    EXPECT_TRUE(puller.ok()) << puller.status().ToString();
+    std::vector<std::string> out;
+    if (!puller.ok()) return out;
+    auto rows = DrainBatches(puller.value());
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (rows.ok()) {
+      for (const Row& row : rows.value()) out.push_back(RowToString(row));
+    }
+    return out;
+  };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1025}}) {
+    RelNodePtr values = Leaf(n);
+    auto table = std::make_shared<MemTable>(TestRowType(tf_), MakeRows(n));
+    auto logical = LogicalTableScan::Create(table, {"t"},
+                                            Convention::Enumerable(), tf_);
+    RelNodePtr scan = EnumerableTableScan::Create(
+        *static_cast<const TableScan*>(logical.get()));
+    for (const RelNodePtr& leaf : {values, scan}) {
+      const RelDataTypePtr& rt = leaf->row_type();
+      auto cond = rex_.MakeCall(OpKind::kLessThan,
+                                {Field(rt, 0), rex_.MakeIntLiteral(900)});
+      ASSERT_TRUE(cond.ok());
+      RelNodePtr filter = EnumerableFilter::Create(leaf, cond.value());
+      AggregateCall count;
+      count.kind = AggKind::kCountStar;
+      count.name = "cnt";
+      RelNodePtr agg = EnumerableAggregate::Create(
+          filter, {1, 2}, {count},
+          DeriveAggregateRowType(rt, {1, 2}, {count}, tf_));
+      const int width = static_cast<int>(rt->fields().size());
+      auto equi = rex_.MakeEquals(
+          Field(rt, 1), rex_.MakeInputRef(width + 1, rt->fields()[1].type));
+      RelNodePtr join = EnumerableHashJoin::Create(
+          filter, leaf, equi, JoinType::kLeft,
+          DeriveJoinRowType(rt, rt, JoinType::kLeft, tf_));
+      const bool is_values = leaf == values;
+      for (const RelNodePtr& plan : {leaf, filter, agg, join}) {
+        const std::string label = plan->op_name() + " n=" + std::to_string(n) +
+                                  (is_values ? " values" : " table");
+        if (is_values) {
+          EXPECT_EQ(run(plan, 4, true), run(plan, 1, true)) << label;
+        }
+        EXPECT_EQ(run(plan, 4, false), run(plan, 1, false))
+            << label << " columnar=false";
+      }
     }
   }
 }
@@ -682,14 +743,12 @@ TEST_F(BatchParityTest, DiskTablePushdownParity) {
       std::string label = "DiskPushdown n=" + std::to_string(n) +
                           " cond=" + std::to_string(ci);
 
-      (*disk_table)->set_index_scan_enabled(true);
+      // Unanalyzed, kAuto takes the index whenever a key range derives.
       ExpectParity(disk_plan, label + " (index on)");
       for (size_t bs : {size_t{1}, size_t{3}, size_t{1024}}) {
-        (*disk_table)->set_index_scan_enabled(true);
-        auto via_index = RunBatched(disk_plan, bs);
+        auto via_index = RunBatched(disk_plan, bs, AccessPath::kForceIndex);
         ASSERT_TRUE(via_index.ok()) << label;
-        (*disk_table)->set_index_scan_enabled(false);
-        auto via_heap = RunBatched(disk_plan, bs);
+        auto via_heap = RunBatched(disk_plan, bs, AccessPath::kForceHeap);
         ASSERT_TRUE(via_heap.ok()) << label;
         auto via_mem = RunBatched(mem_plan, bs);
         ASSERT_TRUE(via_mem.ok()) << label;
@@ -700,7 +759,6 @@ TEST_F(BatchParityTest, DiskTablePushdownParity) {
         ExpectSameRows(via_mem.value(), oracle,
                        label + " mem bs=" + std::to_string(bs));
       }
-      (*disk_table)->set_index_scan_enabled(true);
 
       // 4-way parallel: workers claim page runs as morsels; order within
       // the fragment is unspecified, so compare as sorted multisets.

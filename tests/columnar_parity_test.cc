@@ -86,13 +86,15 @@ std::vector<std::string> Strings(const std::vector<Row>& rows) {
   return out;
 }
 
-/// Runs `node` with the columnar path disabled (the row engine, the
+/// Runs `node` with the columnar path disabled (the serial row engine, the
 /// reference) and asserts the columnar path produces identical rows at
-/// several batch sizes, then that 4-way parallel execution — columnar and
-/// row — produces the same multiset of rows.
-void ExpectColumnarParity(const RelNodePtr& node, const std::string& label) {
+/// several batch sizes, then that 4-way parallel execution (columnar-only)
+/// produces the same multiset of rows. Every leg scans with `access_path`.
+void ExpectColumnarParity(const RelNodePtr& node, const std::string& label,
+                          AccessPath access_path = AccessPath::kAuto) {
   ExecOptions row_opts;
   row_opts.enable_columnar = false;
+  row_opts.access_path = access_path;
   auto base = RunPlan(node, row_opts);
   ASSERT_TRUE(base.ok()) << label << ": " << base.status().ToString();
   std::vector<std::string> want = Strings(base.value());
@@ -101,6 +103,7 @@ void ExpectColumnarParity(const RelNodePtr& node, const std::string& label) {
     ExecOptions col_opts;
     col_opts.enable_columnar = true;
     col_opts.batch_size = bs;
+    col_opts.access_path = access_path;
     auto got = RunPlan(node, col_opts);
     ASSERT_TRUE(got.ok()) << label << " bs=" << bs << ": "
                           << got.status().ToString();
@@ -113,18 +116,14 @@ void ExpectColumnarParity(const RelNodePtr& node, const std::string& label) {
 
   std::vector<std::string> want_sorted = want;
   std::sort(want_sorted.begin(), want_sorted.end());
-  for (bool columnar : {true, false}) {
-    ExecOptions par_opts;
-    par_opts.enable_columnar = columnar;
-    par_opts.num_threads = 4;
-    auto got = RunPlan(node, par_opts);
-    ASSERT_TRUE(got.ok()) << label << " threads=4 columnar=" << columnar
-                          << ": " << got.status().ToString();
-    std::vector<std::string> got_s = Strings(got.value());
-    std::sort(got_s.begin(), got_s.end());
-    ASSERT_EQ(got_s, want_sorted)
-        << label << " threads=4 columnar=" << columnar;
-  }
+  ExecOptions par_opts;
+  par_opts.num_threads = 4;
+  par_opts.access_path = access_path;
+  auto got = RunPlan(node, par_opts);
+  ASSERT_TRUE(got.ok()) << label << " threads=4: " << got.status().ToString();
+  std::vector<std::string> got_s = Strings(got.value());
+  std::sort(got_s.begin(), got_s.end());
+  ASSERT_EQ(got_s, want_sorted) << label << " threads=4";
 }
 
 class ColumnarParityTest : public ::testing::Test {
@@ -292,7 +291,7 @@ TEST_F(ColumnarParityTest, Aggregate) {
           EnumerableAggregate::Create(scan, {2}, calls, row_type),
           "Aggregate(s) n=" + std::to_string(n));
     }
-    // Two group keys: the columnar builder declines, row path runs.
+    // Two group keys: composite keys resolve through a boxed key Row.
     {
       auto row_type = DeriveAggregateRowType(rt, {1, 2}, calls, tf_);
       ExpectColumnarParity(
@@ -311,6 +310,79 @@ TEST_F(ColumnarParityTest, Aggregate) {
               row_type),
           "Aggregate(filtered) n=" + std::to_string(n));
     }
+  }
+}
+
+// Composite GROUP BY keys resolve through a boxed key Row in the columnar
+// builder; serial output must keep the row engine's first-seen order.
+TEST_F(ColumnarParityTest, AggregateCompositeKeys) {
+  std::vector<AggregateCall> calls;
+  {
+    AggregateCall c;
+    c.kind = AggKind::kCountStar;
+    c.name = "cnt";
+    calls.push_back(c);
+    c.kind = AggKind::kSum;
+    c.args = {3};
+    c.name = "sum_d";
+    calls.push_back(c);
+    c.kind = AggKind::kMin;
+    c.args = {0};
+    c.name = "min_id";
+    calls.push_back(c);
+  }
+  // 2- and 3-key groupings over the NULL-heavy columns: string+int keys,
+  // and keys whose NULLs fall in only one of the columns.
+  const std::vector<std::vector<int>> key_sets = {
+      {1, 2}, {2, 1}, {1, 2, 4}, {4, 3, 1}};
+  for (size_t n : kCardinalities) {
+    RelNodePtr scan = Scan(n);
+    const RelDataTypePtr& rt = scan->row_type();
+    for (const std::vector<int>& keys : key_sets) {
+      std::string label = "Aggregate(keys=";
+      for (int k : keys) label += std::to_string(k);
+      label += ") n=" + std::to_string(n);
+      auto row_type = DeriveAggregateRowType(rt, keys, calls, tf_);
+      ExpectColumnarParity(
+          EnumerableAggregate::Create(scan, keys, calls, row_type), label);
+    }
+  }
+
+  // A DOUBLE column that stores Int and Double values decomposes to a boxed
+  // column; Int(2) and Double(2.0) must land in one group.
+  auto dbl_null = tf_.CreateSqlType(SqlTypeName::kDouble, -1, true);
+  auto int_null = tf_.CreateSqlType(SqlTypeName::kInteger, -1, true);
+  auto int_t = tf_.CreateSqlType(SqlTypeName::kInteger);
+  auto mixed_type = tf_.CreateStructType({"x", "k", "id", "d"},
+                                         {dbl_null, int_null, int_t, dbl_null});
+  std::vector<Row> rows;
+  for (size_t i = 0; i < 1025; ++i) {
+    const int64_t x = static_cast<int64_t>(i % 3);
+    rows.push_back(
+        {i % 4 == 0   ? Value::Null()
+         : i % 2 == 0 ? Value::Int(x)
+                      : Value::Double(static_cast<double>(x)),
+         i % 5 == 0 ? Value::Null() : Value::Int(static_cast<int64_t>(i % 2)),
+         Value::Int(static_cast<int64_t>(i)),
+         Value::Double(static_cast<double>(i % 7) * 0.5)});
+  }
+  auto table = std::make_shared<MemTable>(mixed_type, rows);
+  TypeFactory tf;
+  ASSERT_NE(table->MaterializedColumns(tf), nullptr);
+  EXPECT_EQ(table->MaterializedColumns(tf)->cols[0].type, PhysType::kValue);
+  RelNodePtr scan = ScanOf(table);
+  for (const std::vector<int>& keys :
+       {std::vector<int>{0}, std::vector<int>{0, 1}}) {
+    auto row_type = DeriveAggregateRowType(mixed_type, keys, calls, tf_);
+    RelNodePtr agg = EnumerableAggregate::Create(scan, keys, calls, row_type);
+    ExpectColumnarParity(agg, "Aggregate(mixed x) keys=" +
+                                  std::to_string(keys.size()));
+    auto got = RunPlan(agg, ExecOptions{});
+    ASSERT_TRUE(got.ok());
+    // x groups: NULL, 0, 1, 2 (each numeric value seen as Int and Double);
+    // (x, k) pairs: 11 of the 12 combinations occur (x NULL implies even i,
+    // so k is never 1 there).
+    EXPECT_EQ(got.value().size(), keys.size() == 1 ? 4u : 11u);
   }
 }
 
@@ -401,12 +473,12 @@ TEST_F(ColumnarParityTest, PipelineScanFilterProjectAggregate) {
 
 TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
   // A DiskTable exposes no columnar decomposition (MaterializedColumns is
-  // nullptr — decomposing would pin the whole table in RAM), so columnar
-  // execution must transparently fall back to the row path and still match
-  // it exactly, serial and 4-way parallel, with the buffer pool far smaller
-  // than the table. Exercised bare and under a filter whose primary-key
-  // conjunct routes to the B-tree on the serial path, with the index both
-  // enabled and forced off.
+  // nullptr — decomposing would pin the whole table in RAM), so serial
+  // columnar execution must transparently fall back to the row path and
+  // still match it exactly, and 4-way parallel execution decodes page runs
+  // into ColumnBatches, with the buffer pool far smaller than the table.
+  // Exercised bare and under a filter whose primary-key conjunct routes to
+  // the B-tree on the serial path, with the index forced on and off.
   char tmpl[] = "/tmp/calcite_colpar_disk_XXXXXX";
   char* dir = mkdtemp(tmpl);
   ASSERT_NE(dir, nullptr);
@@ -422,7 +494,6 @@ TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
     ASSERT_TRUE((*table)->InsertRows(MakeRows(n)).ok());
     TypeFactory tf;
     EXPECT_EQ((*table)->MaterializedColumns(tf), nullptr);
-    EXPECT_EQ((*table)->MaterializedRows(), nullptr);
 
     RelNodePtr scan = ScanOf(*table);
     ExpectColumnarParity(scan, "DiskScan n=" + std::to_string(n));
@@ -435,12 +506,12 @@ TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
     ASSERT_TRUE(residual.ok());
     RelNodePtr filtered = EnumerableFilter::Create(
         scan, rex_.MakeAnd({key_range.value(), residual.value()}));
-    for (bool index_on : {true, false}) {
-      (*table)->set_index_scan_enabled(index_on);
-      ExpectColumnarParity(filtered, "DiskFilter n=" + std::to_string(n) +
-                                         " index=" + std::to_string(index_on));
+    for (AccessPath path : {AccessPath::kForceIndex, AccessPath::kForceHeap}) {
+      ExpectColumnarParity(filtered,
+                           "DiskFilter n=" + std::to_string(n) + " path=" +
+                               std::to_string(static_cast<int>(path)),
+                           path);
     }
-    (*table)->set_index_scan_enabled(true);
     EXPECT_EQ((*table)->buffer_pool().pinned_frames(), 0u);
   }
   std::error_code ec;

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "exec/parallel/task_scheduler.h"
 #include "rel/core.h"
 #include "rex/rex_builder.h"
+#include "storage/disk_table.h"
 #include "stream/stream.h"
 #include "test_schema.h"
 #include "tools/frameworks.h"
@@ -229,12 +232,15 @@ std::vector<std::string> SortedStrings(const std::vector<Row>& rows) {
 
 /// Runs `node` serially and at every (threads x batch) sweep point,
 /// asserting the same multiset of output rows each time.
-void ExpectThreadSweepParity(const RelNodePtr& node, const std::string& label) {
+void ExpectThreadSweepParity(
+    const RelNodePtr& node, const std::string& label,
+    const std::vector<size_t>& thread_counts = kThreadCounts,
+    const std::vector<size_t>& batch_sizes = kSweepBatchSizes) {
   auto serial = Drain(node, 1, 1024);
   ASSERT_TRUE(serial.ok()) << label << ": " << serial.status().ToString();
   std::vector<std::string> expected = SortedStrings(serial.value());
-  for (size_t threads : kThreadCounts) {
-    for (size_t bs : kSweepBatchSizes) {
+  for (size_t threads : thread_counts) {
+    for (size_t bs : batch_sizes) {
       auto got = Drain(node, threads, bs);
       ASSERT_TRUE(got.ok()) << label << " threads=" << threads << " bs=" << bs
                             << ": " << got.status().ToString();
@@ -244,14 +250,66 @@ void ExpectThreadSweepParity(const RelNodePtr& node, const std::string& label) {
   }
 }
 
+/// A table that exposes only Scan(): no columnar decomposition and no scan
+/// units, so parallel fragments over it decline and run serially.
+class ScanOnlyTable : public Table {
+ public:
+  ScanOnlyTable(RelDataTypePtr row_type, std::vector<Row> rows)
+      : row_type_(std::move(row_type)), rows_(std::move(rows)) {}
+  RelDataTypePtr GetRowType(const TypeFactory&) const override {
+    return row_type_;
+  }
+  Result<std::vector<Row>> Scan() const override { return rows_; }
+
+ private:
+  RelDataTypePtr row_type_;
+  std::vector<Row> rows_;
+};
+
 class ParallelSweepTest : public ::testing::Test {
  protected:
   RelNodePtr ScanLeaf(size_t n) {
-    auto table = std::make_shared<MemTable>(SweepRowType(tf_), SweepRows(n));
+    return ScanOf(std::make_shared<MemTable>(SweepRowType(tf_), SweepRows(n)));
+  }
+
+  RelNodePtr ScanOf(const TablePtr& table) {
     auto logical = LogicalTableScan::Create(table, {"t"},
                                             Convention::Enumerable(), tf_);
     return EnumerableTableScan::Create(
         *static_cast<const TableScan*>(logical.get()));
+  }
+
+  /// COUNT(*), SUM(d) and COUNT(DISTINCT k) grouped by `keys` over `input`.
+  RelNodePtr AggregateOf(const RelNodePtr& input, std::vector<int> keys) {
+    std::vector<AggregateCall> calls;
+    AggregateCall c;
+    c.kind = AggKind::kCountStar;
+    c.name = "cnt";
+    calls.push_back(c);
+    c.kind = AggKind::kSum;
+    c.args = {3};
+    c.name = "sum_d";
+    calls.push_back(c);
+    c.kind = AggKind::kCount;
+    c.args = {1};
+    c.distinct = true;
+    c.name = "cntd_k";
+    calls.push_back(c);
+    auto row_type = DeriveAggregateRowType(input->row_type(), keys, calls, tf_);
+    return EnumerableAggregate::Create(input, std::move(keys), calls, row_type);
+  }
+
+  /// `left` JOIN `right` ON left.k = right.k.
+  RelNodePtr JoinOnK(const RelNodePtr& left, const RelNodePtr& right,
+                     JoinType join_type) {
+    const RelDataTypePtr& lt = left->row_type();
+    const RelDataTypePtr& rt = right->row_type();
+    const int left_width = static_cast<int>(lt->fields().size());
+    auto equi = rex_.MakeEquals(
+        Field(lt, 1), rex_.MakeInputRef(left_width + 1, rt->fields()[1].type));
+    return EnumerableHashJoin::Create(
+        left, right, equi, join_type,
+        DeriveJoinRowType(lt, rt, join_type, tf_));
   }
 
   RexNodePtr Field(const RelDataTypePtr& row_type, int i) {
@@ -406,6 +464,67 @@ TEST_F(ParallelSweepTest, JoinOverFilteredProbePipeline) {
   auto join = EnumerableHashJoin::Create(left, right, equi, JoinType::kInner,
                                          row_type);
   ExpectThreadSweepParity(join, "join over pipeline");
+}
+
+// Parallel fragments over an out-of-core DiskTable read one unit-ranged
+// OpenScan per page run and decode it into ColumnBatches — never the whole
+// table — and leave no buffer-pool frame pinned.
+TEST_F(ParallelSweepTest, DiskTableAggregateAndJoin) {
+  char tmpl[] = "/tmp/calcite_par_disk_XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string dir_path = dir;
+  for (size_t n : {size_t{1}, size_t{4000}}) {
+    storage::DiskTableOptions dt_opts;
+    dt_opts.pool_pages = 8;
+    dt_opts.pages_per_run = 2;
+    auto table = storage::DiskTable::Create(
+        dir_path + "/t" + std::to_string(n) + ".db", SweepRowType(tf_), 0,
+        dt_opts);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE((*table)->InsertRows(SweepRows(n)).ok());
+    RelNodePtr disk = ScanOf(*table);
+    const std::string label = "disk n=" + std::to_string(n);
+
+    for (const std::vector<int>& keys :
+         {std::vector<int>{}, std::vector<int>{1}, std::vector<int>{1, 2}}) {
+      ExpectThreadSweepParity(AggregateOf(disk, keys),
+                              label + " agg keys=" +
+                                  std::to_string(keys.size()),
+                              {4}, {7, 1024});
+    }
+    for (JoinType jt : {JoinType::kInner, JoinType::kLeft, JoinType::kFull,
+                        JoinType::kAnti}) {
+      ExpectThreadSweepParity(JoinOnK(disk, ScanLeaf(300), jt),
+                              label + " join " + JoinTypeName(jt), {4},
+                              {7, 1024});
+    }
+    EXPECT_EQ((*table)->buffer_pool().pinned_frames(), 0u) << label;
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir_path, ec);
+}
+
+// A table with neither a columnar decomposition nor scan units declines the
+// parallel executor; its fragments run on the serial operators at any
+// thread count.
+TEST_F(ParallelSweepTest, ScanOnlyTableRunsSerially) {
+  RelNodePtr scan = ScanOf(
+      std::make_shared<ScanOnlyTable>(SweepRowType(tf_), SweepRows(5000)));
+  ExpectThreadSweepParity(scan, "scan-only scan", {4}, {7, 1024});
+  ExpectThreadSweepParity(AggregateOf(scan, {1, 2}), "scan-only agg", {4},
+                          {7, 1024});
+  ExpectThreadSweepParity(JoinOnK(scan, ScanLeaf(300), JoinType::kLeft),
+                          "scan-only join", {4}, {7, 1024});
+  // Declined fragments keep the serial engine's exact row order.
+  auto serial = Drain(scan, 1, 1024);
+  auto parallel = Drain(scan, 4, 1024);
+  ASSERT_TRUE(serial.ok() && parallel.ok());
+  ASSERT_EQ(parallel.value().size(), serial.value().size());
+  for (size_t i = 0; i < serial.value().size(); ++i) {
+    ASSERT_EQ(RowToString(parallel.value()[i]), RowToString(serial.value()[i]))
+        << "row " << i;
+  }
 }
 
 // Stream tables are time-ordered by contract, so their scans must never go

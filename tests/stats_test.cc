@@ -612,16 +612,6 @@ TEST_F(DiskStatsTest, CostBasedAccessPathSelection) {
   narrow.access_path = AccessPath::kForceHeap;
   EXPECT_EQ(scan_count(narrow), 80u);
   EXPECT_FALSE(t.last_scan_used_index());
-
-  // The deprecated per-table shim pins the default for kAuto specs.
-  narrow.access_path = AccessPath::kAuto;
-  t.set_index_scan_enabled(false);
-  EXPECT_EQ(scan_count(narrow), 80u);
-  EXPECT_FALSE(t.last_scan_used_index());
-  t.set_index_scan_enabled(true);
-  wide.access_path = AccessPath::kAuto;
-  EXPECT_EQ(scan_count(wide), 4000u);
-  EXPECT_TRUE(t.last_scan_used_index());
 }
 
 TEST_F(DiskStatsTest, UnitRangedOpenScanTilesTheTable) {

@@ -529,20 +529,22 @@ TEST_F(StorageTest, DiskTableIndexScanMatchesHeapScan) {
     pred.column = 0;
     pred.literal = c.literal;
 
-    t.set_index_scan_enabled(true);
-    auto with_index = t.ScanBatchedFiltered(512, {pred});
+    ScanSpec spec;
+    spec.batch_size = 512;
+    spec.predicates = {pred};
+    spec.access_path = AccessPath::kForceIndex;
+    auto with_index = t.OpenScan(spec);
     ASSERT_OK(with_index.status());
     auto index_rows = Drain(*with_index);
     EXPECT_EQ(t.last_scan_used_index(), c.expect_index)
         << "kind " << static_cast<int>(c.kind);
 
-    t.set_index_scan_enabled(false);
-    auto without = t.ScanBatchedFiltered(512, {pred});
+    spec.access_path = AccessPath::kForceHeap;
+    auto without = t.OpenScan(spec);
     ASSERT_OK(without.status());
     EXPECT_FALSE(t.last_scan_used_index());
     ExpectSameRows(index_rows, Drain(*without));
   }
-  t.set_index_scan_enabled(true);
 
   // Conjunction: both bounds land on the key; a residual predicate on
   // another column is re-applied on the index path.
