@@ -126,10 +126,11 @@ BENCHMARK(BM_BatchSizeSweep)->Arg(1)->Arg(64)->Arg(1024)->Arg(4096)
 // Experiment F1b': the filter-heavy companion of the batch-size sweep,
 // aimed at the selection-pushdown machinery. A selective conjunction of
 // simple comparisons sits directly over the scan, so every conjunct pushes
-// into the leaf (Table::ScanBatchedFiltered): rows failing the predicates
-// are never materialized, survivors flow to the projection as a selection
-// vector with no compaction in between, and the projection's arithmetic
-// runs through the fused EvalBatchSel kernels. The counter reports source
+// into the leaf (typed loops over the table's column storage): rows failing
+// the predicates are never materialized, survivors flow to the projection
+// as a selection vector with no compaction in between, and the
+// projection's arithmetic runs through the fused columnar kernels
+// (FusedExpr). The counter reports source
 // rows per second (the scan still inspects every stored row).
 void BM_FilterPushdownSweep(benchmark::State& state) {
   constexpr int kRows = 100000;

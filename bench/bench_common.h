@@ -42,7 +42,7 @@ inline SchemaPtr MakeSalesSchema(int n, int products) {
         tf.CreateStructType({"saleid", "productId", "discount", "units"},
                             {int_t, int_t, dbl_null, int_t}),
         std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = n;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);
@@ -57,7 +57,7 @@ inline SchemaPtr MakeSalesSchema(int n, int products) {
     auto table = std::make_shared<MemTable>(
         tf.CreateStructType({"productId", "name"}, {int_t, str_t}),
         std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = products;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);
@@ -88,7 +88,7 @@ inline FederationCatalog MakeFederationCatalog(int orders, int products) {
     auto table = std::make_shared<MemTable>(
         tf.CreateStructType({"productId", "name"}, {int_t, str_t}),
         std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = products;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);

@@ -115,8 +115,8 @@ void BM_Embed_StreamingSql(benchmark::State& state) {
     RelDataTypePtr GetRowType(const TypeFactory& f) const override {
       return inner->GetRowType(f);
     }
-    Statistic GetStatistic() const override {
-      Statistic stat = inner->GetStatistic();
+    TableStats GetStatistic() const override {
+      TableStats stat = inner->GetStatistic();
       stat.monotonic_columns = {0};
       return stat;
     }

@@ -31,7 +31,7 @@ int main() {
     auto table = std::make_shared<MemTable>(
         tf.CreateStructType({"productId", "name"}, {int_t, str_t}),
         std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = 30;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);

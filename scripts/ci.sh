@@ -12,9 +12,10 @@
 #   scripts/ci.sh build-asan address,undefined
 #                                 # ASan+UBSan build; runs the batch-engine,
 #                                 # parity, and expression-kernel fuzz suites —
-#                                 # selection-vector indexing and the fused
-#                                 # batch kernels are exactly where
-#                                 # out-of-bounds reads would hide
+#                                 # selection-vector indexing in the columnar
+#                                 # and fused kernels and the row-to-column
+#                                 # decode are exactly where out-of-bounds
+#                                 # reads would hide
 #   scripts/ci.sh build-scalar scalar
 #                                 # -DCALCITE_SIMD=OFF build; proves the scalar
 #                                 # kernel path (the only one on non-x86 or
@@ -61,8 +62,8 @@ if [[ -n "$SANITIZER" ]]; then
   #   thread x batch combinations, exactly the surface a race hides in.
   # - address/undefined: the batch-engine unit tests, the batch/row parity
   #   sweeps, and the randomized expression-kernel fuzz harness hammer
-  #   selection-vector indexing and the fused kernels, exactly the surface
-  #   an out-of-bounds access or overflow hides in.
+  #   selection-vector indexing in the columnar and fused kernels, exactly
+  #   the surface an out-of-bounds access or overflow hides in.
   # --no-tests=error: a green sanitizer run that executed zero tests
   # (missing GTest, filter typo) must fail loudly, not pass silently.
   # The columnar differential suite runs under both: its parallel sweeps
@@ -151,9 +152,11 @@ fi
 echo "=== end-to-end SQL (sqlbench) ==="
 # One short traced pass of the standing TPC-H-shaped suite: every query runs
 # through the public Connection API and is checked against the serial
-# row-major reference engine. olap_par drives the morsel-parallel executor,
-# short_queries the parse/plan path. Fails on any wrong or failed query.
-for workload in olap_par short_queries; do
+# per-row reference engine. olap_par drives the morsel-parallel executor,
+# olap_disk the DiskTable leaves whose rows every Filter, Project and
+# Aggregate decodes into columns, short_queries the parse/plan path. Fails
+# on any wrong or failed query.
+for workload in olap_par olap_disk short_queries; do
   result="$(python3 sqlbench/run.py --workload "$workload" --seed 1 \
     --seconds 1 --trace 1 | tail -n 1)"
   echo "$workload: $result"

@@ -126,23 +126,6 @@ Status AggAccumulator::MergeFrom(const AggAccumulator& other) {
   return Status::OK();
 }
 
-Status AggAccumulator::AddBatch(const std::vector<Row>& rows) {
-  return AddBatchSel(rows, /*sel=*/nullptr);
-}
-
-Status AggAccumulator::AddBatchSel(const std::vector<Row>& rows,
-                                   const SelectionVector* sel) {
-  const size_t n = sel != nullptr ? sel->size() : rows.size();
-  if (call_->kind == AggKind::kCountStar) {
-    count_ += static_cast<int64_t>(n);
-    return Status::OK();
-  }
-  for (size_t k = 0; k < n; ++k) {
-    CALCITE_RETURN_IF_ERROR(Add(rows[sel != nullptr ? (*sel)[k] : k]));
-  }
-  return Status::OK();
-}
-
 Value AggAccumulator::Finish() const {
   switch (call_->kind) {
     case AggKind::kCount:

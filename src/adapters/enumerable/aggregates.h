@@ -22,16 +22,6 @@ class AggAccumulator {
   /// Feeds one input row.
   Status Add(const Row& row);
 
-  /// Feeds a whole batch with a single dispatch — the batched executor's
-  /// path for global (ungrouped) aggregates. COUNT(*) degenerates to one
-  /// addition per batch.
-  Status AddBatch(const std::vector<Row>& rows);
-
-  /// Selection-aware AddBatch: feeds only the rows named by `sel` (all rows
-  /// when nullptr), so a filter's un-compacted batch feeds the accumulator
-  /// directly. COUNT(*) degenerates to one addition of the selection size.
-  Status AddBatchSel(const std::vector<Row>& rows, const SelectionVector* sel);
-
   /// Produces the aggregate result. For empty input: COUNT-like functions
   /// return 0, the others NULL (SQL semantics).
   Value Finish() const;

@@ -33,7 +33,6 @@ ColumnVector ShiftColumn(const ColumnVector& col, size_t base) {
 
 uint32_t ColumnarAggBuilder::NewGroup() {
   const uint32_t gid = static_cast<uint32_t>(num_groups_++);
-  accs_.reserve(accs_.size() + calls_.size());
   for (const AggregateCall& call : calls_) {
     accs_.emplace_back(call);
   }

@@ -19,15 +19,16 @@
 
 namespace calcite {
 
-// The operators below execute as vectorized pull pipelines: ExecuteBatched
-// wires a chain of RowBatchPullers that exchange RowBatch chunks, so the
-// per-call closure dispatch the old row-at-a-time discipline paid on every
-// tuple is amortized over a whole batch (filters hand selection vectors to
-// their consumer instead of compacting — see ExecuteSelBatched — and the
-// hash operators probe a batch per dispatch).
-// Execute() is the materializing wrapper over the same pipeline, so there is
-// a single implementation of each operator's semantics; `batch_size = 1`
-// reproduces the old row-at-a-time behavior exactly (see the parity tests).
+// The operators below execute as vectorized pull pipelines. With
+// ExecOptions::enable_columnar on (the default) Filter, Project and
+// Aggregate run the columnar kernels whatever their input is: LiftToColumns
+// hands them their input as ColumnBatches — parallel, natively columnar, or
+// decoded from row batches — and rows are boxed only where a row consumer
+// (sort, set ops, join emit, QueryResult) reads them. With it off, every
+// operator runs its plain per-row reference path (RexInterpreter::Eval,
+// HashAggState), the oracle the parity suites diff against. Execute() is the
+// materializing wrapper over the same pipeline; `batch_size = 1` reproduces
+// row-at-a-time behaviour exactly (see the parity tests).
 
 namespace {
 
@@ -61,13 +62,6 @@ size_t NormalizedBatchSize(const ExecOptions& opts) {
   return opts.batch_size == 0 ? 1 : opts.batch_size;
 }
 
-/// Gate for the columnar fast path. The morsel-parallel executor has its own
-/// columnar pipeline (checked before any serial path), so the serial
-/// columnar operators only engage for single-threaded execution.
-bool ColumnarEnabled(const ExecOptions& opts) {
-  return opts.enable_columnar && opts.num_threads <= 1;
-}
-
 /// Bridges a columnar pipeline back to dense RowBatches (the conversion
 /// boundary for row-path consumers: sort, set ops, QueryResult).
 RowBatchPuller ColumnarToRowPuller(RelNodePtr self, ColumnBatchPuller pull) {
@@ -78,6 +72,39 @@ RowBatchPuller ColumnarToRowPuller(RelNodePtr self, ColumnBatchPuller pull) {
     ColumnsToRows(batch.value(), &out);
     return out;
   });
+}
+
+/// The reverse bridge: decodes a row stream into ColumnBatches one batch at
+/// a time (RowsToColumns), for columnar consumers over row producers.
+ColumnBatchPuller RowToColumnarPuller(RowBatchPuller pull,
+                                      RelDataTypePtr row_type) {
+  return ColumnBatchPuller([pull, row_type]() -> Result<ColumnBatch> {
+    auto batch = pull();
+    if (!batch.ok()) return batch.status();
+    if (batch.value().empty()) return ColumnBatch{};
+    return RowsToColumns(batch.value(), *row_type);
+  });
+}
+
+/// Hands `node`'s output to a columnar consumer (Filter, Project,
+/// Aggregate). At num_threads > 1 a fragment the morsel executor accepts
+/// still runs in parallel; otherwise a natively columnar producer streams
+/// its batches; anything else has its row batches decoded.
+Result<ColumnBatchPuller> LiftToColumns(const RelNode& node,
+                                        const ExecOptions& opts) {
+  if (opts.num_threads > 1) {
+    if (auto parallel = TryExecuteParallel(node, opts)) {
+      if (!parallel->ok()) return parallel->status();
+      return RowToColumnarPuller(std::move(*parallel).value(),
+                                 node.row_type());
+    }
+  }
+  if (auto columnar = node.TryExecuteColumnar(opts)) {
+    return std::move(*columnar);
+  }
+  auto rows = node.ExecuteBatched(opts);
+  if (!rows.ok()) return rows.status();
+  return RowToColumnarPuller(std::move(rows).value(), node.row_type());
 }
 
 /// Materializes a node's full output through its batch pipeline.
@@ -100,36 +127,6 @@ std::optional<Row> JoinSideKey(const Row& row,
     key.push_back(v);
   }
   return key;
-}
-
-Status ApplyProjectToSelBatch(const std::vector<RexNodePtr>& exprs,
-                              SelBatch* batch) {
-  // Evaluate each projection over the live rows only (one column per
-  // expression, one entry per selected row), then write the columns back
-  // into the batch's leading rows, which the caller owns — reusing their
-  // allocations instead of materializing a fresh Row per output row. All
-  // columns are computed before any row is overwritten, so input refs
-  // never read a clobbered value; because output row k overwrites input
-  // row k (<= the k-th selected index), projection compacts the batch as a
-  // side effect.
-  const SelectionVector* sel = batch->has_sel ? &batch->sel : nullptr;
-  const size_t n_out = batch->ActiveCount();
-  std::vector<std::vector<Value>> columns(exprs.size());
-  for (size_t e = 0; e < exprs.size(); ++e) {
-    CALCITE_RETURN_IF_ERROR(
-        RexInterpreter::EvalBatchSel(exprs[e], batch->rows, sel, &columns[e]));
-  }
-  for (size_t i = 0; i < n_out; ++i) {
-    Row& row = batch->rows[i];
-    row.resize(exprs.size());
-    for (size_t e = 0; e < exprs.size(); ++e) {
-      row[e] = std::move(columns[e][i]);
-    }
-  }
-  batch->rows.resize(n_out);
-  batch->sel.clear();
-  batch->has_sel = false;
-  return Status::OK();
 }
 
 Row ConcatRows(const Row& left, const Row& right) {
@@ -172,27 +169,63 @@ Result<std::vector<Row>> EnumerableTableScan::Execute() const {
   return table_->Scan();
 }
 
-Result<RowBatchPuller> EnumerableTableScan::ExecuteBatched(
-    const ExecOptions& opts) const {
-  if (auto parallel = TryExecuteParallel(*this, opts)) {
-    return std::move(*parallel);
-  }
+namespace {
+
+/// Opens `scan`'s table with `pushed` evaluated inside it (Table::OpenScan),
+/// before rows are materialized. The table's puller may capture a raw
+/// `this`, so the pipeline pins the table for as long as it is pulled.
+Result<RowBatchPuller> OpenScanRows(const EnumerableTableScan& scan,
+                                    ScanPredicateList pushed,
+                                    const ExecOptions& opts) {
   ScanSpec spec;
   spec.batch_size = NormalizedBatchSize(opts);
+  spec.predicates = std::move(pushed);
   spec.access_path = opts.access_path;
-  auto puller = table_->OpenScan(spec);
+  auto puller = scan.table()->OpenScan(spec);
   if (!puller.ok()) return puller;
-  // The table's puller may capture a raw `this`; pin the table here so the
-  // pipeline owns it for as long as it is pulled.
-  TablePtr table = table_;
+  TablePtr table = scan.table();
   RowBatchPuller pull = std::move(puller).value();
   return RowBatchPuller(
       [table, pull]() -> Result<RowBatch> { return pull(); });
 }
 
+/// A Filter's condition split for leaf pushdown, shared by its columnar and
+/// reference paths: when the input is an enumerable table scan, the simple
+/// `column <op> literal` / NULL-test conjuncts go to `pushed`; `residual`
+/// holds what the filter itself evaluates (the whole condition when nothing
+/// pushes).
+struct FilterPushdown {
+  const EnumerableTableScan* scan = nullptr;
+  ScanPredicateList pushed;
+  std::vector<RexNodePtr> residual;
+};
+
+FilterPushdown SplitPushdown(const Filter& filter) {
+  FilterPushdown out;
+  out.scan = dynamic_cast<const EnumerableTableScan*>(filter.input(0).get());
+  if (out.scan != nullptr) {
+    ExtractScanPredicates(
+        filter.condition(),
+        static_cast<int>(out.scan->row_type()->fields().size()), &out.pushed,
+        &out.residual);
+  }
+  if (out.pushed.empty()) out.residual.assign(1, filter.condition());
+  return out;
+}
+
+}  // namespace
+
+Result<RowBatchPuller> EnumerableTableScan::ExecuteBatched(
+    const ExecOptions& opts) const {
+  if (auto parallel = TryExecuteParallel(*this, opts)) {
+    return std::move(*parallel);
+  }
+  return OpenScanRows(*this, ScanPredicateList{}, opts);
+}
+
 std::optional<Result<ColumnBatchPuller>>
 EnumerableTableScan::TryExecuteColumnar(const ExecOptions& opts) const {
-  if (!ColumnarEnabled(opts)) return std::nullopt;
+  if (!opts.enable_columnar) return std::nullopt;
   TypeFactory type_factory;
   TableColumnsPtr columns = table_->MaterializedColumns(type_factory);
   if (columns == nullptr) return std::nullopt;
@@ -227,116 +260,75 @@ Result<std::vector<Row>> EnumerableFilter::Execute() const {
 
 Result<RowBatchPuller> EnumerableFilter::ExecuteBatched(
     const ExecOptions& opts) const {
-  // Compacting bridge over the native selection-aware pipeline (which also
-  // owns the parallel dispatch), for consumers that need dense batches.
-  auto sel = ExecuteSelBatched(opts);
-  if (!sel.ok()) return sel.status();
-  return CompactSelBatches(std::move(sel).value());
-}
-
-Result<SelBatchPuller> EnumerableFilter::ExecuteSelBatched(
-    const ExecOptions& opts) const {
   if (auto parallel = TryExecuteParallel(*this, opts)) {
-    if (!parallel->ok()) return parallel->status();
-    return LiftToSelBatches(std::move(*parallel).value());
+    return std::move(*parallel);
   }
   if (auto columnar = TryExecuteColumnar(opts)) {
-    // Row-path consumer above a columnar filter: survivors are boxed into
-    // dense batches at this boundary (the selection was already applied on
-    // raw column storage).
+    // Survivors are boxed into rows only here, at the top of the columnar
+    // pipeline (the selection was applied on column storage).
     if (!columnar->ok()) return columnar->status();
-    ColumnBatchPuller pull = std::move(*columnar).value();
-    return LiftToSelBatches(
-        ColumnarToRowPuller(shared_from_this(), std::move(pull)));
+    return ColumnarToRowPuller(shared_from_this(),
+                               std::move(*columnar).value());
   }
-  RelNodePtr self = shared_from_this();  // keeps condition_ / the scan alive
-
-  // Leaf pushdown: when the input is an enumerable table scan, the simple
-  // conjuncts of the condition run inside the scan, before rows are
-  // materialized; only the residual conjuncts are evaluated here, and only
-  // against the survivors.
-  std::vector<RexNodePtr> residual;
-  SelBatchPuller pull;
-  const auto* scan = dynamic_cast<const EnumerableTableScan*>(input(0).get());
-  ScanPredicateList pushed;
-  if (scan != nullptr) {
-    ExtractScanPredicates(
-        condition_, static_cast<int>(scan->row_type()->fields().size()),
-        &pushed, &residual);
-  }
-  if (!pushed.empty()) {
-    ScanSpec spec;
-    spec.batch_size = NormalizedBatchSize(opts);
-    spec.predicates = std::move(pushed);
-    spec.access_path = opts.access_path;
-    auto puller = scan->table()->OpenScan(spec);
-    if (!puller.ok()) return puller.status();
-    // Pin the table for the lifetime of the pipeline (its puller may
-    // capture a raw `this`), mirroring EnumerableTableScan::ExecuteBatched.
-    TablePtr table = scan->table();
-    RowBatchPuller raw = std::move(puller).value();
-    pull = LiftToSelBatches(
-        RowBatchPuller([table, raw]() -> Result<RowBatch> { return raw(); }));
-  } else {
-    residual.assign(1, condition_);
-    auto in = input(0)->ExecuteSelBatched(opts);
-    if (!in.ok()) return in.status();
-    pull = std::move(in).value();
-  }
-
+  // Reference path: per-row EvalPredicate over the residual conjuncts.
+  FilterPushdown split = SplitPushdown(*this);
+  auto in = !split.pushed.empty()
+                ? OpenScanRows(*split.scan, std::move(split.pushed), opts)
+                : input(0)->ExecuteBatched(opts);
+  if (!in.ok()) return in.status();
+  RelNodePtr self = shared_from_this();  // keeps the conjuncts' owner alive
   auto conjuncts =
-      std::make_shared<std::vector<RexNodePtr>>(std::move(residual));
-  return SelBatchPuller([self, conjuncts, pull]() -> Result<SelBatch> {
+      std::make_shared<std::vector<RexNodePtr>>(std::move(split.residual));
+  RowBatchPuller pull = std::move(in).value();
+  return RowBatchPuller([self, conjuncts, pull]() -> Result<RowBatch> {
     for (;;) {
       auto batch = pull();
-      if (!batch.ok()) return batch;
-      SelBatch sel_batch = std::move(batch).value();
-      if (sel_batch.AtEnd()) return sel_batch;
-      if (!conjuncts->empty()) {
-        sel_batch.EnsureSelection();
-        for (const RexNodePtr& pred : *conjuncts) {
-          if (sel_batch.sel.empty()) break;
-          CALCITE_RETURN_IF_ERROR(RexInterpreter::NarrowSelection(
-              pred, sel_batch.rows, &sel_batch.sel));
+      if (!batch.ok() || batch.value().empty()) return batch;
+      RowBatch out;
+      for (Row& row : batch.value()) {
+        bool pass = true;
+        for (size_t c = 0; pass && c < conjuncts->size(); ++c) {
+          auto v = RexInterpreter::EvalPredicate((*conjuncts)[c], row);
+          if (!v.ok()) return v.status();
+          pass = v.value();
         }
+        if (pass) out.push_back(std::move(row));
       }
-      // Whole batch eliminated: keep pulling (mid-stream batches always
-      // carry at least one live row).
-      if (sel_batch.ActiveCount() == 0) continue;
-      return sel_batch;
+      // Whole batch eliminated: keep pulling (mid-stream batches are never
+      // empty).
+      if (!out.empty()) return out;
     }
   });
 }
 
 std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
     const ExecOptions& opts) const {
-  if (!ColumnarEnabled(opts)) return std::nullopt;
+  if (!opts.enable_columnar) return std::nullopt;
   RelNodePtr self = shared_from_this();
-  const size_t batch_size = NormalizedBatchSize(opts);
 
-  // Mirror of the row path's pushdown split: simple conjuncts run inside
-  // the columnar leaf scan (typed loops over the table's raw column
-  // storage), the residual narrows the selection via the columnar kernels.
-  std::vector<RexNodePtr> residual;
+  // Simple conjuncts over a scan run inside the leaf: typed loops over the
+  // table's raw column storage when it has a columnar decomposition,
+  // otherwise the table's OpenScan (DiskTable pages) with the survivors
+  // decoded into columns. The residual narrows the selection below.
+  FilterPushdown split = SplitPushdown(*this);
   ColumnBatchPuller pull;
-  const auto* scan = dynamic_cast<const EnumerableTableScan*>(input(0).get());
-  if (scan != nullptr) {
+  TableColumnsPtr columns;
+  if (split.scan != nullptr) {
     TypeFactory type_factory;
-    TableColumnsPtr columns = scan->table()->MaterializedColumns(type_factory);
-    if (columns == nullptr) return std::nullopt;
-    ScanPredicateList pushed;
-    ExtractScanPredicates(
-        condition_, static_cast<int>(scan->row_type()->fields().size()),
-        &pushed, &residual);
-    if (pushed.empty()) residual.assign(1, condition_);
-    pull = ScanTableColumns(std::move(columns), batch_size, std::move(pushed),
-                            self, opts.enable_fusion);
+    columns = split.scan->table()->MaterializedColumns(type_factory);
+  }
+  if (columns != nullptr) {
+    pull = ScanTableColumns(std::move(columns), NormalizedBatchSize(opts),
+                            std::move(split.pushed), self,
+                            opts.enable_fusion);
+  } else if (!split.pushed.empty()) {
+    auto rows = OpenScanRows(*split.scan, std::move(split.pushed), opts);
+    if (!rows.ok()) return Result<ColumnBatchPuller>(rows.status());
+    pull = RowToColumnarPuller(std::move(rows).value(), row_type());
   } else {
-    auto in = input(0)->TryExecuteColumnar(opts);
-    if (!in.has_value()) return std::nullopt;
-    if (!in->ok()) return in;
-    residual.assign(1, condition_);
-    pull = std::move(*in).value();
+    auto in = LiftToColumns(*input(0), opts);
+    if (!in.ok()) return in;
+    pull = std::move(in).value();
   }
 
   // Residual conjuncts narrow through FusedExpr: whole-tree bytecode
@@ -344,8 +336,8 @@ std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
   // kernels otherwise. The puller is single-consumer, matching FusedExpr's
   // one-producer-thread contract.
   auto conjuncts = std::make_shared<std::vector<FusedExpr>>();
-  conjuncts->reserve(residual.size());
-  for (RexNodePtr& pred : residual) {
+  conjuncts->reserve(split.residual.size());
+  for (RexNodePtr& pred : split.residual) {
     conjuncts->emplace_back(std::move(pred), opts.enable_fusion);
   }
   // Scratch arenas for residual predicate evaluation; recycled batch to
@@ -411,32 +403,38 @@ Result<RowBatchPuller> EnumerableProject::ExecuteBatched(
     return ColumnarToRowPuller(shared_from_this(),
                                std::move(*columnar).value());
   }
-  // Selection-aware consumer: a filter below hands over its selection
-  // vector and the projection evaluates only the live rows, compacting as
-  // it writes — the compaction the filter skipped happens here for free.
-  auto in = input(0)->ExecuteSelBatched(opts);
+  // Reference path: per-row Eval of every expression.
+  auto in = input(0)->ExecuteBatched(opts);
   if (!in.ok()) return in.status();
   RelNodePtr self = shared_from_this();  // pins exprs_ for the pipeline
   const EnumerableProject* node = this;
-  SelBatchPuller pull = std::move(in).value();
+  RowBatchPuller pull = std::move(in).value();
   return RowBatchPuller([self, node, pull]() -> Result<RowBatch> {
     auto batch = pull();
-    if (!batch.ok()) return batch.status();
-    SelBatch rows = std::move(batch).value();
-    if (rows.AtEnd()) return std::move(rows.rows);
-    CALCITE_RETURN_IF_ERROR(ApplyProjectToSelBatch(node->exprs_, &rows));
-    return std::move(rows.rows);
+    if (!batch.ok()) return batch;
+    RowBatch out;
+    out.reserve(batch.value().size());
+    for (const Row& row : batch.value()) {
+      Row projected;
+      projected.reserve(node->exprs_.size());
+      for (const RexNodePtr& expr : node->exprs_) {
+        auto v = RexInterpreter::Eval(expr, row);
+        if (!v.ok()) return v.status();
+        projected.push_back(std::move(v).value());
+      }
+      out.push_back(std::move(projected));
+    }
+    return out;
   });
 }
 
 std::optional<Result<ColumnBatchPuller>> EnumerableProject::TryExecuteColumnar(
     const ExecOptions& opts) const {
-  if (!ColumnarEnabled(opts)) return std::nullopt;
-  auto in = input(0)->TryExecuteColumnar(opts);
-  if (!in.has_value()) return std::nullopt;
-  if (!in->ok()) return in;
+  if (!opts.enable_columnar) return std::nullopt;
+  auto in = LiftToColumns(*input(0), opts);
+  if (!in.ok()) return in;
   RelNodePtr self = shared_from_this();  // pins exprs_ for the pipeline
-  ColumnBatchPuller pull = std::move(*in).value();
+  ColumnBatchPuller pull = std::move(in).value();
   // Projection exprs evaluate through FusedExpr: whole-tree bytecode where
   // the expression lowers, per-node kernels otherwise (single-consumer
   // puller, so one FusedExpr per expression is safe).
@@ -539,6 +537,30 @@ Status DrainRightSide(const RowBatchPuller& right_pull, JoinExecState* state) {
   return Status::OK();
 }
 
+/// Build phase of the hash join: drains the right side and hashes it on its
+/// key columns (rows with a NULL key never match and stay unhashed).
+Status BuildHashSide(const RowBatchPuller& right_pull,
+                     const std::vector<std::pair<int, int>>& keys,
+                     JoinExecState* state) {
+  CALCITE_RETURN_IF_ERROR(DrainRightSide(right_pull, state));
+  for (size_t i = 0; i < state->right_data.size(); ++i) {
+    auto key = JoinSideKey(state->right_data[i], keys, /*left_side=*/false);
+    if (key.has_value()) state->table[std::move(*key)].push_back(i);
+  }
+  state->built = true;
+  return Status::OK();
+}
+
+/// True when every residual (non-equi) join conjunct passes on `combined`.
+Result<bool> ResidualPasses(const std::vector<RexNodePtr>& remaining,
+                            const Row& combined) {
+  for (const RexNodePtr& pred : remaining) {
+    auto pass = RexInterpreter::EvalPredicate(pred, combined);
+    if (!pass.ok() || !pass.value()) return pass;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool JoinEmitsCombinedRows(JoinType join_type) {
@@ -632,28 +654,11 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
                            right_pull, join_type, left_width, right_width,
                            batch_size]() -> Result<RowBatch> {
       if (!state->built) {
-        CALCITE_RETURN_IF_ERROR(DrainRightSide(right_pull, state.get()));
-        for (size_t i = 0; i < state->right_data.size(); ++i) {
-          auto key =
-              JoinSideKey(state->right_data[i], *keys, /*left_side=*/false);
-          if (key.has_value()) {
-            state->table[std::move(*key)].push_back(i);
-          }
-        }
-        state->built = true;
+        CALCITE_RETURN_IF_ERROR(BuildHashSide(right_pull, *keys, state.get()));
       }
       if (!state->pending.empty()) {
         return FlushPending(state.get(), batch_size);
       }
-
-      auto residual_passes = [&](const Row& combined) -> Result<bool> {
-        for (const RexNodePtr& pred : *remaining) {
-          auto pass = RexInterpreter::EvalPredicate(pred, combined);
-          if (!pass.ok()) return pass;
-          if (!pass.value()) return false;
-        }
-        return true;
-      };
 
       while (!state->left_done) {
         auto batch = left_pull();
@@ -694,7 +699,7 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
             if (it != state->table.end()) {
               for (size_t ri : it->second) {
                 Row combined = ConcatRows(lrow_ref(), state->right_data[ri]);
-                auto pass = residual_passes(combined);
+                auto pass = ResidualPasses(*remaining, combined);
                 if (!pass.ok()) return pass.status();
                 if (!pass.value()) continue;
                 matched = true;
@@ -721,55 +726,34 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
     });
   }
 
-  // The probe side pulls selection-aware batches: a filter below the probe
-  // input hands over its selection and only live rows are probed, without
-  // an intermediate compaction. The build side needs every row anyway, so
-  // it drains through the compacting protocol.
-  auto left = input(0)->ExecuteSelBatched(opts);
+  // Row probe over plain row batches: probe inputs that offer no columns
+  // (joins, aggregates, sorts — lifting those only to box them again costs
+  // more than it saves) and the reference path.
+  auto left = input(0)->ExecuteBatched(opts);
   if (!left.ok()) return left.status();
-  SelBatchPuller left_pull = std::move(left).value();
+  RowBatchPuller left_pull = std::move(left).value();
 
   return RowBatchPuller([self, keys, remaining, state, left_pull, right_pull,
                          join_type, left_width, right_width,
                          batch_size]() -> Result<RowBatch> {
     if (!state->built) {
-      // Build phase: hash the right side on its key columns.
-      CALCITE_RETURN_IF_ERROR(DrainRightSide(right_pull, state.get()));
-      for (size_t i = 0; i < state->right_data.size(); ++i) {
-        auto key = JoinSideKey(state->right_data[i], *keys, /*left_side=*/false);
-        if (key.has_value()) {
-          state->table[std::move(*key)].push_back(i);
-        }
-      }
-      state->built = true;
+      CALCITE_RETURN_IF_ERROR(BuildHashSide(right_pull, *keys, state.get()));
     }
-
     if (!state->pending.empty()) {
       return FlushPending(state.get(), batch_size);
     }
-
-    auto residual_passes = [&](const Row& combined) -> Result<bool> {
-      for (const RexNodePtr& pred : *remaining) {
-        auto pass = RexInterpreter::EvalPredicate(pred, combined);
-        if (!pass.ok()) return pass;
-        if (!pass.value()) return false;
-      }
-      return true;
-    };
 
     // Probe phase: a whole left batch per dispatch.
     while (!state->left_done) {
       auto batch = left_pull();
       if (!batch.ok()) return batch.status();
-      SelBatch left_rows = std::move(batch).value();
-      if (left_rows.AtEnd()) {
+      RowBatch left_rows = std::move(batch).value();
+      if (left_rows.empty()) {
         state->left_done = true;
         break;
       }
       RowBatch& out = state->pending;
-      const size_t active = left_rows.ActiveCount();
-      for (size_t k = 0; k < active; ++k) {
-        Row& lrow = left_rows.ActiveRow(k);
+      for (Row& lrow : left_rows) {
         auto key = JoinSideKey(lrow, *keys, /*left_side=*/true);
         bool matched = false;
         if (key.has_value()) {
@@ -777,7 +761,7 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
           if (it != state->table.end()) {
             for (size_t ri : it->second) {
               Row combined = ConcatRows(lrow, state->right_data[ri]);
-              auto pass = residual_passes(combined);
+              auto pass = ResidualPasses(*remaining, combined);
               if (!pass.ok()) return pass.status();
               if (!pass.value()) continue;
               matched = true;
@@ -833,9 +817,8 @@ Result<std::vector<Row>> EnumerableNestedLoopJoin::Execute() const {
 
 Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
     const ExecOptions& opts) const {
-  // Probe side is selection-aware, like the hash join.
-  auto left = input(0)->ExecuteSelBatched(opts);
-  if (!left.ok()) return left.status();
+  auto left = input(0)->ExecuteBatched(opts);
+  if (!left.ok()) return left;
   auto right = input(1)->ExecuteBatched(opts);
   if (!right.ok()) return right;
 
@@ -846,7 +829,7 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
   const size_t right_width = input(1)->row_type()->fields().size();
   const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<JoinExecState>();
-  SelBatchPuller left_pull = std::move(left).value();
+  RowBatchPuller left_pull = std::move(left).value();
   RowBatchPuller right_pull = std::move(right).value();
 
   return RowBatchPuller([self, condition, state, left_pull, right_pull,
@@ -864,15 +847,13 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
     while (!state->left_done) {
       auto batch = left_pull();
       if (!batch.ok()) return batch.status();
-      SelBatch left_rows = std::move(batch).value();
-      if (left_rows.AtEnd()) {
+      RowBatch left_rows = std::move(batch).value();
+      if (left_rows.empty()) {
         state->left_done = true;
         break;
       }
       RowBatch& out = state->pending;
-      const size_t active = left_rows.ActiveCount();
-      for (size_t k = 0; k < active; ++k) {
-        Row& lrow = left_rows.ActiveRow(k);
+      for (Row& lrow : left_rows) {
         bool matched = false;
         for (size_t ri = 0; ri < state->right_data.size(); ++ri) {
           Row combined = ConcatRows(lrow, state->right_data[ri]);
@@ -922,14 +903,12 @@ Result<std::vector<Row>> EnumerableAggregate::Execute() const {
 
 namespace {
 
-/// Streaming hash-aggregate state: groups hold live accumulators instead of
-/// materialized row lists, fed a batch at a time. Single-column keys probe
-/// by Value directly (no per-row key allocation); wider keys go through the
-/// Row-keyed table.
+/// State of the reference hash aggregate: groups hold live accumulators
+/// fed one row at a time, keyed by the group-key values (an empty key for a
+/// global aggregate).
 struct HashAggState {
   bool built = false;
   std::unordered_map<Row, size_t, RowHash> group_index;
-  std::unordered_map<Value, size_t, ValueHash> single_index;
   std::vector<Row> group_keys_rows;
   std::vector<std::vector<AggAccumulator>> group_accs;
   size_t emit_pos = 0;
@@ -942,16 +921,17 @@ Result<RowBatchPuller> EnumerableAggregate::ExecuteBatched(
   if (auto parallel = TryExecuteParallel(*this, opts)) {
     return std::move(*parallel);
   }
-  // Columnar consumer: batches feed the typed accumulator adders straight
-  // from raw column storage — group-key probing and NULL skipping never box
-  // a cell unless the group key is genuinely new (or composite).
-  if (auto columnar = input(0)->TryExecuteColumnar(opts)) {
-    if (!columnar->ok()) return columnar->status();
-    ColumnBatchPuller pull = std::move(*columnar).value();
-    RelNodePtr self = shared_from_this();
+  RelNodePtr self = shared_from_this();  // pins group_keys_ / agg_calls_
+  const size_t batch_size = NormalizedBatchSize(opts);
+  // Columnar path: batches feed the typed accumulator adders straight from
+  // column storage — group-key probing and NULL skipping never box a cell
+  // unless the group key is genuinely new (or composite).
+  if (opts.enable_columnar) {
+    auto in = LiftToColumns(*input(0), opts);
+    if (!in.ok()) return in.status();
+    ColumnBatchPuller pull = std::move(in).value();
     auto builder =
         std::make_shared<ColumnarAggBuilder>(group_keys_, agg_calls_);
-    const size_t batch_size = NormalizedBatchSize(opts);
     auto built = std::make_shared<bool>(false);
     return RowBatchPuller(
         [self, builder, pull, built, batch_size]() -> Result<RowBatch> {
@@ -968,87 +948,41 @@ Result<RowBatchPuller> EnumerableAggregate::ExecuteBatched(
           return builder->EmitBatch(batch_size);
         });
   }
-  // Selection-aware consumer: only the live rows of each input batch feed
-  // the accumulators, so a filter below never compacts.
-  auto in = input(0)->ExecuteSelBatched(opts);
+  // Reference path: per-row Add into accumulators found by a hash probe,
+  // groups in first-seen key order.
+  auto in = input(0)->ExecuteBatched(opts);
   if (!in.ok()) return in.status();
-  RelNodePtr self = shared_from_this();  // pins group_keys_ / agg_calls_
   const EnumerableAggregate* node = this;
-  const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<HashAggState>();
-  SelBatchPuller pull = std::move(in).value();
-
+  RowBatchPuller pull = std::move(in).value();
   return RowBatchPuller([self, node, state, pull,
                          batch_size]() -> Result<RowBatch> {
     const std::vector<int>& group_keys = node->group_keys_;
     const std::vector<AggregateCall>& agg_calls = node->agg_calls_;
+    auto new_group = [&](Row key) {
+      state->group_keys_rows.push_back(std::move(key));
+      std::vector<AggAccumulator> accs;
+      accs.reserve(agg_calls.size());
+      for (const AggregateCall& call : agg_calls) accs.emplace_back(call);
+      state->group_accs.push_back(std::move(accs));
+    };
     if (!state->built) {
-      auto new_group = [&](Row key) {
-        state->group_keys_rows.push_back(std::move(key));
-        std::vector<AggAccumulator> accs;
-        accs.reserve(agg_calls.size());
-        for (const AggregateCall& call : agg_calls) {
-          accs.emplace_back(call);
-        }
-        state->group_accs.push_back(std::move(accs));
-      };
+      Row key;  // probe key reused across rows; copied only for new groups
       for (;;) {
         auto batch = pull();
         if (!batch.ok()) return batch.status();
-        SelBatch rows = std::move(batch).value();
-        if (rows.AtEnd()) break;
-        const size_t active = rows.ActiveCount();
-        if (group_keys.empty()) {
-          // Global aggregate: the whole batch feeds one accumulator set —
-          // one AddBatchSel dispatch per accumulator per batch.
-          if (state->group_accs.empty()) new_group(Row{});
-          const SelectionVector* sel = rows.has_sel ? &rows.sel : nullptr;
-          for (AggAccumulator& acc : state->group_accs[0]) {
-            CALCITE_RETURN_IF_ERROR(acc.AddBatchSel(rows.rows, sel));
-          }
-          continue;
-        }
-        // Grouped: probe the hash table with each live row of the batch,
-        // preserving first-seen key order for deterministic output.
-        if (group_keys.size() == 1) {
-          const size_t k = static_cast<size_t>(group_keys[0]);
-          for (size_t i = 0; i < active; ++i) {
-            const Row& row = rows.ActiveRow(i);
-            const Value& key = row[k];
-            size_t group;
-            auto it = state->single_index.find(key);
-            if (it != state->single_index.end()) {
-              group = it->second;
-            } else {
-              group = state->group_accs.size();
-              state->single_index.emplace(key, group);
-              new_group(Row{key});
-            }
-            for (AggAccumulator& acc : state->group_accs[group]) {
-              CALCITE_RETURN_IF_ERROR(acc.Add(row));
-            }
-          }
-          continue;
-        }
-        // Wider keys: the probe key is a scratch row reused across the
-        // whole batch; a fresh copy is only materialized when a new group
-        // is inserted.
-        Row scratch_key;
-        scratch_key.reserve(group_keys.size());
-        for (size_t i = 0; i < active; ++i) {
-          const Row& row = rows.ActiveRow(i);
-          scratch_key.clear();
-          for (int k : group_keys) {
-            scratch_key.push_back(row[static_cast<size_t>(k)]);
-          }
+        if (batch.value().empty()) break;
+        for (const Row& row : batch.value()) {
+          key.clear();
+          for (int k : group_keys) key.push_back(row[static_cast<size_t>(k)]);
           size_t group;
-          auto it = state->group_index.find(scratch_key);
+          auto it = state->group_index.find(key);
           if (it != state->group_index.end()) {
             group = it->second;
           } else {
             group = state->group_accs.size();
-            state->group_index.emplace(scratch_key, group);
-            new_group(scratch_key);
+            state->group_index.emplace(key, group);
+            new_group(key);
           }
           for (AggAccumulator& acc : state->group_accs[group]) {
             CALCITE_RETURN_IF_ERROR(acc.Add(row));
@@ -1110,9 +1044,7 @@ struct SortState {
 
 Result<RowBatchPuller> EnumerableSort::ExecuteBatched(
     const ExecOptions& opts) const {
-  // Selection-aware consumer: only live rows are spilled into the sort
-  // buffer, so a filter below never compacts.
-  auto in = input(0)->ExecuteSelBatched(opts);
+  auto in = input(0)->ExecuteBatched(opts);
   if (!in.ok()) return in.status();
   RelNodePtr self = shared_from_this();  // pins collation_
   const EnumerableSort* node = this;
@@ -1120,7 +1052,7 @@ Result<RowBatchPuller> EnumerableSort::ExecuteBatched(
   const int64_t fetch = fetch_;
   const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<SortState>();
-  SelBatchPuller pull = std::move(in).value();
+  RowBatchPuller pull = std::move(in).value();
 
   return RowBatchPuller([self, node, offset, fetch, state, pull,
                          batch_size]() -> Result<RowBatch> {
@@ -1129,12 +1061,8 @@ Result<RowBatchPuller> EnumerableSort::ExecuteBatched(
       for (;;) {
         auto batch = pull();
         if (!batch.ok()) return batch.status();
-        SelBatch rows = std::move(batch).value();
-        if (rows.AtEnd()) break;
-        const size_t active = rows.ActiveCount();
-        for (size_t k = 0; k < active; ++k) {
-          state->data.push_back(std::move(rows.ActiveRow(k)));
-        }
+        if (batch.value().empty()) break;
+        for (Row& row : batch.value()) state->data.push_back(std::move(row));
       }
       if (!collation.empty()) {
         std::stable_sort(state->data.begin(), state->data.end(),
@@ -1359,28 +1287,15 @@ RelNodePtr EnumerableWindow::Copy(RelTraitSet traits,
                                          std::move(inputs[0]), groups_));
 }
 
-Result<RowBatchPuller> EnumerableWindow::ExecuteBatched(
-    const ExecOptions& opts) const {
-  // Window frames reach arbitrarily far across the partition, so the
-  // operator is inherently blocking: materialize, then re-chunk.
-  auto rows = Execute();
-  if (!rows.ok()) return rows.status();
-  RowBatchPuller puller = ChunkRows(std::move(rows).value(),
-                                    NormalizedBatchSize(opts));
-  RelNodePtr self = shared_from_this();
-  return RowBatchPuller(
-      [self, puller]() -> Result<RowBatch> { return puller(); });
-}
+namespace {
 
-Result<std::vector<Row>> EnumerableWindow::Execute() const {
-  auto rows_result = input(0)->Execute();
-  if (!rows_result.ok()) return rows_result;
-  std::vector<Row> data = std::move(rows_result).value();
-
+/// Appends each window group's aggregate columns to copies of `data`.
+Result<std::vector<Row>> ComputeWindows(const std::vector<WindowGroup>& groups,
+                                        const std::vector<Row>& data) {
   // Output rows start as copies of the input; window columns are appended.
   std::vector<Row> out = data;
 
-  for (const WindowGroup& group : groups_) {
+  for (const WindowGroup& group : groups) {
     // Partition the row indexes.
     std::map<Row, std::vector<size_t>, RowLess> partitions;
     for (size_t i = 0; i < data.size(); ++i) {
@@ -1450,6 +1365,30 @@ Result<std::vector<Row>> EnumerableWindow::Execute() const {
     }
   }
   return out;
+}
+
+}  // namespace
+
+Result<RowBatchPuller> EnumerableWindow::ExecuteBatched(
+    const ExecOptions& opts) const {
+  // Window frames reach arbitrarily far across the partition, so the
+  // operator is inherently blocking: drain the input under the query's
+  // options, compute, then re-chunk.
+  auto in = input(0)->ExecuteBatched(opts);
+  if (!in.ok()) return in.status();
+  auto data = DrainBatches(in.value());
+  if (!data.ok()) return data.status();
+  auto rows = ComputeWindows(groups_, data.value());
+  if (!rows.ok()) return rows.status();
+  RowBatchPuller puller = ChunkRows(std::move(rows).value(),
+                                    NormalizedBatchSize(opts));
+  RelNodePtr self = shared_from_this();
+  return RowBatchPuller(
+      [self, puller]() -> Result<RowBatch> { return puller(); });
+}
+
+Result<std::vector<Row>> EnumerableWindow::Execute() const {
+  return DrainNode(*this);
 }
 
 // ------------------------------- Interpreter -------------------------------

@@ -36,13 +36,13 @@ class EnumerableTableScan final : public TableScan {
   using TableScan::TableScan;
 };
 
-/// Filter with selection-vector pushdown: its native surface is
-/// ExecuteSelBatched, which narrows each input batch's selection vector
-/// instead of compacting it, and — when the input is a table scan — splits
-/// the condition so that simple `column <op> literal` / NULL-test conjuncts
-/// run inside the leaf scan before rows are materialized
-/// (Table::ScanBatchedFiltered). ExecuteBatched is the compacting bridge
-/// for consumers that need dense batches.
+/// Filter with leaf pushdown: when the input is a table scan, simple
+/// `column <op> literal` / NULL-test conjuncts run inside the scan
+/// (ScanTableColumns over a columnar decomposition, otherwise
+/// Table::OpenScan) before rows are materialized. With enable_columnar on
+/// the residual narrows each ColumnBatch's selection vector through the
+/// columnar kernels, over whatever input LiftToColumns provides; off, it is
+/// evaluated per row (the reference).
 class EnumerableFilter final : public Filter {
  public:
   static RelNodePtr Create(RelNodePtr input, RexNodePtr condition);
@@ -53,12 +53,8 @@ class EnumerableFilter final : public Filter {
   Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
-  Result<SelBatchPuller> ExecuteSelBatched(const ExecOptions& opts)
-      const override;
-  /// Columnar filter: pushes simple conjuncts into the columnar leaf scan
-  /// (typed loops over raw column storage) and narrows each batch's
-  /// selection vector with the columnar kernels for the residual — rows are
-  /// never materialized, only the selection shrinks.
+  /// Columnar filter: rows are never compacted, only each batch's
+  /// selection shrinks. Returns a puller whenever enable_columnar is on.
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const override;
 
@@ -77,10 +73,11 @@ class EnumerableProject final : public Project {
   Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
-  /// Columnar projection: each expression becomes one dense output column
-  /// computed by a fused typed kernel over the input's active rows
-  /// (RexColumnar::AppendEvalColumn); input columns referenced verbatim are
-  /// aliased, not copied, when no selection is in play.
+  /// Columnar projection over any input (lifted when it is not columnar):
+  /// each expression becomes one dense output column computed by FusedExpr
+  /// over the input's active rows; input columns referenced verbatim are
+  /// aliased, not copied, when no selection is in play. Returns a puller
+  /// whenever enable_columnar is on.
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const override;
 
@@ -91,7 +88,11 @@ class EnumerableProject final : public Project {
 /// Hash join over the equi-key part of the condition; any residual
 /// non-equi conjuncts are evaluated on each matched pair. "The
 /// EnumerableJoin operator implements joins by collecting rows from its
-/// child nodes and joining on the desired attributes" (§5).
+/// child nodes and joining on the desired attributes" (§5). The probe runs
+/// columnar (keys read off the columns, left rows boxed only when they
+/// emit) when the probe input offers columns — a Filter, Project or
+/// columnar scan — and otherwise over plain row batches, which is also the
+/// reference path.
 class EnumerableHashJoin final : public Join {
  public:
   static RelNodePtr Create(RelNodePtr left, RelNodePtr right,
@@ -129,6 +130,8 @@ class EnumerableNestedLoopJoin final : public Join {
   using Join::Join;
 };
 
+/// Hash aggregate: ColumnarAggBuilder over LiftToColumns's batches with
+/// enable_columnar on, per-row AggAccumulator::Add (the reference) off.
 class EnumerableAggregate final : public Aggregate {
  public:
   static RelNodePtr Create(RelNodePtr input, std::vector<int> group_keys,
@@ -237,14 +240,6 @@ class EnumerableInterpreter final : public Converter {
 Row ConcatRows(const Row& left, const Row& right);
 Row PadNullRight(const Row& left, size_t right_width);
 Row PadNullLeft(size_t left_width, const Row& right);
-
-/// Row-path project kernel of the serial pull pipelines (the columnar path
-/// and the morsel-parallel executor project through FusedExpr instead).
-/// Projects the *selected* rows of `batch` in place. Projection writes one
-/// fresh output row per live input row, so it compacts as a side effect:
-/// on return the batch is dense (has_sel false) with ActiveCount() rows.
-Status ApplyProjectToSelBatch(const std::vector<RexNodePtr>& exprs,
-                              SelBatch* batch);
 
 /// Join runtime helpers shared by the serial joins and the parallel
 /// partitioned hash join.

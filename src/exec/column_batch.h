@@ -69,9 +69,8 @@ struct ColumnVector {
 };
 
 /// A column-major batch: `num_rows` physical rows stored as per-column typed
-/// vectors, plus an optional selection vector naming the live subset (same
-/// ascending-index contract as SelBatch). This is the native currency of the
-/// columnar hot path.
+/// vectors, plus an optional SelectionVector naming the live subset. This is
+/// the native currency of the columnar hot path.
 ///
 /// Ownership is shared and shallow: `arena` owns bump-allocated column
 /// storage produced by kernels, `boxed_pool` owns boxed Value columns (which

@@ -9,15 +9,16 @@
 namespace calcite {
 
 /// Entry point of the morsel-driven parallel executor. Called by the
-/// enumerable convention's ExecuteBatched implementations before they build
-/// their serial pipeline: when `opts.num_threads > 1` and the plan fragment
+/// enumerable convention's ExecuteBatched implementations (and by the
+/// columnar operators' input lift) before they build their serial
+/// pipeline: when `opts.num_threads > 1` and the plan fragment
 /// rooted at `node` has a parallel physical path, returns a RowBatchPuller
 /// that runs it on a worker pool and gathers the results back into the
 /// single-consumer pull protocol. The decision is made before returning:
 /// nullopt means the fragment declined and the caller runs its serial
 /// operators (whose *inputs* may still parallelize recursively). A fragment
 /// declines when num_threads is 1, when `opts.enable_columnar` is off (the
-/// serial row-major reference engine), when its shape is not
+/// serial per-row reference engine), when its shape is not
 /// parallelizable, or when its leaf table has neither a columnar
 /// decomposition nor scan units (Values leaves, Scan()-only tables).
 ///

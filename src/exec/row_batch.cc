@@ -123,41 +123,6 @@ Result<std::vector<Row>> DrainBatches(const RowBatchPuller& puller) {
   return out;
 }
 
-void CompactBatch(RowBatch* batch, const SelectionVector& sel) {
-  if (sel.size() == batch->size()) return;  // everything selected
-  for (size_t i = 0; i < sel.size(); ++i) {
-    if (sel[i] != i) (*batch)[i] = std::move((*batch)[sel[i]]);
-  }
-  batch->resize(sel.size());
-}
-
-void SelBatch::Compact() {
-  if (!has_sel) return;
-  CompactBatch(&rows, sel);
-  sel.clear();
-  has_sel = false;
-}
-
-SelBatchPuller LiftToSelBatches(RowBatchPuller puller) {
-  return [puller]() -> Result<SelBatch> {
-    auto batch = puller();
-    if (!batch.ok()) return batch.status();
-    SelBatch out;
-    out.rows = std::move(batch).value();
-    return out;
-  };
-}
-
-RowBatchPuller CompactSelBatches(SelBatchPuller puller) {
-  return [puller]() -> Result<RowBatch> {
-    auto batch = puller();
-    if (!batch.ok()) return batch.status();
-    SelBatch sel_batch = std::move(batch).value();
-    sel_batch.Compact();
-    return std::move(sel_batch.rows);
-  };
-}
-
 bool ScanPredicate::Matches(const Row& row) const {
   // Width mismatches cannot arise from well-formed tables (every stored row
   // has the table's row type); treat a short row as not matching rather

@@ -57,14 +57,15 @@ struct ExecOptions {
   /// unordered fragments for throughput.
   size_t num_threads = 1;
 
-  /// When true (the default), eligible plan fragments run on the
-  /// column-major ColumnBatch path (exec/column_batch.h): leaf scans
-  /// produce typed column views, filters/projections run the columnar
-  /// kernels, and rows are only materialized at the conversion boundary.
-  /// Turning it off selects the serial row-major reference engine: every
-  /// operator runs row-major and the morsel-parallel executor (which is
-  /// columnar-only) is bypassed whatever num_threads says. The differential
-  /// parity suites execute queries both ways.
+  /// When true (the default), Filter, Project and Aggregate always run the
+  /// column-major ColumnBatch kernels (exec/column_batch.h), at any thread
+  /// count: leaf scans produce typed column views, row-producing inputs are
+  /// decoded into columns, and rows are only materialized at the conversion
+  /// boundary. Turning it off selects the serial per-row reference engine
+  /// (RexInterpreter::Eval, per-row aggregate accumulation, row join
+  /// probes), and the morsel-parallel executor (which is columnar-only) is
+  /// bypassed whatever num_threads says. The differential parity suites
+  /// execute queries both ways.
   bool enable_columnar = true;
 
   /// When true (the default), columnar expression evaluation lowers whole
@@ -118,70 +119,19 @@ struct ExecOptions {
 /// RowBatchPuller is the *conversion boundary*: operators that still think
 /// in rows (sort, outer-join emit, set ops, window, QueryResult) pull row
 /// batches, and a columnar producer boxes its active rows through
-/// ColumnsToRows exactly once at that boundary. Arena lifetime rule: a
+/// ColumnsToRows exactly once at that boundary; in the other direction a
+/// row producer under a columnar consumer is decoded through RowsToColumns
+/// one batch at a time. Arena lifetime rule: a
 /// ColumnBatch shares ownership of everything its columns point into
 /// (arena, boxed pool, pinned table caches), so a row batch built from it
 /// owns plain Values and has no lifetime ties.
 using RowBatchPuller = std::function<Result<RowBatch>()>;
 
-/// Indexes of the rows of a batch that satisfy a predicate, ascending.
-/// The batch-granularity analogue of a boolean column: filters narrow it
-/// (RexInterpreter::NarrowSelection) and hand it downstream in a SelBatch
-/// instead of compacting, so survivors are only ever moved once.
+/// Indexes of the live rows of a ColumnBatch, strictly ascending: filters
+/// narrow it (FusedExpr / RexColumnar::NarrowSelection, leaf pushdown)
+/// instead of compacting, so downstream operators iterate only the selected
+/// indexes and survivors are never moved.
 using SelectionVector = std::vector<uint32_t>;
-
-/// A batch plus an optional selection vector naming its live rows. This is
-/// the currency of the serial row-major pipeline (ExecuteSelBatched): a
-/// filter narrows `sel` instead of physically compacting `rows`, and the
-/// downstream operator (project, aggregate, join probe) iterates only the
-/// selected indexes. Compaction — the per-row moves the selection
-/// vector exists to avoid — happens at most once per batch, at the first
-/// consumer that needs physically dense rows.
-///
-/// Invariants: when `has_sel` is true, `sel` holds strictly ascending,
-/// in-range indexes into `rows`; when false, every row is live. End of
-/// stream is `rows.empty()`; like the RowBatchPuller contract, producers
-/// never yield a mid-stream batch with zero live rows (a filter that kills
-/// a whole chunk keeps pulling).
-struct SelBatch {
-  RowBatch rows;
-  SelectionVector sel;
-  bool has_sel = false;
-
-  size_t ActiveCount() const { return has_sel ? sel.size() : rows.size(); }
-  bool AtEnd() const { return rows.empty(); }
-
-  /// The k-th live row (k < ActiveCount()).
-  Row& ActiveRow(size_t k) {
-    return has_sel ? rows[sel[k]] : rows[k];
-  }
-  const Row& ActiveRow(size_t k) const {
-    return has_sel ? rows[sel[k]] : rows[k];
-  }
-
-  /// Makes an identity selection explicit so a filter can narrow it.
-  void EnsureSelection() {
-    if (has_sel) return;
-    sel.resize(rows.size());
-    for (uint32_t i = 0; i < rows.size(); ++i) sel[i] = i;
-    has_sel = true;
-  }
-
-  /// Physically keeps only the selected rows and drops the selection.
-  void Compact();
-};
-
-/// Selection-aware analogue of RowBatchPuller. An AtEnd() batch marks end
-/// of stream; errors abort the stream.
-using SelBatchPuller = std::function<Result<SelBatch>()>;
-
-/// Bridges a compact batch stream into the selection-aware protocol (every
-/// batch arrives with all rows live).
-SelBatchPuller LiftToSelBatches(RowBatchPuller puller);
-
-/// Bridges back: compacts each selection-carrying batch into a plain
-/// RowBatch stream honouring the producers-never-yield-empty contract.
-RowBatchPuller CompactSelBatches(SelBatchPuller puller);
 
 /// A predicate simple enough for a leaf scan to evaluate on its stored rows
 /// *before* materializing them into a batch: `column <op> literal` or a
@@ -303,9 +253,6 @@ RowBatchPuller SliceRows(const std::vector<Row>& rows, size_t batch_size);
 /// Materializes a batch stream (the terminal step under the unchanged
 /// QueryResult API).
 Result<std::vector<Row>> DrainBatches(const RowBatchPuller& puller);
-
-/// Keeps the rows of `batch` selected by `sel`, in order, in place.
-void CompactBatch(RowBatch* batch, const SelectionVector& sel);
 
 }  // namespace calcite
 

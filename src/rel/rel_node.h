@@ -138,35 +138,17 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
         [self, puller]() -> Result<RowBatch> { return puller(); });
   }
 
-  /// Selection-aware batch execution: like ExecuteBatched, but each yielded
-  /// batch may carry a selection vector naming its live rows, so a filter
-  /// can hand its selection to the consumer instead of physically
-  /// compacting the batch. Selection-aware consumers (the row-path project,
-  /// aggregate and join probes) iterate only the selected indexes;
-  /// everything else bridges through CompactSelBatches. The
-  /// default lifts ExecuteBatched's compact batches (all rows live), so
-  /// only operators that benefit — today the enumerable Filter — override
-  /// it. Same ownership contract as ExecuteBatched.
-  virtual Result<SelBatchPuller> ExecuteSelBatched(
-      const ExecOptions& opts) const {
-    auto batched = ExecuteBatched(opts);
-    if (!batched.ok()) return batched.status();
-    return LiftToSelBatches(std::move(batched).value());
-  }
-
-  /// Columnar batch execution: when this operator can produce its output as
-  /// column-major ColumnBatch streams natively (zero row materialization),
-  /// it returns a puller; nullopt means "no native columnar path" and the
-  /// caller stays on the row protocol. Only the converted enumerable
-  /// operators (table scan over columnar-capable tables, filter, project)
-  /// override this; consumers (aggregate, join probe, the conversion
-  /// boundary) probe their input with it. Implementations must respect
-  /// opts.enable_columnar and return nullopt when it is off (the serial
-  /// row-major reference engine). Parallel fragments do not come through
-  /// here: the morsel-parallel executor reads leaf columns itself. Same
-  /// ownership contract as ExecuteBatched: the puller shares ownership of
-  /// the node, and each yielded batch owns (or pins) everything its columns
-  /// point into.
+  /// Columnar batch execution: when this operator produces its output as
+  /// column-major ColumnBatch streams, it returns a puller; nullopt (the
+  /// default) means "no columnar output" and a columnar consumer decodes
+  /// ExecuteBatched's rows instead. The enumerable table scan (over tables
+  /// with a columnar decomposition), Filter and Project override this; the
+  /// Filter, Project and Aggregate consumers read their input through it,
+  /// and the hash-join probe runs columnar when its input offers it.
+  /// Implementations return nullopt when opts.enable_columnar is off (the
+  /// serial per-row reference engine). Same ownership contract as
+  /// ExecuteBatched: the puller shares ownership of the node, and each
+  /// yielded batch owns (or pins) everything its columns point into.
   virtual std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const {
     (void)opts;

@@ -9,6 +9,7 @@
 #include "exec/simd.h"
 #include "rex/operator.h"
 #include "rex/rex_interpreter.h"
+#include "rex/rex_util.h"
 
 namespace calcite {
 namespace {
@@ -542,14 +543,42 @@ Status EvalDense(Ctx& ctx, const RexNodePtr& node, ColumnVector* res) {
   return Status::Internal("unknown rex node kind");
 }
 
-/// Gathers the active rows and evaluates per-row — the semantic anchor for
-/// everything the typed kernels do not cover.
+/// One reused row for the row-oracle fallbacks, boxing only the columns
+/// the expression references (wide lifted join rows would otherwise box
+/// every cell per row); unreferenced cells stay NULL. References at or
+/// beyond the batch width are skipped, so Eval still reports them out of
+/// range.
+class RefGather {
+ public:
+  RefGather(const RexNodePtr& node, const ColumnBatch& batch)
+      : batch_(batch), row_(batch.cols.size()) {
+    for (int ref : RexUtil::InputRefs(node)) {
+      if (ref >= 0 && static_cast<size_t>(ref) < row_.size()) {
+        refs_.push_back(static_cast<size_t>(ref));
+      }
+    }
+  }
+
+  /// The row at physical index `i` (valid until the next call).
+  const Row& At(size_t i) {
+    for (size_t c : refs_) row_[c] = batch_.cols[c].GetValue(i);
+    return row_;
+  }
+
+ private:
+  const ColumnBatch& batch_;
+  std::vector<size_t> refs_;
+  Row row_;
+};
+
+/// Evaluates the active rows per-row — the semantic anchor for everything
+/// the typed kernels do not cover.
 Status FallbackDense(Ctx& ctx, const RexNodePtr& node, ColumnVector* res) {
   auto vals = std::make_shared<std::vector<Value>>();
   vals->reserve(ctx.n);
+  RefGather gather(node, ctx.in);
   for (size_t k = 0; k < ctx.n; ++k) {
-    Row row = ctx.in.GatherRow(ctx.in.ActiveIndex(k));
-    auto v = RexInterpreter::Eval(node, row);
+    auto v = RexInterpreter::Eval(node, gather.At(ctx.in.ActiveIndex(k)));
     if (!v.ok()) return v.status();
     vals->push_back(std::move(v).value());
   }
@@ -722,8 +751,8 @@ Status RexColumnar::NarrowSelection(const RexNodePtr& node,
   if (sel->empty()) return Status::OK();
 
   // Conjunctions narrow progressively: later conjuncts only see earlier
-  // survivors, so their evaluation errors on dropped rows are suppressed —
-  // identical to RexInterpreter::NarrowSelection.
+  // survivors, so their evaluation errors on dropped rows are suppressed,
+  // as the per-row AND short-circuit does.
   if (const RexCall* call = AsCall(node)) {
     if (call->op() == OpKind::kAnd) {
       for (const RexNodePtr& operand : call->operands()) {
@@ -776,9 +805,9 @@ Status RexColumnar::NarrowSelection(const RexNodePtr& node,
 
   // Row-oracle fallback over the candidate rows only.
   size_t out = 0;
+  RefGather gather(node, batch);
   for (size_t k = 0; k < sel->size(); ++k) {
-    Row row = batch.GatherRow((*sel)[k]);
-    auto pass = RexInterpreter::EvalPredicate(node, row);
+    auto pass = RexInterpreter::EvalPredicate(node, gather.At((*sel)[k]));
     if (!pass.ok()) return pass.status();
     if (pass.value()) (*sel)[out++] = (*sel)[k];
   }

@@ -10,9 +10,9 @@
 
 namespace calcite {
 
-/// Columnar expression kernels: the RexInterpreter's fused batch loops
-/// rewritten as tight loops over contiguous typed columns. Semantics are
-/// identical to per-row Eval — SQL three-valued logic, NULL-strict
+/// Columnar expression kernels: tight loops over contiguous typed columns.
+/// Semantics are identical to per-row Eval — SQL three-valued logic,
+/// NULL-strict
 /// arithmetic with the NULL check before the division-by-zero check, errors
 /// raised only for rows in the active selection — which the differential
 /// fuzz suite (tests/rex_kernel_fuzz_test.cc) enforces against the row
@@ -48,7 +48,7 @@ class RexColumnar {
   /// comparisons and NULL tests run as fused typed loops on the raw
   /// columns; other supported predicates evaluate densely into `scratch`
   /// (reset by the caller between batches); everything else gathers rows
-  /// and asks the row oracle. Mirrors RexInterpreter::NarrowSelection.
+  /// and asks the row oracle (RexInterpreter::EvalPredicate).
   static Status NarrowSelection(const RexNodePtr& node,
                                 const ColumnBatch& batch,
                                 const ArenaPtr& scratch,

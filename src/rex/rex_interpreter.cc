@@ -470,318 +470,4 @@ Result<bool> RexInterpreter::EvalPredicate(const RexNodePtr& node,
   return v.value().AsBool();
 }
 
-namespace {
-
-/// A predicate operand that can be fetched without recursive evaluation:
-/// either an input column or a literal constant.
-struct ColumnOrConst {
-  bool ok = false;
-  int col = -1;                // input column when >= 0
-  const Value* lit = nullptr;  // literal otherwise
-};
-
-ColumnOrConst Classify(const RexNodePtr& node) {
-  ColumnOrConst out;
-  switch (node->node_kind()) {
-    case RexNode::NodeKind::kInputRef:
-      out.col = static_cast<const RexInputRef*>(node.get())->index();
-      out.ok = out.col >= 0;
-      return out;
-    case RexNode::NodeKind::kLiteral:
-      out.lit = &static_cast<const RexLiteral*>(node.get())->value();
-      out.ok = true;
-      return out;
-    case RexNode::NodeKind::kCall:
-      return out;
-  }
-  return out;
-}
-
-Result<const Value*> FetchOperand(const ColumnOrConst& operand,
-                                  const Row& row) {
-  if (operand.lit != nullptr) return operand.lit;
-  if (static_cast<size_t>(operand.col) >= row.size()) {
-    return TypeError("input ref $" + std::to_string(operand.col) +
-                     " out of range for row of " + std::to_string(row.size()));
-  }
-  return &row[static_cast<size_t>(operand.col)];
-}
-
-bool ComparisonPasses(OpKind op, int c) {
-  switch (op) {
-    case OpKind::kEquals:
-      return c == 0;
-    case OpKind::kNotEquals:
-      return c != 0;
-    case OpKind::kLessThan:
-      return c < 0;
-    case OpKind::kLessThanOrEqual:
-      return c <= 0;
-    case OpKind::kGreaterThan:
-      return c > 0;
-    case OpKind::kGreaterThanOrEqual:
-      return c >= 0;
-    default:
-      return false;
-  }
-}
-
-bool IsComparisonOp(OpKind op) {
-  switch (op) {
-    case OpKind::kEquals:
-    case OpKind::kNotEquals:
-    case OpKind::kLessThan:
-    case OpKind::kLessThanOrEqual:
-    case OpKind::kGreaterThan:
-    case OpKind::kGreaterThanOrEqual:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Narrows `sel` to the rows passing `node`. Conjunctions recurse so that
-/// each conjunct only sees the survivors of the previous one; comparisons
-/// and NULL tests over input refs / literals run as branch-light loops with
-/// no per-row Result wrapping.
-Status FilterSelection(const RexNodePtr& node, const RowBatch& batch,
-                       SelectionVector* sel) {
-  if (sel->empty()) return Status::OK();
-  if (node->node_kind() == RexNode::NodeKind::kCall) {
-    const auto* call = static_cast<const RexCall*>(node.get());
-    const OpKind op = call->op();
-    if (op == OpKind::kAnd) {
-      for (const RexNodePtr& operand : call->operands()) {
-        CALCITE_RETURN_IF_ERROR(FilterSelection(operand, batch, sel));
-        if (sel->empty()) return Status::OK();
-      }
-      return Status::OK();
-    }
-    if (IsComparisonOp(op) && call->operands().size() == 2) {
-      ColumnOrConst lhs = Classify(call->operands()[0]);
-      ColumnOrConst rhs = Classify(call->operands()[1]);
-      if (lhs.ok && rhs.ok) {
-        size_t kept = 0;
-        for (uint32_t idx : *sel) {
-          const Row& row = batch[idx];
-          auto a = FetchOperand(lhs, row);
-          if (!a.ok()) return a.status();
-          auto b = FetchOperand(rhs, row);
-          if (!b.ok()) return b.status();
-          if (a.value()->IsNull() || b.value()->IsNull()) continue;
-          if (ComparisonPasses(op, a.value()->Compare(*b.value()))) {
-            (*sel)[kept++] = idx;
-          }
-        }
-        sel->resize(kept);
-        return Status::OK();
-      }
-    }
-    if ((op == OpKind::kIsNull || op == OpKind::kIsNotNull) &&
-        call->operands().size() == 1) {
-      ColumnOrConst arg = Classify(call->operands()[0]);
-      if (arg.ok) {
-        const bool want_null = op == OpKind::kIsNull;
-        size_t kept = 0;
-        for (uint32_t idx : *sel) {
-          auto v = FetchOperand(arg, batch[idx]);
-          if (!v.ok()) return v.status();
-          if (v.value()->IsNull() == want_null) (*sel)[kept++] = idx;
-        }
-        sel->resize(kept);
-        return Status::OK();
-      }
-    }
-  }
-  // General fallback: scalar evaluation per candidate row (OR trees, CASE,
-  // LIKE, geo predicates, ...). Still one batch-level dispatch upstream.
-  size_t kept = 0;
-  for (uint32_t idx : *sel) {
-    auto pass = RexInterpreter::EvalPredicate(node, batch[idx]);
-    if (!pass.ok()) return pass.status();
-    if (pass.value()) (*sel)[kept++] = idx;
-  }
-  sel->resize(kept);
-  return Status::OK();
-}
-
-/// The number of rows EvalBatchSel will touch.
-size_t ActiveCount(const RowBatch& batch, const SelectionVector* sel) {
-  return sel != nullptr ? sel->size() : batch.size();
-}
-
-/// The k-th row under the (possibly absent) selection.
-const Row& ActiveRow(const RowBatch& batch, const SelectionVector* sel,
-                     size_t k) {
-  return sel != nullptr ? batch[(*sel)[k]] : batch[k];
-}
-
-bool IsArithmeticOp(OpKind op) {
-  switch (op) {
-    case OpKind::kPlus:
-    case OpKind::kMinus:
-    case OpKind::kTimes:
-    case OpKind::kDivide:
-    case OpKind::kMod:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-Status RexInterpreter::EvalBatch(const RexNodePtr& node, const RowBatch& batch,
-                                 std::vector<Value>* out) {
-  return EvalBatchSel(node, batch, /*sel=*/nullptr, out);
-}
-
-Status RexInterpreter::EvalBatchSel(const RexNodePtr& node,
-                                    const RowBatch& batch,
-                                    const SelectionVector* sel,
-                                    std::vector<Value>* out) {
-  const size_t n = ActiveCount(batch, sel);
-  out->clear();
-  out->reserve(n);
-  switch (node->node_kind()) {
-    case RexNode::NodeKind::kInputRef: {
-      const auto* ref = static_cast<const RexInputRef*>(node.get());
-      const int col = ref->index();
-      for (size_t k = 0; k < n; ++k) {
-        const Row& row = ActiveRow(batch, sel, k);
-        if (col < 0 || static_cast<size_t>(col) >= row.size()) {
-          return TypeError("input ref $" + std::to_string(col) +
-                           " out of range for row of " +
-                           std::to_string(row.size()));
-        }
-        out->push_back(row[static_cast<size_t>(col)]);
-      }
-      return Status::OK();
-    }
-    case RexNode::NodeKind::kLiteral: {
-      const Value& value = static_cast<const RexLiteral*>(node.get())->value();
-      out->assign(n, value);
-      return Status::OK();
-    }
-    case RexNode::NodeKind::kCall:
-      break;
-  }
-  const auto* call = static_cast<const RexCall*>(node.get());
-  const OpKind op = call->op();
-  const std::vector<RexNodePtr>& operands = call->operands();
-
-  // Fused binary kernels: arithmetic / comparison over two operands that
-  // are each an input column or a literal. One batch loop, no per-row tree
-  // dispatch; NULL-strict semantics and error behaviour identical to Eval
-  // (FetchOperand raises the same range error, EvalArithmetic the same
-  // division-by-zero / type errors, on the same first offending row).
-  if (operands.size() == 2 && (IsArithmeticOp(op) || IsComparisonOp(op))) {
-    ColumnOrConst lhs = Classify(operands[0]);
-    ColumnOrConst rhs = Classify(operands[1]);
-    if (lhs.ok && rhs.ok) {
-      const bool is_arith = IsArithmeticOp(op);
-      for (size_t k = 0; k < n; ++k) {
-        const Row& row = ActiveRow(batch, sel, k);
-        auto a = FetchOperand(lhs, row);
-        if (!a.ok()) return a.status();
-        auto b = FetchOperand(rhs, row);
-        if (!b.ok()) return b.status();
-        if (a.value()->IsNull() || b.value()->IsNull()) {
-          out->push_back(Value::Null());
-          continue;
-        }
-        if (is_arith) {
-          auto v = EvalArithmetic(op, *a.value(), *b.value());
-          if (!v.ok()) return v.status();
-          out->push_back(std::move(v).value());
-        } else {
-          out->push_back(
-              Value::Bool(ComparisonPasses(op, a.value()->Compare(*b.value()))));
-        }
-      }
-      return Status::OK();
-    }
-  }
-
-  // Fused unary kernels: NULL tests, NOT, unary minus, and single-step
-  // CASTs whose operand is an input column or literal.
-  if (operands.size() == 1) {
-    ColumnOrConst arg = Classify(operands[0]);
-    bool fused_unary = arg.ok;
-    switch (op) {
-      case OpKind::kIsNull:
-      case OpKind::kIsNotNull:
-      case OpKind::kIsTrue:
-      case OpKind::kIsFalse:
-      case OpKind::kNot:
-      case OpKind::kUnaryMinus:
-      case OpKind::kCast:
-        break;
-      default:
-        fused_unary = false;
-        break;
-    }
-    if (fused_unary) {
-      for (size_t k = 0; k < n; ++k) {
-        auto v = FetchOperand(arg, ActiveRow(batch, sel, k));
-        if (!v.ok()) return v.status();
-        const Value& value = *v.value();
-        switch (op) {
-          case OpKind::kIsNull:
-            out->push_back(Value::Bool(value.IsNull()));
-            break;
-          case OpKind::kIsNotNull:
-            out->push_back(Value::Bool(!value.IsNull()));
-            break;
-          case OpKind::kIsTrue:
-            out->push_back(Value::Bool(!value.IsNull() && value.AsBool()));
-            break;
-          case OpKind::kIsFalse:
-            out->push_back(Value::Bool(!value.IsNull() && !value.AsBool()));
-            break;
-          case OpKind::kNot:
-            out->push_back(value.IsNull() ? Value::Null()
-                                          : Value::Bool(!value.AsBool()));
-            break;
-          case OpKind::kUnaryMinus:
-            if (value.IsNull()) {
-              out->push_back(Value::Null());
-            } else if (value.is_int()) {
-              out->push_back(Value::Int(-value.AsInt()));
-            } else if (value.is_double()) {
-              out->push_back(Value::Double(-value.AsDouble()));
-            } else {
-              return TypeError("non-numeric operand to unary minus");
-            }
-            break;
-          case OpKind::kCast: {
-            auto cast = CastValue(value, *node->type());
-            if (!cast.ok()) return cast.status();
-            out->push_back(std::move(cast).value());
-            break;
-          }
-          default:
-            break;
-        }
-      }
-      return Status::OK();
-    }
-  }
-
-  // General fallback: per-row tree interpretation over the selected rows
-  // only — rows outside the selection are never evaluated.
-  for (size_t k = 0; k < n; ++k) {
-    auto v = Eval(node, ActiveRow(batch, sel, k));
-    if (!v.ok()) return v.status();
-    out->push_back(std::move(v).value());
-  }
-  return Status::OK();
-}
-
-Status RexInterpreter::NarrowSelection(const RexNodePtr& node,
-                                       const RowBatch& batch,
-                                       SelectionVector* sel) {
-  return FilterSelection(node, batch, sel);
-}
-
 }  // namespace calcite

@@ -1,7 +1,6 @@
 #ifndef CALCITE_REX_REX_INTERPRETER_H_
 #define CALCITE_REX_REX_INTERPRETER_H_
 
-#include "exec/row_batch.h"
 #include "rex/rex_node.h"
 #include "type/value.h"
 #include "util/status.h"
@@ -23,44 +22,6 @@ class RexInterpreter {
 
   /// Evaluates a predicate for filtering: NULL/UNKNOWN results are false.
   static Result<bool> EvalPredicate(const RexNodePtr& node, const Row& input);
-
-  /// Batch-granularity evaluation: computes `node` for every row of `batch`
-  /// into the column vector `out` (resized to batch.size()). Input refs and
-  /// literals take vectorized fast paths (column copy / broadcast); common
-  /// call shapes run as fused batch loops (see EvalBatchSel); other
-  /// expressions fall back to a tight per-row Eval loop, still amortizing
-  /// the caller's per-batch dispatch.
-  static Status EvalBatch(const RexNodePtr& node, const RowBatch& batch,
-                          std::vector<Value>* out);
-
-  /// Selection-aware batch evaluation: computes `node` for the rows of
-  /// `batch` named by `sel` (all rows when `sel` is nullptr), writing one
-  /// output Value per *selected* row into `out` (out->size() ends up
-  /// sel->size(), in selection order). Rows outside the selection are never
-  /// evaluated — a pushed-down filter therefore also suppresses evaluation
-  /// errors (e.g. division by zero) its surviving expression would have hit
-  /// on filtered-out rows, exactly as the compacting pipeline did.
-  ///
-  /// Fused kernels (single batch loop, no per-row tree walk) cover the call
-  /// shapes profiling exposed as dominant: binary arithmetic and comparison
-  /// over input refs / literals, NOT / IS [NOT] NULL / IS [NOT] TRUE-FALSE
-  /// and unary minus over an input ref or literal, and single-step CASTs of
-  /// an input ref or literal. Everything else falls back to per-row Eval
-  /// over the selected rows only.
-  static Status EvalBatchSel(const RexNodePtr& node, const RowBatch& batch,
-                             const SelectionVector* sel,
-                             std::vector<Value>* out);
-
-  /// Narrows `sel` — which must hold ascending candidate indexes into
-  /// `batch` — to the rows for which `node` passes as a filter
-  /// (NULL/UNKNOWN do not pass), in place and without touching the batch.
-  /// This is the selection-pushdown primitive: stacked filters intersect
-  /// their selections through it instead of compacting between stages.
-  /// Conjunctions narrow progressively (later conjuncts only see earlier
-  /// survivors); comparisons and NULL tests over input refs / literals run
-  /// as branch-light fused loops.
-  static Status NarrowSelection(const RexNodePtr& node, const RowBatch& batch,
-                                SelectionVector* sel);
 
   /// Casts a runtime value to the target SQL type (implements CAST
   /// semantics: numeric narrowing/widening, to/from VARCHAR, etc.).

@@ -101,11 +101,6 @@ struct TableStats {
   }
 };
 
-/// Historical name: the paper-facing `Statistic` of Table::GetStatistic
-/// grew into the versioned TableStats; the alias keeps every adapter
-/// override and test spelling valid.
-using Statistic = TableStats;
-
 /// Estimated fraction of a table's rows satisfying `pred`, from the stats
 /// of the predicate's column. nullopt when the stats cannot say anything
 /// (column not analyzed, non-numeric range probe with no histogram, ...);

@@ -44,7 +44,7 @@ Figure2Catalog MakeFigure2Catalog() {
                       Value::Int(i * 10)});
     }
     auto table = std::make_shared<MemTable>(row, std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = 20;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "adapters/enumerable/columnar_agg.h"
 #include "adapters/enumerable/enumerable_rels.h"
 #include "exec/arena.h"
 #include "exec/column_batch.h"
@@ -31,11 +32,13 @@
 namespace {
 
 std::atomic<size_t> g_alloc_count{0};
+std::atomic<size_t> g_alloc_bytes{0};
 std::atomic<bool> g_counting{false};
 
 void* CountedAlloc(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   void* ptr = std::malloc(size == 0 ? 1 : size);
   if (ptr == nullptr) throw std::bad_alloc();
@@ -150,6 +153,45 @@ TEST(AllocCountTest, ColumnarHotPathDoesNoPerRowAllocation) {
   EXPECT_EQ(row_rows, 8u);
   EXPECT_GT(row_allocs, size_t{80000});
   EXPECT_GT(row_allocs, col_allocs * 20);
+}
+
+// Group creation in the columnar aggregate is amortized: the accumulator
+// array grows geometrically, so feeding N distinct keys allocates O(N)
+// bytes in total. Reserving the exact size per new group would reallocate
+// (and move) every accumulator on each insert — O(N^2) bytes.
+TEST(AllocCountTest, ColumnarAggGroupCreationAllocatesLinearBytes) {
+  TypeFactory tf;
+  auto int_t = tf.CreateSqlType(SqlTypeName::kInteger);
+  auto row_type = tf.CreateStructType({"k", "v"}, {int_t, int_t});
+  constexpr size_t kGroups = 20000;
+  RowBatch rows;
+  rows.reserve(kGroups);
+  for (size_t i = 0; i < kGroups; ++i) {
+    rows.push_back({Value::Int(static_cast<int64_t>(i)),
+                    Value::Int(static_cast<int64_t>(i % 5))});
+  }
+  auto cols = RowsToColumns(rows, *row_type);
+  ASSERT_TRUE(cols.ok());
+  std::vector<AggregateCall> calls(2);
+  calls[0].kind = AggKind::kCountStar;
+  calls[0].name = "cnt";
+  calls[1].kind = AggKind::kSum;
+  calls[1].args = {1};
+  calls[1].name = "sum_v";
+  ColumnarAggBuilder builder({0}, calls);
+
+  g_alloc_bytes.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  Status status = builder.Feed(cols.value());
+  g_counting.store(false, std::memory_order_relaxed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const size_t bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  // Per group: two accumulators (geometric growth at most doubles them),
+  // one boxed key, a hash-table node and its slot — a few hundred bytes.
+  // The quadratic pattern averages ~kGroups accumulators per group.
+  EXPECT_LT(bytes, kGroups * 4096) << "group creation is not amortized";
+  RowBatch out = builder.EmitBatch(kGroups);
+  EXPECT_EQ(out.size(), kGroups);
 }
 
 // The fused bytecode interpreter's memory claim: evaluating a whole

@@ -439,6 +439,52 @@ TEST_F(BatchParityTest, Window) {
   }
 }
 
+/// A MemTable that records the ScanSpec of every OpenScan call.
+class RecordingTable : public MemTable {
+ public:
+  using MemTable::MemTable;
+
+  Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const override {
+    specs.push_back(spec);
+    return MemTable::OpenScan(spec);
+  }
+
+  mutable std::vector<ScanSpec> specs;
+};
+
+TEST_F(BatchParityTest, WindowInputRunsUnderQueryOptions) {
+  // The window drains its input through ExecuteBatched(opts), so the scan
+  // below it opens with the query's batch size and access path instead of
+  // the defaults.
+  auto table = std::make_shared<RecordingTable>(TestRowType(tf_),
+                                                MakeRows(50));
+  auto logical =
+      LogicalTableScan::Create(table, {"t"}, Convention::Enumerable(), tf_);
+  RelNodePtr scan = EnumerableTableScan::Create(
+      *static_cast<const TableScan*>(logical.get()));
+  WindowGroup group;
+  group.partition_keys = {1};
+  {
+    AggregateCall c;
+    c.kind = AggKind::kCountStar;
+    c.name = "cnt";
+    group.agg_calls.push_back(c);
+  }
+  RelNodePtr window = EnumerableWindow::Create(
+      scan, {group}, DeriveWindowRowType(scan->row_type(), {group}, tf_));
+  ExecOptions opts;
+  opts.batch_size = 7;
+  opts.access_path = AccessPath::kForceHeap;
+  auto puller = window->ExecuteBatched(opts);
+  ASSERT_TRUE(puller.ok()) << puller.status().ToString();
+  auto rows = DrainBatches(puller.value());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value().size(), 50u);
+  ASSERT_EQ(table->specs.size(), 1u);
+  EXPECT_EQ(table->specs[0].batch_size, 7u);
+  EXPECT_EQ(table->specs[0].access_path, AccessPath::kForceHeap);
+}
+
 TEST_F(BatchParityTest, Interpreter) {
   for (size_t n : kCardinalities) {
     ExpectParity(EnumerableInterpreter::Create(Leaf(n)),
@@ -548,7 +594,7 @@ TEST_F(BatchParityTest, FilterUnderJoinSelectionParity) {
                    std::string("FilterUnderHashJoin ") + JoinTypeName(jt) +
                        " n=" + std::to_string(n));
     }
-    // Nested loop probe is selection-aware too.
+    // Nested loop probe over a filtered input.
     auto nl_cond = rex_.MakeCall(
         OpKind::kGreaterThan,
         {Field(lt, 1), rex_.MakeInputRef(static_cast<int>(left_width) + 1,
@@ -585,7 +631,7 @@ TEST_F(BatchParityTest, FilterUnderAggregateSelectionParity) {
       c.name = "cntd_k";
       calls.push_back(c);
     }
-    // Global: COUNT(*) must count only the selected rows (AddBatchSel).
+    // Global: COUNT(*) must count only the selected rows.
     {
       auto row_type = DeriveAggregateRowType(rt, {}, calls, tf_);
       ExpectParity(EnumerableAggregate::Create(filtered, {}, calls, row_type),

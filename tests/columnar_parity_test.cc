@@ -1,6 +1,8 @@
 // Differential tests of the columnar execution path: every operator that
 // was converted to the ColumnBatch currency (scan, filter, project,
-// hash aggregate, hash join probe, and the morsel-parallel pipelines) must
+// hash aggregate, hash join probe, and the morsel-parallel pipelines) —
+// over columnar leaves and over row producers (joins, aggregates,
+// DiskTables) whose batches are decoded into columns — must
 // produce byte-identical results with `enable_columnar` on and off, across
 // cardinalities that straddle the batch boundary (0 / 1 / 1023 / 1024 /
 // 1025), NULL-heavy data, and num_threads ∈ {1, 4} (parallel plans compare
@@ -144,6 +146,70 @@ class ColumnarParityTest : public ::testing::Test {
 
   RexNodePtr Field(const RelDataTypePtr& row_type, int i) {
     return rex_.MakeInputRef(row_type, i);
+  }
+
+  RexNodePtr Call(OpKind op, std::vector<RexNodePtr> operands) {
+    auto call = rex_.MakeCall(op, std::move(operands));
+    EXPECT_TRUE(call.ok()) << call.status().ToString();
+    return call.value();
+  }
+
+  /// COUNT(*), SUM($sum_arg), MIN($min_arg).
+  static std::vector<AggregateCall> CountSumMin(int sum_arg, int min_arg) {
+    std::vector<AggregateCall> calls(3);
+    calls[0].kind = AggKind::kCountStar;
+    calls[0].name = "cnt";
+    calls[1].kind = AggKind::kSum;
+    calls[1].args = {sum_arg};
+    calls[1].name = "total";
+    calls[2].kind = AggKind::kMin;
+    calls[2].args = {min_arg};
+    calls[2].name = "least";
+    return calls;
+  }
+
+  /// Filter, Project and Aggregates with 0, 1 and 2 keys over `input`,
+  /// whose first five columns have the TestRowType layout: a residual
+  /// comparing two columns plus a LIKE (outside the typed kernels), a
+  /// projection mixing typed and fallback expressions, and groupings over
+  /// the NULL-heavy columns.
+  void ExpectOperatorParity(const RelNodePtr& input, const std::string& label,
+                            AccessPath access_path = AccessPath::kAuto) {
+    const RelDataTypePtr& rt = input->row_type();
+    RexNodePtr cond = rex_.MakeAnd(
+        {Call(OpKind::kLessThan, {Field(rt, 0), rex_.MakeIntLiteral(3000)}),
+         Call(OpKind::kGreaterThan, {Field(rt, 0), Field(rt, 1)}),
+         rex_.MakeOr({Call(OpKind::kLike, {Field(rt, 2),
+                                           rex_.MakeStringLiteral("s1%")}),
+                      Call(OpKind::kIsNull, {Field(rt, 3)})})});
+    RelNodePtr filtered = EnumerableFilter::Create(input, cond);
+    ExpectColumnarParity(filtered, label + " filter", access_path);
+
+    std::vector<RexNodePtr> exprs = {
+        Call(OpKind::kPlus, {Field(rt, 0), Field(rt, 1)}),
+        Call(OpKind::kUpper, {Field(rt, 2)}), Field(rt, 3),
+        Call(OpKind::kTimes, {Field(rt, 3), rex_.MakeDoubleLiteral(2.0)})};
+    auto proj_type =
+        DeriveProjectRowType(exprs, {"sum", "us", "d", "d2"}, tf_);
+    ExpectColumnarParity(EnumerableProject::Create(input, exprs, proj_type),
+                         label + " project", access_path);
+    ExpectColumnarParity(
+        EnumerableProject::Create(filtered, exprs, proj_type),
+        label + " project(filter)", access_path);
+
+    const std::vector<AggregateCall> calls = CountSumMin(3, 2);
+    for (const std::vector<int>& keys :
+         {std::vector<int>{}, std::vector<int>{1}, std::vector<int>{1, 2}}) {
+      auto agg_type = DeriveAggregateRowType(rt, keys, calls, tf_);
+      ExpectColumnarParity(
+          EnumerableAggregate::Create(input, keys, calls, agg_type),
+          label + " aggregate keys=" + std::to_string(keys.size()),
+          access_path);
+      ExpectColumnarParity(
+          EnumerableAggregate::Create(filtered, keys, calls, agg_type),
+          label + " aggregate(filter) keys=" + std::to_string(keys.size()),
+          access_path);
+    }
   }
 
   TypeFactory tf_;
@@ -471,12 +537,79 @@ TEST_F(ColumnarParityTest, PipelineScanFilterProjectAggregate) {
   }
 }
 
+TEST_F(ColumnarParityTest, OperatorsOverJoinAndAggregateOutputs) {
+  // A join's and an aggregate's rows offer no columns: Filter, Project and
+  // Aggregate above them decode each row batch into columns.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1025}}) {
+    RelNodePtr left = Scan(n);
+    RelNodePtr right = Scan(97);
+    const RelDataTypePtr& lt = left->row_type();
+    const RelDataTypePtr& rt = right->row_type();
+    const int left_width = static_cast<int>(lt->fields().size());
+    RexNodePtr equi = rex_.MakeEquals(
+        Field(lt, 1), rex_.MakeInputRef(left_width + 1, rt->fields()[1].type));
+    for (JoinType jt : {JoinType::kInner, JoinType::kLeft}) {
+      RelNodePtr join = EnumerableHashJoin::Create(
+          left, right, equi, jt, DeriveJoinRowType(lt, rt, jt, tf_));
+      ExpectOperatorParity(join, std::string("over ") + JoinTypeName(jt) +
+                                     " join n=" + std::to_string(n));
+    }
+
+    // Aggregate over an aggregate: group counts per (k, s), then the number
+    // of groups per count.
+    const std::vector<AggregateCall> inner_calls = CountSumMin(0, 3);
+    RelNodePtr inner = EnumerableAggregate::Create(
+        left, {1, 2}, inner_calls,
+        DeriveAggregateRowType(lt, {1, 2}, inner_calls, tf_));
+    const std::vector<AggregateCall> outer_calls = CountSumMin(3, 1);
+    for (const std::vector<int>& keys :
+         {std::vector<int>{}, std::vector<int>{2}}) {
+      ExpectColumnarParity(
+          EnumerableAggregate::Create(
+              inner, keys, outer_calls,
+              DeriveAggregateRowType(inner->row_type(), keys, outer_calls,
+                                     tf_)),
+          "aggregate over aggregate keys=" + std::to_string(keys.size()) +
+              " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST_F(ColumnarParityTest, OperatorsOverDiskTable) {
+  // A DiskTable has no columnar decomposition: a Filter pushes its simple
+  // conjuncts through OpenScan and decodes the survivors into columns, and
+  // Project and Aggregate decode the scan's row batches.
+  char tmpl[] = "/tmp/calcite_colpar_ops_XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string dir_path = dir;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1025}, size_t{4000}}) {
+    storage::DiskTableOptions dt_opts;
+    dt_opts.pool_pages = 8;
+    auto table = storage::DiskTable::Create(
+        dir_path + "/t" + std::to_string(n) + ".db", TestRowType(tf_), 0,
+        dt_opts);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE((*table)->InsertRows(MakeRows(n)).ok());
+    for (AccessPath path : {AccessPath::kForceIndex, AccessPath::kForceHeap}) {
+      ExpectOperatorParity(ScanOf(*table),
+                           "disk n=" + std::to_string(n) + " path=" +
+                               std::to_string(static_cast<int>(path)),
+                           path);
+    }
+    EXPECT_EQ((*table)->buffer_pool().pinned_frames(), 0u);
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir_path, ec);
+}
+
 TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
   // A DiskTable exposes no columnar decomposition (MaterializedColumns is
   // nullptr — decomposing would pin the whole table in RAM), so serial
-  // columnar execution must transparently fall back to the row path and
-  // still match it exactly, and 4-way parallel execution decodes page runs
-  // into ColumnBatches, with the buffer pool far smaller than the table.
+  // columnar execution decodes its row batches into columns and must still
+  // match the row path exactly, and 4-way parallel execution decodes page
+  // runs into ColumnBatches, with the buffer pool far smaller than the
+  // table.
   // Exercised bare and under a filter whose primary-key conjunct routes to
   // the B-tree on the serial path, with the index forced on and off.
   char tmpl[] = "/tmp/calcite_colpar_disk_XXXXXX";

@@ -1,19 +1,16 @@
-// Randomized differential tests of the fused batch expression kernels
-// (RexInterpreter::EvalBatchSel / NarrowSelection) and their columnar
-// counterparts (RexColumnar::AppendEvalColumn / NarrowSelection): a small
-// seeded random generator builds typed expression trees — arithmetic,
-// comparison, logic, casts over columns with ~20% NULLs — and checks the
-// batch kernels byte-identical against the per-row tree interpreter
-// (RexInterpreter::Eval, the oracle) across batch sizes {1, 1023, 1024} and
-// selection vectors of every shape (absent, empty, singleton, dense,
-// sparse). The columnar checks run the same trees over the typed column
-// decomposition of the same rows, so typed fast paths and the boxed
-// fallback are both diffed against row semantics — and every columnar
-// check additionally runs the tree-fusing bytecode interpreter
-// (rex/rex_fuse.h), making each tree a three-way differential:
-// fused-vs-per-node-vs-per-row, under both SIMD dispatch modes. A directed
-// ternary-NULL-semantics regression pack locks in the three-valued-logic
-// corners the kernels must preserve.
+// Randomized differential tests of the columnar expression kernels
+// (RexColumnar::AppendEvalColumn / NarrowSelection) against the per-row tree
+// interpreter (RexInterpreter::Eval, the oracle): a small seeded random
+// generator builds typed expression trees — arithmetic, comparison, logic,
+// casts over columns with ~20% NULLs — and evaluates them over the typed
+// column decomposition of the same rows, across batch sizes
+// {1, 1023, 1024, 1025} and selection vectors of every shape (absent,
+// empty, singleton, dense, sparse), so typed fast paths and the boxed
+// fallback are both diffed against row semantics. Every check additionally
+// runs the tree-fusing bytecode interpreter (rex/rex_fuse.h), making each
+// tree a three-way differential: fused-vs-per-node-vs-per-row, under both
+// SIMD dispatch modes. A directed ternary-NULL-semantics regression pack
+// locks in the three-valued-logic corners the kernels must preserve.
 //
 // The generator is error-free by construction (division and modulo only
 // ever take a non-zero literal divisor, casts never parse arbitrary
@@ -275,39 +272,6 @@ class RexKernelFuzzTest : public ::testing::Test {
     return shapes;
   }
 
-  /// EvalBatchSel vs per-row Eval over exactly the selected rows.
-  void CheckEval(const RexNodePtr& expr, const RowBatch& batch,
-                 const SelectionVector* sel, const std::string& label) {
-    std::vector<Value> got;
-    Status status = RexInterpreter::EvalBatchSel(expr, batch, sel, &got);
-    ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-    const size_t n = sel != nullptr ? sel->size() : batch.size();
-    ASSERT_EQ(got.size(), n) << label;
-    for (size_t k = 0; k < n; ++k) {
-      const Row& row = batch[sel != nullptr ? (*sel)[k] : k];
-      auto want = RexInterpreter::Eval(expr, row);
-      ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
-      ASSERT_EQ(got[k].ToString(), want.value().ToString())
-          << label << " row " << k << " expr " << expr->ToString();
-    }
-  }
-
-  /// NarrowSelection vs per-row EvalPredicate over the same candidates.
-  void CheckNarrow(const RexNodePtr& pred, const RowBatch& batch,
-                   const SelectionVector& candidates,
-                   const std::string& label) {
-    SelectionVector got = candidates;
-    Status status = RexInterpreter::NarrowSelection(pred, batch, &got);
-    ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-    SelectionVector want;
-    for (uint32_t idx : candidates) {
-      auto pass = RexInterpreter::EvalPredicate(pred, batch[idx]);
-      ASSERT_TRUE(pass.ok()) << label << ": " << pass.status().ToString();
-      if (pass.value()) want.push_back(idx);
-    }
-    ASSERT_EQ(got, want) << label << " pred " << pred->ToString();
-  }
-
   /// Decomposes `batch` into a typed ColumnBatch (the columnar engine's
   /// native input) using the fixture row type.
   ColumnBatch ToColumns(const RowBatch& batch) {
@@ -426,46 +390,6 @@ class RexKernelFuzzTest : public ::testing::Test {
   RelDataTypePtr row_type_;
 };
 
-TEST_F(RexKernelFuzzTest, EvalBatchMatchesPerRowOracle) {
-  std::mt19937 rng(20260729);
-  for (size_t n : {size_t{1}, size_t{1023}, size_t{1024}}) {
-    RowBatch batch = MakeBatch(n, &rng);
-    auto shapes = SelectionShapes(n);
-    for (int iter = 0; iter < 60 * FuzzScale(); ++iter) {
-      RexNodePtr expr = GenAny(&rng, 3);
-      for (size_t s = 0; s < shapes.size(); ++s) {
-        const SelectionVector* sel =
-            shapes[s].has_value() ? &*shapes[s] : nullptr;
-        CheckEval(expr, batch, sel,
-                  "n=" + std::to_string(n) + " iter=" + std::to_string(iter) +
-                      " sel=" + std::to_string(s));
-      }
-    }
-  }
-}
-
-TEST_F(RexKernelFuzzTest, NarrowSelectionMatchesPerRowOracle) {
-  std::mt19937 rng(987654321);
-  for (size_t n : {size_t{1}, size_t{1023}, size_t{1024}}) {
-    RowBatch batch = MakeBatch(n, &rng);
-    auto shapes = SelectionShapes(n);
-    for (int iter = 0; iter < 60 * FuzzScale(); ++iter) {
-      RexNodePtr pred = GenBool(&rng, 3);
-      for (size_t s = 0; s < shapes.size(); ++s) {
-        SelectionVector candidates;
-        if (shapes[s].has_value()) {
-          candidates = *shapes[s];
-        } else {
-          for (uint32_t i = 0; i < n; ++i) candidates.push_back(i);
-        }
-        CheckNarrow(pred, batch, candidates,
-                    "n=" + std::to_string(n) + " iter=" +
-                        std::to_string(iter) + " sel=" + std::to_string(s));
-      }
-    }
-  }
-}
-
 TEST_F(RexKernelFuzzTest, ColumnarEvalMatchesPerRowOracle) {
   std::mt19937 rng(20260807);
   // 1025 straddles the fused interpreter's block size (kFuseBlockRows =
@@ -550,6 +474,83 @@ TEST_F(RexKernelFuzzTest, SimdTailAndAlignmentShapes) {
   }
 }
 
+// The row-oracle fallbacks (FallbackDense, the last branch of
+// NarrowSelection) box only the columns an expression references. Over a
+// wide batch — five fixture batches side by side, the shape of a lifted
+// join row — a CASE around LIKE and an OR around LIKE must still match the
+// per-row oracle, and a reference past the batch width must still raise
+// Eval's out-of-range error.
+TEST_F(RexKernelFuzzTest, WideBatchFallbacksMatchPerRowOracle) {
+  std::mt19937 rng(5511);
+  constexpr size_t kCopies = 5;
+  const size_t width = row_type_->fields().size();
+  std::vector<std::string> names;
+  std::vector<RelDataTypePtr> types;
+  for (size_t c = 0; c < kCopies; ++c) {
+    for (const auto& field : row_type_->fields()) {
+      names.push_back(field.name + std::to_string(c));
+      types.push_back(field.type);
+    }
+  }
+  auto wide_type = tf_.CreateStructType(names, types);
+  const size_t n = 1025;
+  RowBatch rows(n);
+  for (size_t c = 0; c < kCopies; ++c) {
+    RowBatch part = MakeBatch(n, &rng);
+    for (size_t i = 0; i < n; ++i) {
+      rows[i].insert(rows[i].end(), part[i].begin(), part[i].end());
+    }
+  }
+  auto built = RowsToColumns(rows, *wide_type);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ColumnBatch& base = built.value();
+  auto ref = [&](size_t copy, size_t col) {
+    return rex_.MakeInputRef(wide_type, static_cast<int>(copy * width + col));
+  };
+  auto like = [&](RexNodePtr operand, const char* pattern) {
+    auto call = rex_.MakeCall(OpKind::kLike,
+                              {std::move(operand),
+                               rex_.MakeStringLiteral(pattern)});
+    EXPECT_TRUE(call.ok());
+    return call.value();
+  };
+
+  auto when = rex_.MakeCall(OpKind::kCase, {like(ref(4, 4), "s1%"),
+                                            ref(4, 1), ref(1, 1)});
+  ASSERT_TRUE(when.ok()) << when.status().ToString();
+  auto gt = rex_.MakeCall(OpKind::kGreaterThan,
+                          {ref(4, 3), rex_.MakeDoubleLiteral(1.0)});
+  ASSERT_TRUE(gt.ok());
+  RexNodePtr pred = rex_.MakeOr({like(ref(1, 4), "a%"), gt.value()});
+  for (size_t s = 0; s < SelectionShapes(n).size(); ++s) {
+    const auto shape = SelectionShapes(n)[s];
+    const std::string label = "wide sel=" + std::to_string(s);
+    CheckColumnarEval(when.value(), base, rows,
+                      shape.has_value() ? &*shape : nullptr, label);
+    SelectionVector candidates;
+    if (shape.has_value()) {
+      candidates = *shape;
+    } else {
+      for (uint32_t i = 0; i < n; ++i) candidates.push_back(i);
+    }
+    CheckColumnarNarrow(pred, base, rows, candidates, label);
+  }
+
+  // $40 is past the 30-column batch: both fallbacks report it.
+  RexNodePtr far = rex_.MakeInputRef(40, str_null_);
+  auto upper = rex_.MakeCall(OpKind::kUpper, {far});
+  ASSERT_TRUE(upper.ok());
+  ColumnBatch out;
+  out.arena = std::make_shared<Arena>();
+  out.ShareStorage(base);
+  out.num_rows = base.ActiveCount();
+  EXPECT_FALSE(RexColumnar::AppendEvalColumn(upper.value(), base, &out).ok());
+  SelectionVector sel = {0, 1, 2};
+  ArenaPtr scratch = std::make_shared<Arena>();
+  EXPECT_FALSE(
+      RexColumnar::NarrowSelection(like(far, "x%"), base, scratch, &sel).ok());
+}
+
 // --------------------- ternary NULL semantics pack --------------------------
 //
 // Directed regressions for the three-valued-logic corners the fused kernels
@@ -559,20 +560,35 @@ TEST_F(RexKernelFuzzTest, SimdTailAndAlignmentShapes) {
 
 class TernaryNullTest : public RexKernelFuzzTest {
  protected:
-  /// Evaluates `expr` over a one-row batch through the fused kernel, checks
-  /// it equals both the per-row oracle and the expected value.
+  /// `row` padded with NULLs to the fixture's row width.
+  Row Padded(Row row) {
+    row.resize(row_type_->fields().size());
+    return row;
+  }
+
+  /// Evaluates `expr` over a one-row column batch through the per-node and
+  /// fused columnar kernels, checks both equal the per-row oracle and the
+  /// expected value.
   void ExpectTernary(const RexNodePtr& expr, const Row& row,
                      const Value& expected) {
-    RowBatch batch = {row};
-    std::vector<Value> out;
-    Status status =
-        RexInterpreter::EvalBatchSel(expr, batch, nullptr, &out);
-    ASSERT_TRUE(status.ok()) << expr->ToString() << ": " << status.ToString();
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].ToString(), expected.ToString()) << expr->ToString();
-    auto oracle = RexInterpreter::Eval(expr, row);
+    Row full = Padded(row);
+    ColumnBatch in = ToColumns({full});
+    for (bool fuse : {false, true}) {
+      ColumnBatch out;
+      out.arena = std::make_shared<Arena>();
+      out.ShareStorage(in);
+      out.num_rows = 1;
+      Status status = fuse ? FusedExpr(expr).AppendEvalColumn(in, &out)
+                           : RexColumnar::AppendEvalColumn(expr, in, &out);
+      ASSERT_TRUE(status.ok()) << expr->ToString() << ": "
+                               << status.ToString();
+      ASSERT_EQ(out.cols.size(), 1u);
+      EXPECT_EQ(out.cols[0].GetValue(0).ToString(), expected.ToString())
+          << expr->ToString() << " fuse=" << fuse;
+    }
+    auto oracle = RexInterpreter::Eval(expr, full);
     ASSERT_TRUE(oracle.ok());
-    EXPECT_EQ(out[0].ToString(), oracle.value().ToString())
+    EXPECT_EQ(oracle.value().ToString(), expected.ToString())
         << expr->ToString();
   }
 
@@ -635,8 +651,8 @@ TEST_F(TernaryNullTest, NullTestsSeeThroughNull) {
                 Value::Bool(false));
   ExpectTernary(Call(OpKind::kIsNotNull, {col}), live_row, Value::Bool(true));
   // IS TRUE / IS FALSE treat NULL as neither.
-  RexNodePtr flag = rex_.MakeInputRef(1, bool_null_);
-  Row null_flag = {Value::Int(0), Value::Null()};
+  RexNodePtr flag = rex_.MakeInputRef(5, bool_null_);
+  Row null_flag = {Value::Int(0)};
   ExpectTernary(Call(OpKind::kIsTrue, {flag}), null_flag, Value::Bool(false));
   ExpectTernary(Call(OpKind::kIsFalse, {flag}), null_flag,
                 Value::Bool(false));
@@ -653,14 +669,16 @@ TEST_F(TernaryNullTest, CastOfNullIsNull) {
 
 TEST_F(TernaryNullTest, FilterTreatsUnknownAsNotPassing) {
   // Rows: a = NULL, 1, 5. Predicate a > 2 passes only the 5.
-  RowBatch batch = {{Value::Int(0), Value::Null()},
-                    {Value::Int(1), Value::Int(1)},
-                    {Value::Int(2), Value::Int(5)}};
+  ColumnBatch batch =
+      ToColumns({Padded({Value::Int(0), Value::Null()}),
+                 Padded({Value::Int(1), Value::Int(1)}),
+                 Padded({Value::Int(2), Value::Int(5)})});
   RexNodePtr pred = Call(OpKind::kGreaterThan,
                          {rex_.MakeInputRef(1, int_null_),
                           rex_.MakeIntLiteral(2)});
   SelectionVector sel = {0, 1, 2};
-  ASSERT_TRUE(RexInterpreter::NarrowSelection(pred, batch, &sel).ok());
+  ArenaPtr scratch = std::make_shared<Arena>();
+  ASSERT_TRUE(RexColumnar::NarrowSelection(pred, batch, scratch, &sel).ok());
   EXPECT_EQ(sel, SelectionVector({2}));
 }
 

@@ -1,8 +1,7 @@
 // Unit tests of the RowBatch runtime primitives (src/exec/row_batch.h):
 // the chunking/slicing pullers at the boundary cardinalities the batch
 // sweep exposed as untested (batch_size exceeding the row count, zero
-// rows, exact multiples), batch compaction, the SelBatch selection
-// carrier, and the leaf-scan predicate pushdown helpers.
+// rows, exact multiples) and the leaf-scan predicate pushdown helpers.
 
 #include <gtest/gtest.h>
 
@@ -123,65 +122,6 @@ TEST(DrainBatchesTest, RoundTripsThroughChunks) {
     ASSERT_TRUE(rows.ok());
     ExpectRowsEqual(rows.value(), MakeRows(n));
   }
-}
-
-TEST(CompactBatchTest, EmptySelectionClearsBatch) {
-  RowBatch batch = MakeRows(4);
-  CompactBatch(&batch, {});
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(CompactBatchTest, FullSelectionIsNoop) {
-  RowBatch batch = MakeRows(4);
-  CompactBatch(&batch, {0, 1, 2, 3});
-  ExpectRowsEqual(batch, MakeRows(4));
-}
-
-TEST(CompactBatchTest, SparseSelectionKeepsOrder) {
-  RowBatch batch = MakeRows(6);
-  CompactBatch(&batch, {1, 4, 5});
-  std::vector<Row> all = MakeRows(6);
-  ExpectRowsEqual(batch, {all[1], all[4], all[5]});
-}
-
-TEST(SelBatchTest, ActiveIterationAndCompact) {
-  SelBatch batch;
-  batch.rows = MakeRows(5);
-  EXPECT_EQ(batch.ActiveCount(), 5u);
-  EXPECT_EQ(RowToString(batch.ActiveRow(2)), RowToString(MakeRows(5)[2]));
-
-  batch.sel = {0, 3};
-  batch.has_sel = true;
-  EXPECT_EQ(batch.ActiveCount(), 2u);
-  EXPECT_EQ(RowToString(batch.ActiveRow(1)), RowToString(MakeRows(5)[3]));
-
-  batch.Compact();
-  EXPECT_FALSE(batch.has_sel);
-  std::vector<Row> all = MakeRows(5);
-  ExpectRowsEqual(batch.rows, {all[0], all[3]});
-}
-
-TEST(SelBatchTest, EnsureSelectionBuildsIdentityOnce) {
-  SelBatch batch;
-  batch.rows = MakeRows(3);
-  batch.EnsureSelection();
-  EXPECT_TRUE(batch.has_sel);
-  EXPECT_EQ(batch.sel, SelectionVector({0, 1, 2}));
-  // Narrow, then EnsureSelection again must not reset it.
-  batch.sel = {2};
-  batch.EnsureSelection();
-  EXPECT_EQ(batch.sel, SelectionVector({2}));
-}
-
-TEST(SelBatchBridgeTest, LiftAndCompactRoundTrip) {
-  auto lifted = LiftToSelBatches(ChunkRows(MakeRows(5), 2));
-  auto first = lifted();
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first.value().has_sel);
-  EXPECT_EQ(first.value().ActiveCount(), 2u);
-
-  auto compacted = CompactSelBatches(LiftToSelBatches(ChunkRows(MakeRows(5), 2)));
-  ExpectRowsEqual(DrainChecked(compacted, 2), MakeRows(5));
 }
 
 TEST(ScanPredicateTest, ComparisonAndNullSemantics) {

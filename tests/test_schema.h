@@ -43,7 +43,7 @@ inline SchemaPtr MakeTestSchema() {
          Value::Double(9000)},
     };
     auto table = std::make_shared<MemTable>(row, std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = 5;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);
@@ -57,7 +57,7 @@ inline SchemaPtr MakeTestSchema() {
         {Value::Int(30), Value::String("Marketing")},
     };
     auto table = std::make_shared<MemTable>(row, std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = 3;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);
@@ -75,7 +75,7 @@ inline SchemaPtr MakeTestSchema() {
         {Value::Int(6), Value::Int(3), Value::Double(0.5), Value::Int(9)},
     };
     auto table = std::make_shared<MemTable>(row, std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = 6;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);
@@ -89,7 +89,7 @@ inline SchemaPtr MakeTestSchema() {
         {Value::Int(3), Value::String("Gizmo")},
     };
     auto table = std::make_shared<MemTable>(row, std::move(rows));
-    Statistic stat;
+    TableStats stat;
     stat.row_count = 3;
     stat.unique_keys = {{0}};
     table->set_statistic(stat);
