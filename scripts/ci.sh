@@ -152,11 +152,13 @@ fi
 echo "=== end-to-end SQL (sqlbench) ==="
 # One short traced pass of the standing TPC-H-shaped suite: every query runs
 # through the public Connection API and is checked against the serial
-# per-row reference engine. olap_par drives the morsel-parallel executor,
-# olap_disk the DiskTable leaves whose rows every Filter, Project and
-# Aggregate decodes into columns, short_queries the parse/plan path. Fails
-# on any wrong or failed query.
-for workload in olap_par olap_disk short_queries; do
+# per-row reference engine. olap_mem is the serial columnar engine over
+# MemTables: the only workload whose Sort and set-op inputs are zero-copy
+# table views those blocking operators hold across batches. olap_par drives
+# the morsel-parallel executor, olap_disk the DiskTable leaves whose rows
+# every Filter, Project and Aggregate decodes into columns, short_queries
+# the parse/plan path. Fails on any wrong or failed query.
+for workload in olap_mem olap_par olap_disk short_queries; do
   result="$(python3 sqlbench/run.py --workload "$workload" --seed 1 \
     --seconds 1 --trace 1 | tail -n 1)"
   echo "$workload: $result"

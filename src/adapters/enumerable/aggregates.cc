@@ -1,6 +1,62 @@
 #include "adapters/enumerable/aggregates.h"
 
+#include <cmath>
+
+#include "exec/simd.h"
+
 namespace calcite {
+
+bool DistinctValues::Insert(const Value& v) {
+  if (v.is_int()) return InsertKey(v.AsInt(), kIntTag);
+  if (v.is_double()) {
+    // Integral doubles inside int64's range convert exactly, so they share
+    // the int entry of the equal Int value (Value::Compare equates them).
+    const double d = v.AsDouble();
+    if (d == std::trunc(d) && d >= -0x1p63 && d < 0x1p63) {
+      return InsertKey(static_cast<int64_t>(d),
+                       std::signbit(d) && d == 0 ? kNegZeroTag : kDoubleTag);
+    }
+  }
+  return others_.insert(v).second;
+}
+
+bool DistinctValues::InsertKey(int64_t key, uint8_t tag) {
+  if ((count_ + 1) * 4 > slots_.size() * 3) {
+    // Grow (or allocate) at 75% load, re-probing every live entry.
+    std::vector<Slot> old(slots_.empty() ? 8 : slots_.size() * 2);
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.tag == kEmpty) continue;
+      size_t i = static_cast<size_t>(simd::Mix64(static_cast<uint64_t>(s.key)));
+      while (slots_[i & mask].tag != kEmpty) ++i;
+      slots_[i & mask] = s;
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = static_cast<size_t>(simd::Mix64(static_cast<uint64_t>(key)));;
+       ++i) {
+    Slot& s = slots_[i & mask];
+    if (s.tag == kEmpty) {
+      s.key = key;
+      s.tag = tag;
+      ++count_;
+      return true;
+    }
+    if (s.key == key) return false;
+  }
+}
+
+Value DistinctValues::SlotValue(const Slot& s) {
+  switch (s.tag) {
+    case kIntTag:
+      return Value::Int(s.key);
+    case kNegZeroTag:
+      return Value::Double(-0.0);
+    default:
+      return Value::Double(static_cast<double>(s.key));
+  }
+}
 
 Status AggAccumulator::Add(const Row& row) {
   if (call_->kind == AggKind::kCountStar) {
@@ -19,9 +75,7 @@ Status AggAccumulator::Add(const Row& row) {
   const Value& v = row[static_cast<size_t>(arg)];
   if (v.IsNull()) return Status::OK();  // SQL aggregates ignore NULLs.
 
-  if (call_->distinct) {
-    if (!distinct_values_.insert(v).second) return Status::OK();
-  }
+  if (distinct_ != nullptr && !distinct_->Insert(v)) return Status::OK();
   return AccumulateValue(v);
 }
 
@@ -68,15 +122,12 @@ Status AggAccumulator::AccumulateValue(const Value& v) {
 }
 
 Status AggAccumulator::MergeFrom(const AggAccumulator& other) {
-  if (call_->distinct) {
+  if (distinct_ != nullptr) {
     // Set union: replay only the values this side has not seen, through the
     // same post-dedup path Add uses, so counts and sums stay consistent.
-    for (const Value& v : other.distinct_values_) {
-      if (distinct_values_.insert(v).second) {
-        CALCITE_RETURN_IF_ERROR(AccumulateValue(v));
-      }
-    }
-    return Status::OK();
+    return other.distinct_->ForEach([this](const Value& v) {
+      return distinct_->Insert(v) ? AccumulateValue(v) : Status::OK();
+    });
   }
   switch (call_->kind) {
     case AggKind::kCount:
@@ -148,18 +199,6 @@ Value AggAccumulator::Finish() const {
       return has_value_ ? single_ : Value::Null();
   }
   return Value::Null();
-}
-
-Status ComputeAggregates(const std::vector<AggregateCall>& calls,
-                         const std::vector<Row>& rows, Row* out) {
-  for (const AggregateCall& call : calls) {
-    AggAccumulator acc(call);
-    for (const Row& row : rows) {
-      CALCITE_RETURN_IF_ERROR(acc.Add(row));
-    }
-    out->push_back(acc.Finish());
-  }
-  return Status::OK();
 }
 
 }  // namespace calcite

@@ -1,9 +1,11 @@
 #ifndef CALCITE_ADAPTERS_ENUMERABLE_AGGREGATES_H_
 #define CALCITE_ADAPTERS_ENUMERABLE_AGGREGATES_H_
 
-#include <set>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "rel/rel_node.h"
@@ -12,12 +14,58 @@
 
 namespace calcite {
 
+/// The values a DISTINCT aggregate call has already accumulated. Values equal
+/// under Value::Compare share one entry: ints, and doubles holding an integer
+/// that int64 represents exactly (so Double(2.0) is Int(2)), live in a flat
+/// open-addressing int64 table; everything else lives in a hash set under
+/// Value equality. Each entry keeps the representation it was first seen in,
+/// so a merge replays exactly the Value a serial pass would have added.
+/// NaN follows Value hashing/equality and is not pinned to either path.
+class DistinctValues {
+ public:
+  /// Inserts `v`; true when no equal value was present.
+  bool Insert(const Value& v);
+
+  /// Insert() of Value::Int(v) without boxing it.
+  bool InsertInt(int64_t v) { return InsertKey(v, kIntTag); }
+
+  /// Calls `f(const Value&)` (returning Status) on every entry, in
+  /// unspecified order, stopping at the first error.
+  template <typename F>
+  Status ForEach(F&& f) const {
+    for (const Slot& s : slots_) {
+      if (s.tag != kEmpty) CALCITE_RETURN_IF_ERROR(f(SlotValue(s)));
+    }
+    for (const Value& v : others_) CALCITE_RETURN_IF_ERROR(f(v));
+    return Status::OK();
+  }
+
+ private:
+  // How an int-table entry was first seen: as an int, as an integral
+  // double, or as -0.0 (which equals 0 but must replay with its sign).
+  enum Tag : uint8_t { kEmpty = 0, kIntTag, kDoubleTag, kNegZeroTag };
+  struct Slot {
+    int64_t key = 0;
+    uint8_t tag = kEmpty;
+  };
+
+  bool InsertKey(int64_t key, uint8_t tag);
+  static Value SlotValue(const Slot& s);
+
+  std::vector<Slot> slots_;  // power-of-two capacity, linear probing
+  size_t count_ = 0;
+  std::unordered_set<Value, ValueHash> others_;
+};
+
 /// Runtime accumulator for one aggregate call (COUNT/SUM/MIN/MAX/AVG/...),
 /// including DISTINCT handling. Shared by the enumerable hash aggregate, the
 /// window operator, and the streaming executor.
 class AggAccumulator {
  public:
-  explicit AggAccumulator(const AggregateCall& call) : call_(&call) {}
+  explicit AggAccumulator(const AggregateCall& call)
+      : call_(&call),
+        distinct_(call.distinct ? std::make_unique<DistinctValues>()
+                                : nullptr) {}
 
   /// Feeds one input row.
   Status Add(const Row& row);
@@ -36,10 +84,10 @@ class AggAccumulator {
 
   // Columnar fast paths. The typed adders below feed one already-extracted
   // non-NULL value without boxing it; they must update the exact same state
-  // AccumulateValue would (the columnar/row parity suite enforces it). The
-  // typed variants are only legal for non-DISTINCT calls — DISTINCT dedup
-  // needs the boxed value, so the columnar aggregate routes those through
-  // AddNonNullValue.
+  // AccumulateValue would (the columnar/row parity suite enforces it).
+  // AddNonNullInt64/Double/StringView skip DISTINCT dedup, so they are only
+  // legal for non-DISTINCT calls; a DISTINCT call takes
+  // AddNonNullInt64Distinct for int64 cells and AddNonNullValue otherwise.
 
   /// COUNT(*): counts n rows in one update.
   void AddCountStarN(int64_t n) { count_ += n; }
@@ -47,10 +95,15 @@ class AggAccumulator {
   /// Boxed add of a non-NULL value (DISTINCT dedup then the shared
   /// accumulate path) — identical to Add() after its NULL check.
   Status AddNonNullValue(const Value& v) {
-    if (call_->distinct && !distinct_values_.insert(v).second) {
-      return Status::OK();
-    }
+    if (distinct_ != nullptr && !distinct_->Insert(v)) return Status::OK();
     return AccumulateValue(v);
+  }
+
+  /// Non-NULL int64 from an INT-class column for a DISTINCT call: dedups on
+  /// the raw int, then accumulates it as AddNonNullInt64 does.
+  Status AddNonNullInt64Distinct(int64_t v) {
+    if (!distinct_->InsertInt(v)) return Status::OK();
+    return AddNonNullInt64(v);
   }
 
   /// Non-NULL int64 from an INT-class column.
@@ -163,12 +216,8 @@ class AggAccumulator {
   Value max_;
   Value single_;
   bool has_value_ = false;
-  std::set<Value> distinct_values_;
+  std::unique_ptr<DistinctValues> distinct_;  // set iff call_->distinct
 };
-
-/// Evaluates a full group: runs all `calls` over `rows` and appends results.
-Status ComputeAggregates(const std::vector<AggregateCall>& calls,
-                         const std::vector<Row>& rows, Row* out);
 
 }  // namespace calcite
 

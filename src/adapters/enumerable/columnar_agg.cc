@@ -112,14 +112,15 @@ uint32_t ColumnarAggBuilder::InsertHashed(const ColumnVector& key, size_t row,
   return gid;
 }
 
-void ColumnarAggBuilder::ResolveGroups(const ColumnBatch& batch) {
+const std::vector<uint32_t>& ColumnarAggBuilder::ResolveKeys(
+    const ColumnBatch& batch) {
   const size_t active = batch.ActiveCount();
   gids_.clear();
   gids_.reserve(active);
   if (group_keys_.empty()) {
     if (num_groups_ == 0) NewGroup();
     gids_.assign(active, 0);
-    return;
+    return gids_;
   }
   if (group_keys_.size() > 1) {
     // Composite keys: box the key cells into one reused Row per live row.
@@ -131,7 +132,7 @@ void ColumnarAggBuilder::ResolveGroups(const ColumnBatch& batch) {
       }
       gids_.push_back(GroupIdForRow(key));
     }
-    return;
+    return gids_;
   }
   const ColumnVector& key = batch.cols[static_cast<size_t>(group_keys_[0])];
   // The flat table verifies probes against group_key_values_, which EmitBatch
@@ -213,11 +214,12 @@ void ColumnarAggBuilder::ResolveGroups(const ColumnBatch& batch) {
         gids[k] = gid;
       }
     }
-    return;
+    return gids_;
   }
   for (size_t k = 0; k < active; ++k) {
     gids_.push_back(GroupIdForValue(key.GetValue(batch.ActiveIndex(k))));
   }
+  return gids_;
 }
 
 Status ColumnarAggBuilder::FeedCall(const ColumnBatch& batch,
@@ -250,7 +252,16 @@ Status ColumnarAggBuilder::FeedCall(const ColumnBatch& batch,
     return accs_[gids_[k] * stride + call_idx];
   };
 
-  // DISTINCT dedups on the boxed value, so it always takes the boxed path.
+  // DISTINCT dedups int64 cells on the raw int; every other DISTINCT
+  // column dedups on the boxed value.
+  if (call.distinct && col.type == PhysType::kInt64) {
+    for (size_t k = 0; k < active; ++k) {
+      const size_t i = batch.ActiveIndex(k);
+      if (col.nulls != nullptr && col.nulls[i] != 0) continue;
+      CALCITE_RETURN_IF_ERROR(acc(k).AddNonNullInt64Distinct(col.i64[i]));
+    }
+    return Status::OK();
+  }
   if (call.distinct || col.type == PhysType::kValue) {
     for (size_t k = 0; k < active; ++k) {
       const size_t i = batch.ActiveIndex(k);
@@ -296,7 +307,7 @@ Status ColumnarAggBuilder::FeedCall(const ColumnBatch& batch,
 }
 
 Status ColumnarAggBuilder::Feed(const ColumnBatch& batch) {
-  ResolveGroups(batch);
+  ResolveKeys(batch);
   for (size_t j = 0; j < calls_.size(); ++j) {
     CALCITE_RETURN_IF_ERROR(FeedCall(batch, j));
   }

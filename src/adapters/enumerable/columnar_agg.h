@@ -24,6 +24,10 @@ namespace calcite {
 /// in the same group), NULLs form their own group, and accumulator state is
 /// bit-for-bit what the per-row Add() calls would have built (the parity
 /// suite enforces this).
+///
+/// With every column as a group key and no calls, the key table alone is
+/// what the columnar set operators use: ResolveKeys maps each row to the id
+/// of its distinct value.
 class ColumnarAggBuilder {
  public:
   /// `calls` are copied; the builder is self-contained after construction.
@@ -36,6 +40,14 @@ class ColumnarAggBuilder {
 
   /// Feeds the active rows of one batch.
   Status Feed(const ColumnBatch& batch);
+
+  /// Resolves the group id of every active row of `batch`, creating groups
+  /// on first sight, without feeding any call. Ids are dense and assigned
+  /// in first-seen order; the result is valid until the next Feed or
+  /// ResolveKeys.
+  const std::vector<uint32_t>& ResolveKeys(const ColumnBatch& batch);
+
+  size_t num_groups() const { return num_groups_; }
 
   /// Folds another builder's groups into this one (parallel merge step).
   /// Both builders must have been created with the same keys and calls.
@@ -76,11 +88,8 @@ class ColumnarAggBuilder {
 
   void RehashSlots();
 
-  /// Resolves the group id of every active row of `batch` into gids_.
-  void ResolveGroups(const ColumnBatch& batch);
-
   /// Feeds call `call_idx` for every active row of `batch`, using the group
-  /// ids already resolved into gids_.
+  /// ids already resolved into gids_ by ResolveKeys.
   Status FeedCall(const ColumnBatch& batch, size_t call_idx);
 
   std::vector<int> group_keys_;  // empty for a global aggregate

@@ -1,6 +1,7 @@
 #include "adapters/enumerable/enumerable_rels.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -20,15 +21,18 @@
 namespace calcite {
 
 // The operators below execute as vectorized pull pipelines. With
-// ExecOptions::enable_columnar on (the default) Filter, Project and
-// Aggregate run the columnar kernels whatever their input is: LiftToColumns
-// hands them their input as ColumnBatches — parallel, natively columnar, or
-// decoded from row batches — and rows are boxed only where a row consumer
-// (sort, set ops, join emit, QueryResult) reads them. With it off, every
-// operator runs its plain per-row reference path (RexInterpreter::Eval,
-// HashAggState), the oracle the parity suites diff against. Execute() is the
-// materializing wrapper over the same pipeline; `batch_size = 1` reproduces
-// row-at-a-time behaviour exactly (see the parity tests).
+// ExecOptions::enable_columnar on (the default) Filter, Project, Aggregate,
+// Sort and the blocking set ops run on columns whatever their input is:
+// LiftToColumns hands them their input as ColumnBatches — parallel,
+// natively columnar, or decoded from row batches. Sort and the set ops keep
+// those batches, compare and hash typed cells, and box only the rows they
+// emit; otherwise rows are boxed only where a row consumer (window, join
+// emit, QueryResult) reads them. With it off, every operator runs its plain
+// per-row reference path (RexInterpreter::Eval, HashAggState, stable_sort
+// with CompareRows, CombineSetOp), the oracle the parity suites diff
+// against. Execute() is the materializing wrapper over the same pipeline;
+// `batch_size = 1` reproduces row-at-a-time behaviour exactly (see the
+// parity tests).
 
 namespace {
 
@@ -63,7 +67,7 @@ size_t NormalizedBatchSize(const ExecOptions& opts) {
 }
 
 /// Bridges a columnar pipeline back to dense RowBatches (the conversion
-/// boundary for row-path consumers: sort, set ops, QueryResult).
+/// boundary for row-path consumers: window, join emit, QueryResult).
 RowBatchPuller ColumnarToRowPuller(RelNodePtr self, ColumnBatchPuller pull) {
   return RowBatchPuller([self, pull]() -> Result<RowBatch> {
     auto batch = pull();
@@ -87,9 +91,9 @@ ColumnBatchPuller RowToColumnarPuller(RowBatchPuller pull,
 }
 
 /// Hands `node`'s output to a columnar consumer (Filter, Project,
-/// Aggregate). At num_threads > 1 a fragment the morsel executor accepts
-/// still runs in parallel; otherwise a natively columnar producer streams
-/// its batches; anything else has its row batches decoded.
+/// Aggregate, Sort, set ops). At num_threads > 1 a fragment the morsel
+/// executor accepts still runs in parallel; otherwise a natively columnar
+/// producer streams its batches; anything else has its row batches decoded.
 Result<ColumnBatchPuller> LiftToColumns(const RelNode& node,
                                         const ExecOptions& opts) {
   if (opts.num_threads > 1) {
@@ -1033,6 +1037,7 @@ Result<std::vector<Row>> EnumerableSort::Execute() const {
 
 namespace {
 
+/// Reference-path state: the boxed input rows, sorted in place.
 struct SortState {
   bool built = false;
   std::vector<Row> data;
@@ -1040,17 +1045,316 @@ struct SortState {
   size_t end = 0;
 };
 
+/// Copies the active rows of `in` densely into `arena` (string bytes
+/// included) and boxed columns into a fresh pool, so the result holds no
+/// reference to `in`'s storage.
+ColumnBatch CompactBatch(const ColumnBatch& in, const ArenaPtr& arena) {
+  const size_t n = in.ActiveCount();
+  ColumnBatch out;
+  out.num_rows = n;
+  out.arena = arena;
+  out.cols.resize(in.cols.size());
+  for (size_t c = 0; c < in.cols.size(); ++c) {
+    const ColumnVector& src = in.cols[c];
+    ColumnVector& dst = out.cols[c];
+    dst.type = src.type;
+    if (src.type == PhysType::kValue) {
+      auto vals = std::make_shared<std::vector<Value>>();
+      vals->reserve(n);
+      for (size_t k = 0; k < n; ++k) {
+        vals->push_back(src.boxed[in.ActiveIndex(k)]);
+      }
+      dst.boxed = vals->data();
+      out.boxed_pool.push_back(std::move(vals));
+      continue;
+    }
+    if (src.nulls != nullptr) {
+      uint8_t* nulls = arena->AllocateArray<uint8_t>(n);
+      for (size_t k = 0; k < n; ++k) nulls[k] = src.nulls[in.ActiveIndex(k)];
+      dst.nulls = nulls;
+    }
+    switch (src.type) {
+      case PhysType::kInt64: {
+        int64_t* d = arena->AllocateArray<int64_t>(n);
+        for (size_t k = 0; k < n; ++k) d[k] = src.i64[in.ActiveIndex(k)];
+        dst.i64 = d;
+        break;
+      }
+      case PhysType::kDouble: {
+        double* d = arena->AllocateArray<double>(n);
+        for (size_t k = 0; k < n; ++k) d[k] = src.f64[in.ActiveIndex(k)];
+        dst.f64 = d;
+        break;
+      }
+      case PhysType::kBool: {
+        uint8_t* d = arena->AllocateArray<uint8_t>(n);
+        for (size_t k = 0; k < n; ++k) d[k] = src.b8[in.ActiveIndex(k)];
+        dst.b8 = d;
+        break;
+      }
+      case PhysType::kString: {
+        StringRef* d = arena->AllocateArray<StringRef>(n);
+        size_t total = 0;
+        for (size_t k = 0; k < n; ++k) total += src.str[in.ActiveIndex(k)].size;
+        char* bytes = arena->AllocateArray<char>(total);
+        for (size_t k = 0; k < n; ++k) {
+          const StringRef s = src.str[in.ActiveIndex(k)];
+          if (s.size > 0) std::memcpy(bytes, s.data, s.size);
+          d[k] = StringRef{bytes, s.size};
+          bytes += s.size;
+        }
+        dst.str = d;
+        break;
+      }
+      case PhysType::kValue:
+        break;
+    }
+  }
+  return out;
+}
+
+/// The input of a blocking columnar operator, kept as the batches it
+/// arrived in (zero-copy views keep their pins) and addressed by a dense
+/// position over their active rows. Rows are boxed only when emitted.
+struct KeptBatches {
+  std::vector<ColumnBatch> batches;
+  std::vector<size_t> starts;  // position of each batch's first active row
+  size_t size = 0;
+  // Storage of compacted batches. Small chunks: a top-N over a selective
+  // filter keeps a few rows, and a default-sized chunk per operator would
+  // cost more than the rows it holds.
+  ArenaPtr arena = std::make_shared<Arena>(size_t{1} << 14);
+
+  /// Keeps `batch`. One whose columns were written into its producer's
+  /// pooled arena is compacted into this one instead: holding it would pin
+  /// a whole arena chunk per batch (and keep the pool allocating fresh ones)
+  /// however few rows it carries. Views of table or decoded storage own no
+  /// arena data and are kept as they are.
+  void Add(ColumnBatch batch) {
+    starts.push_back(size);
+    size += batch.ActiveCount();
+    if (batch.arena != nullptr && batch.arena->bytes_used() > 0) {
+      batches.push_back(CompactBatch(batch, arena));
+    } else {
+      batches.push_back(std::move(batch));
+    }
+  }
+
+  /// Boxes the rows at positions order[*pos, end), at most `batch_size` of
+  /// them, advancing *pos.
+  RowBatch Emit(const std::vector<uint32_t>& order, size_t* pos, size_t end,
+                size_t batch_size) const {
+    RowBatch out;
+    const size_t n = std::min(batch_size, end - *pos);
+    out.reserve(n);
+    for (size_t k = *pos; k < *pos + n; ++k) {
+      const size_t p = order[k];
+      const size_t b = static_cast<size_t>(
+          std::upper_bound(starts.begin(), starts.end(), p) - starts.begin() -
+          1);
+      const ColumnBatch& batch = batches[b];
+      out.push_back(batch.GatherRow(batch.ActiveIndex(p - starts[b])));
+    }
+    *pos += n;
+    return out;
+  }
+};
+
+/// One sort key pulled out of every kept batch into a single array indexed
+/// by position. When every batch carries the key column in one typed class,
+/// raw cells are compared; a kValue column in any batch, or batches that
+/// disagree on the class, compare the key as boxed Values instead.
+struct SortKey {
+  PhysType type = PhysType::kValue;
+  bool desc = false;
+  std::vector<int64_t> i64;
+  std::vector<double> f64;
+  std::vector<StringRef> str;
+  std::vector<uint8_t> b8;
+  std::vector<uint8_t> nulls;  // empty when no cell is NULL
+  std::vector<Value> boxed;
+
+  SortKey(const KeptBatches& in, const FieldCollation& fc)
+      : desc(fc.direction == Direction::kDescending) {
+    const size_t field = static_cast<size_t>(fc.field);
+    if (!in.batches.empty()) type = in.batches[0].cols[field].type;
+    for (const ColumnBatch& batch : in.batches) {
+      if (batch.cols[field].type != type) type = PhysType::kValue;
+    }
+    switch (type) {
+      case PhysType::kInt64:
+        i64.resize(in.size);
+        break;
+      case PhysType::kDouble:
+        f64.resize(in.size);
+        break;
+      case PhysType::kString:
+        str.resize(in.size);
+        break;
+      case PhysType::kBool:
+        b8.resize(in.size);
+        break;
+      case PhysType::kValue:
+        boxed.resize(in.size);
+        break;
+    }
+    size_t p = 0;
+    for (const ColumnBatch& batch : in.batches) {
+      const ColumnVector& col = batch.cols[field];
+      for (size_t k = 0; k < batch.ActiveCount(); ++k, ++p) {
+        const size_t i = batch.ActiveIndex(k);
+        if (type == PhysType::kValue) {
+          boxed[p] = col.GetValue(i);
+          continue;
+        }
+        if (col.nulls != nullptr && col.nulls[i] != 0) {
+          if (nulls.empty()) nulls.resize(in.size);
+          nulls[p] = 1;
+          continue;
+        }
+        switch (type) {
+          case PhysType::kInt64:
+            i64[p] = col.i64[i];
+            break;
+          case PhysType::kDouble:
+            f64[p] = col.f64[i];
+            break;
+          case PhysType::kString:
+            str[p] = col.str[i];
+            break;
+          case PhysType::kBool:
+            b8[p] = col.b8[i] != 0 ? 1 : 0;
+            break;
+          case PhysType::kValue:
+            break;
+        }
+      }
+    }
+  }
+
+  /// Value::Compare of the cells at positions a and b, negated for DESC —
+  /// one step of CompareRows: NULL sorts lowest, numbers compare as
+  /// a < b ? -1 : a > b ? 1 : 0, strings bytewise.
+  int Compare(uint32_t a, uint32_t b) const {
+    int c = 0;
+    if (type == PhysType::kValue) {
+      c = boxed[a].Compare(boxed[b]);
+    } else if (!nulls.empty() && (nulls[a] != 0 || nulls[b] != 0)) {
+      c = nulls[a] == nulls[b] ? 0 : (nulls[a] != 0 ? -1 : 1);
+    } else {
+      switch (type) {
+        case PhysType::kInt64:
+          c = i64[a] < i64[b] ? -1 : (i64[a] > i64[b] ? 1 : 0);
+          break;
+        case PhysType::kDouble:
+          c = f64[a] < f64[b] ? -1 : (f64[a] > f64[b] ? 1 : 0);
+          break;
+        case PhysType::kString: {
+          const int r = str[a].view().compare(str[b].view());
+          c = r < 0 ? -1 : (r > 0 ? 1 : 0);
+          break;
+        }
+        case PhysType::kBool:
+          c = static_cast<int>(b8[a]) - static_cast<int>(b8[b]);
+          break;
+        case PhysType::kValue:
+          break;
+      }
+    }
+    return desc ? -c : c;
+  }
+};
+
+/// Columnar-path state: the kept input and the positions to emit, in order.
+struct ColumnarSortState {
+  bool built = false;
+  KeptBatches in;
+  std::vector<uint32_t> order;
+  size_t pos = 0;
+  size_t end = 0;
+};
+
+/// Orders the kept input by `collation` into state->order and sets the
+/// emitted window [pos, end) to [offset, offset + fetch). With a fetch only
+/// the first offset + fetch positions are sorted (a partial sort, ties broken
+/// on input position); otherwise a stable sort. Either way the emitted rows
+/// are exactly those of stable-sorting the boxed rows with CompareRows.
+void SortKeptBatches(const RelCollation& collation, int64_t offset,
+                     int64_t fetch, ColumnarSortState* state) {
+  const size_t n = state->in.size;
+  state->pos = std::min(n, static_cast<size_t>(std::max<int64_t>(0, offset)));
+  state->end = n;
+  if (fetch >= 0) {
+    state->end = state->pos + std::min(static_cast<size_t>(fetch),
+                                       n - state->pos);
+  }
+  state->order.resize(n);
+  for (size_t p = 0; p < n; ++p) state->order[p] = static_cast<uint32_t>(p);
+  if (collation.empty() || state->end == state->pos) return;
+
+  std::vector<SortKey> keys;
+  keys.reserve(collation.fields().size());
+  for (const FieldCollation& fc : collation.fields()) {
+    keys.emplace_back(state->in, fc);
+  }
+  auto compare = [&keys](uint32_t a, uint32_t b) {
+    for (const SortKey& key : keys) {
+      const int c = key.Compare(a, b);
+      if (c != 0) return c;
+    }
+    return 0;
+  };
+  std::vector<uint32_t>& order = state->order;
+  if (state->end < n) {
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<ptrdiff_t>(state->end),
+                      order.end(), [&compare](uint32_t a, uint32_t b) {
+                        const int c = compare(a, b);
+                        return c != 0 ? c < 0 : a < b;
+                      });
+  } else {
+    std::stable_sort(order.begin(), order.end(),
+                     [&compare](uint32_t a, uint32_t b) {
+                       return compare(a, b) < 0;
+                     });
+  }
+}
+
 }  // namespace
 
 Result<RowBatchPuller> EnumerableSort::ExecuteBatched(
     const ExecOptions& opts) const {
-  auto in = input(0)->ExecuteBatched(opts);
-  if (!in.ok()) return in.status();
   RelNodePtr self = shared_from_this();  // pins collation_
   const EnumerableSort* node = this;
   const int64_t offset = offset_;
   const int64_t fetch = fetch_;
   const size_t batch_size = NormalizedBatchSize(opts);
+  // Columnar path: keep the input batches, sort a permutation of their
+  // positions on typed key arrays, and box only the emitted rows.
+  if (opts.enable_columnar) {
+    auto in = LiftToColumns(*input(0), opts);
+    if (!in.ok()) return in.status();
+    ColumnBatchPuller pull = std::move(in).value();
+    auto state = std::make_shared<ColumnarSortState>();
+    return RowBatchPuller([self, node, offset, fetch, state, pull,
+                           batch_size]() -> Result<RowBatch> {
+      if (!state->built) {
+        for (;;) {
+          auto batch = pull();
+          if (!batch.ok()) return batch.status();
+          if (batch.value().AtEnd()) break;
+          state->in.Add(std::move(batch).value());
+        }
+        SortKeptBatches(node->collation_, offset, fetch, state.get());
+        state->built = true;
+      }
+      return state->in.Emit(state->order, &state->pos, state->end,
+                            batch_size);
+    });
+  }
+  // Reference path: box every row and stable-sort with CompareRows.
+  auto in = input(0)->ExecuteBatched(opts);
+  if (!in.ok()) return in.status();
   auto state = std::make_shared<SortState>();
   RowBatchPuller pull = std::move(in).value();
 
@@ -1125,7 +1429,8 @@ Result<std::vector<Row>> EnumerableSetOp::Execute() const {
 namespace {
 
 /// Multiset combination of fully-materialized inputs (INTERSECT / MINUS and
-/// the deduplicating UNION; UNION ALL streams and never reaches this).
+/// the deduplicating UNION; UNION ALL streams and never reaches this): the
+/// reference path, and the rules BuildColumnarSetOp applies to key ids.
 std::vector<Row> CombineSetOp(SetOp::Kind kind, bool all,
                               std::vector<std::vector<Row>> input_rows) {
   std::vector<Row> out;
@@ -1191,6 +1496,93 @@ std::vector<Row> CombineSetOp(SetOp::Kind kind, bool all,
   return out;
 }
 
+/// Columnar-path state of INTERSECT, EXCEPT and UNION without ALL: every
+/// input row resolves to the id of its distinct value in one key table
+/// (first-seen ids, Value equality). UNION emits the table's keys in id
+/// order; INTERSECT and EXCEPT keep input 0 and emit its surviving rows.
+struct ColumnarSetOpState {
+  bool built = false;
+  std::unique_ptr<ColumnarAggBuilder> keys;
+  KeptBatches first;
+  std::vector<uint32_t> order;  // positions of `first` to emit
+  size_t pos = 0;
+};
+
+/// Drains every input into `state`, applying CombineSetOp's multiset rules
+/// to per-input counts of key ids.
+Status BuildColumnarSetOp(SetOp::Kind kind, bool all,
+                          const std::vector<RelNodePtr>& ins,
+                          const ExecOptions& opts, ColumnarSetOpState* state) {
+  std::vector<int> columns(ins[0]->row_type()->fields().size());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns[c] = static_cast<int>(c);
+  }
+  state->keys = std::make_unique<ColumnarAggBuilder>(
+      std::move(columns), std::vector<AggregateCall>{});
+  ColumnarAggBuilder& keys = *state->keys;
+  std::vector<uint32_t> first_ids;  // key id of each position of input 0
+  std::vector<uint32_t> count;      // INTERSECT: min over inputs so far;
+                                    // EXCEPT: total over inputs 1..n-1
+  std::vector<uint32_t> other;      // INTERSECT: the current input's counts
+  for (size_t i = 0; i < ins.size(); ++i) {
+    // Inputs lift one at a time, so parallel fragments never overlap.
+    auto in = LiftToColumns(*ins[i], opts);
+    if (!in.ok()) return in.status();
+    const ColumnBatchPuller& pull = in.value();
+    other.clear();
+    for (;;) {
+      auto batch = pull();
+      if (!batch.ok()) return batch.status();
+      if (batch.value().AtEnd()) break;
+      const std::vector<uint32_t>& ids = keys.ResolveKeys(batch.value());
+      if (kind == SetOp::Kind::kUnion) continue;
+      if (i == 0) {
+        first_ids.insert(first_ids.end(), ids.begin(), ids.end());
+        state->first.Add(std::move(batch).value());
+        continue;
+      }
+      std::vector<uint32_t>& counts =
+          kind == SetOp::Kind::kIntersect ? other : count;
+      counts.resize(keys.num_groups());
+      for (uint32_t id : ids) ++counts[id];
+    }
+    if (kind == SetOp::Kind::kIntersect) {
+      if (i == 0) {
+        count.assign(keys.num_groups(), 0);
+        for (uint32_t id : first_ids) ++count[id];
+      } else {
+        for (size_t id = 0; id < count.size(); ++id) {
+          count[id] = std::min(count[id], id < other.size() ? other[id] : 0u);
+        }
+      }
+    }
+  }
+  if (kind == SetOp::Kind::kUnion) return Status::OK();
+
+  count.resize(keys.num_groups());
+  std::vector<uint8_t> emitted(
+      kind == SetOp::Kind::kMinus && !all ? keys.num_groups() : 0);
+  for (size_t p = 0; p < first_ids.size(); ++p) {
+    const uint32_t id = first_ids[p];
+    if (kind == SetOp::Kind::kIntersect) {
+      // Bag intersect: multiplicity = min across inputs (1 for DISTINCT).
+      if (count[id] == 0) continue;
+      count[id] = all ? count[id] - 1 : 0;
+    } else {
+      if (count[id] > 0) {
+        if (all) --count[id];
+        continue;
+      }
+      if (!all) {
+        if (emitted[id] != 0) continue;
+        emitted[id] = 1;
+      }
+    }
+    state->order.push_back(static_cast<uint32_t>(p));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<RowBatchPuller> EnumerableSetOp::ExecuteBatched(
@@ -1224,6 +1616,21 @@ Result<RowBatchPuller> EnumerableSetOp::ExecuteBatched(
   const bool all = all_;
   std::vector<RelNodePtr> ins = inputs();
   const size_t batch_size = NormalizedBatchSize(opts);
+  if (opts.enable_columnar) {
+    auto state = std::make_shared<ColumnarSetOpState>();
+    return RowBatchPuller([self, kind, all, ins, batch_size, state,
+                           opts]() -> Result<RowBatch> {
+      if (!state->built) {
+        CALCITE_RETURN_IF_ERROR(
+            BuildColumnarSetOp(kind, all, ins, opts, state.get()));
+        state->built = true;
+      }
+      if (kind == Kind::kUnion) return state->keys->EmitBatch(batch_size);
+      return state->first.Emit(state->order, &state->pos,
+                               state->order.size(), batch_size);
+    });
+  }
+  // Reference path: box every input and combine with CombineSetOp.
   auto state = std::make_shared<std::optional<RowBatchPuller>>();
   return RowBatchPuller(
       [self, kind, all, ins, batch_size, state,
@@ -1289,6 +1696,22 @@ RelNodePtr EnumerableWindow::Copy(RelTraitSet traits,
 
 namespace {
 
+/// Evaluates `calls` over the rows data[indexes[lo..hi]] and appends the
+/// results to `out`.
+Status AggregateFrame(const std::vector<AggregateCall>& calls,
+                      const std::vector<Row>& data,
+                      const std::vector<size_t>& indexes, size_t lo, size_t hi,
+                      Row* out) {
+  for (const AggregateCall& call : calls) {
+    AggAccumulator acc(call);
+    for (size_t f = lo; f <= hi; ++f) {
+      CALCITE_RETURN_IF_ERROR(acc.Add(data[indexes[f]]));
+    }
+    out->push_back(acc.Finish());
+  }
+  return Status::OK();
+}
+
 /// Appends each window group's aggregate columns to copies of `data`.
 Result<std::vector<Row>> ComputeWindows(const std::vector<WindowGroup>& groups,
                                         const std::vector<Row>& data) {
@@ -1307,6 +1730,19 @@ Result<std::vector<Row>> ComputeWindows(const std::vector<WindowGroup>& groups,
       partitions[std::move(key)].push_back(i);
     }
     for (auto& [key, indexes] : partitions) {
+      if (!group.is_rows && group.order.fields().empty()) {
+        // No ordering: every partition row is a peer of every other, so the
+        // default RANGE frame spans the whole partition and its aggregates
+        // are the same for every row — compute them once.
+        Row agg_values;
+        CALCITE_RETURN_IF_ERROR(AggregateFrame(
+            group.agg_calls, data, indexes, 0, indexes.size() - 1,
+            &agg_values));
+        for (size_t i : indexes) {
+          out[i].insert(out[i].end(), agg_values.begin(), agg_values.end());
+        }
+        continue;
+      }
       // Order rows within the partition.
       std::stable_sort(indexes.begin(), indexes.end(),
                        [&](size_t a, size_t b) {
@@ -1325,11 +1761,6 @@ Result<std::vector<Row>> ComputeWindows(const std::vector<WindowGroup>& groups,
           hi = std::min(indexes.size() - 1,
                         pos + static_cast<size_t>(
                                   std::max<int64_t>(0, group.following)));
-        } else if (group.order.fields().empty()) {
-          // No ordering: every partition row is a peer of every other, so
-          // the default RANGE frame spans the whole partition.
-          lo = 0;
-          hi = indexes.size() - 1;
         } else {
           // RANGE frame on the first ordering key (numeric).
           int order_field = group.order.fields()[0].field;
@@ -1353,14 +1784,8 @@ Result<std::vector<Row>> ComputeWindows(const std::vector<WindowGroup>& groups,
             ++hi;
           }
         }
-        std::vector<Row> frame;
-        frame.reserve(hi - lo + 1);
-        for (size_t f = lo; f <= hi; ++f) frame.push_back(data[indexes[f]]);
-        Row agg_values;
-        CALCITE_RETURN_IF_ERROR(
-            ComputeAggregates(group.agg_calls, frame, &agg_values));
-        Row& target = out[indexes[pos]];
-        for (Value& v : agg_values) target.push_back(std::move(v));
+        CALCITE_RETURN_IF_ERROR(AggregateFrame(group.agg_calls, data, indexes,
+                                               lo, hi, &out[indexes[pos]]));
       }
     }
   }

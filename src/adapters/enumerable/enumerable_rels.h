@@ -152,6 +152,9 @@ class EnumerableAggregate final : public Aggregate {
 /// Sort + OFFSET/FETCH. Its trait set carries the produced collation, which
 /// is how already-sorted inputs make the sort redundant (§4's sort-removal
 /// example operates through subset membership in the cost-based planner).
+/// With enable_columnar on it sorts a permutation of its kept input batches
+/// on typed key arrays (a partial sort under a fetch) and boxes only the
+/// emitted rows; off, it stable-sorts boxed rows (the reference).
 class EnumerableSort final : public Sort {
  public:
   static RelNodePtr Create(RelNodePtr input, RelCollation collation,
@@ -168,6 +171,10 @@ class EnumerableSort final : public Sort {
   using Sort::Sort;
 };
 
+/// UNION / INTERSECT / EXCEPT. UNION ALL streams its inputs' row batches.
+/// The others, with enable_columnar on, resolve every input row to a key id
+/// in a ColumnarAggBuilder key table and box only the emitted rows; off,
+/// they box every input row into CombineSetOp (the reference).
 class EnumerableSetOp final : public SetOp {
  public:
   static RelNodePtr Create(std::vector<RelNodePtr> inputs, Kind kind, bool all,

@@ -324,5 +324,102 @@ TEST(AllocCountTest, FusedFilterProjectDrainStaysBatchBounded) {
       << "fusion must not add steady-state allocations";
 }
 
+
+/// A scan over a MemTable of `n` rows (id INT, x DOUBLE, k INT): id unique,
+/// x cycling over 997 values, k constant (one partition).
+RelNodePtr ScanOfSortRows(const TypeFactory& tf, size_t n) {
+  auto int_t = tf.CreateSqlType(SqlTypeName::kInteger);
+  auto dbl_t = tf.CreateSqlType(SqlTypeName::kDouble);
+  auto row_type = tf.CreateStructType({"id", "x", "k"}, {int_t, dbl_t, int_t});
+  std::vector<Row> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back({Value::Int(static_cast<int64_t>(i)),
+                    Value::Double(static_cast<double>((i * 7919) % 997)),
+                    Value::Int(1)});
+  }
+  auto table = std::make_shared<MemTable>(row_type, std::move(rows));
+  auto logical =
+      LogicalTableScan::Create(table, {"t"}, Convention::Enumerable(), tf);
+  return EnumerableTableScan::Create(
+      *static_cast<const TableScan*>(logical.get()));
+}
+
+/// Builds and drains `plan`'s batch pipeline, counting heap allocations over
+/// both (blocking operators do their work in either). Returns the rows.
+std::vector<Row> RunCounted(const RelNodePtr& plan, const ExecOptions& opts) {
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_bytes.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  auto puller = plan->ExecuteBatched(opts);
+  std::vector<Row> rows;
+  if (puller.ok()) {
+    auto drained = DrainBatches(puller.value());
+    if (drained.ok()) rows = std::move(drained).value();
+  }
+  g_counting.store(false, std::memory_order_relaxed);
+  return rows;
+}
+
+// ORDER BY ... LIMIT over a columnar input sorts a permutation of positions
+// on a typed key array and boxes only the fetched rows: its allocations
+// scale with the fetch and the batch count, not with the input.
+TEST(AllocCountTest, TopNBoxesOnlyFetchedRows) {
+  constexpr size_t kSortRows = 50000;
+  TypeFactory tf;
+  RelNodePtr scan = ScanOfSortRows(tf, kSortRows);
+  RelNodePtr topn = EnumerableSort::Create(
+      scan, RelCollation({{1, Direction::kAscending}}), 0, 10);
+  ExecOptions opts;
+  ASSERT_TRUE(opts.enable_columnar);
+  RunCounted(topn, opts);  // builds the table's columnar decomposition
+
+  std::vector<Row> rows = RunCounted(topn, opts);
+  const size_t allocs = g_alloc_count.load(std::memory_order_relaxed);
+  ASSERT_EQ(rows.size(), 10u);
+  // x == 0 only for multiples of 997; the stable order keeps them by id.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i][0].AsInt(), static_cast<int64_t>(i * 997));
+    EXPECT_EQ(rows[i][1].AsDouble(), 0.0);
+  }
+  // ~49 batches of 1024 rows: a few allocations per kept batch plus the key
+  // and permutation arrays; boxing every input row would be 50k.
+  EXPECT_LT(allocs, 1000u) << "TopN allocates per input row";
+
+  ExecOptions row_opts;
+  row_opts.enable_columnar = false;
+  RunCounted(topn, row_opts);
+  EXPECT_GT(g_alloc_count.load(std::memory_order_relaxed), kSortRows);
+}
+
+// A window frame spanning the whole partition (no ORDER BY, default RANGE)
+// has the same aggregates for every row, computed once per partition:
+// allocated bytes stay linear in the partition size p, where copying the
+// frame for each row allocates O(p^2).
+TEST(AllocCountTest, WholePartitionWindowAllocatesLinearBytes) {
+  constexpr size_t kPartitionRows = 5000;
+  TypeFactory tf;
+  RelNodePtr scan = ScanOfSortRows(tf, kPartitionRows);
+  WindowGroup group;
+  group.partition_keys = {2};
+  AggregateCall count;
+  count.kind = AggKind::kCountStar;
+  count.name = "cnt";
+  group.agg_calls.push_back(count);
+  RelNodePtr window = EnumerableWindow::Create(
+      scan, {group}, DeriveWindowRowType(scan->row_type(), {group}, tf));
+
+  std::vector<Row> rows = RunCounted(window, ExecOptions{});
+  const size_t bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  ASSERT_EQ(rows.size(), kPartitionRows);
+  for (const Row& row : rows) {
+    ASSERT_EQ(row.size(), 4u);
+    EXPECT_EQ(row[3].AsInt(), static_cast<int64_t>(kPartitionRows));
+  }
+  // The input, its output copy, and the partition index are each a few
+  // hundred bytes per row; a frame copy per row is ~p * 100 bytes per row.
+  EXPECT_LT(bytes, kPartitionRows * 2048) << "window frame is quadratic";
+}
+
 }  // namespace
 }  // namespace calcite

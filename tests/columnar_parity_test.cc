@@ -1,6 +1,7 @@
 // Differential tests of the columnar execution path: every operator that
 // was converted to the ColumnBatch currency (scan, filter, project,
-// hash aggregate, hash join probe, and the morsel-parallel pipelines) —
+// hash aggregate with DISTINCT calls, sort and top-N, set ops, hash join
+// probe, and the morsel-parallel pipelines) —
 // over columnar leaves and over row producers (joins, aggregates,
 // DiskTables) whose batches are decoded into columns — must
 // produce byte-identical results with `enable_columnar` on and off, across
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "adapters/enumerable/aggregates.h"
 #include "adapters/enumerable/enumerable_rels.h"
 #include "exec/arena.h"
 #include "exec/column_batch.h"
@@ -573,6 +575,365 @@ TEST_F(ColumnarParityTest, OperatorsOverJoinAndAggregateOutputs) {
               " n=" + std::to_string(n));
     }
   }
+}
+
+/// Sort parity: the columnar sort (typed key arrays, a permutation, partial
+/// sort under a fetch) must reproduce the reference stable sort row for row,
+/// in order, at batch sizes 1 and 1024. At 4 threads a parallel input may
+/// arrive in another order, so ties may pick other rows: there the sequence
+/// of sort-key tuples must still match under Value equality.
+void ExpectSortParity(const RelNodePtr& sort, const RelCollation& collation,
+                      const std::string& label) {
+  ExecOptions row_opts;
+  row_opts.enable_columnar = false;
+  auto base = RunPlan(sort, row_opts);
+  ASSERT_TRUE(base.ok()) << label << ": " << base.status().ToString();
+  const std::vector<Row>& want = base.value();
+  for (size_t bs : {size_t{1}, size_t{1024}}) {
+    ExecOptions col_opts;
+    col_opts.batch_size = bs;
+    auto got = RunPlan(sort, col_opts);
+    ASSERT_TRUE(got.ok()) << label << " bs=" << bs << ": "
+                          << got.status().ToString();
+    ASSERT_EQ(Strings(got.value()), Strings(want)) << label << " bs=" << bs;
+  }
+  ExecOptions par_opts;
+  par_opts.num_threads = 4;
+  auto got = RunPlan(sort, par_opts);
+  ASSERT_TRUE(got.ok()) << label << " threads=4: " << got.status().ToString();
+  ASSERT_EQ(got.value().size(), want.size()) << label << " threads=4";
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (const FieldCollation& fc : collation.fields()) {
+      const size_t f = static_cast<size_t>(fc.field);
+      ASSERT_EQ(got.value()[i][f].Compare(want[i][f]), 0)
+          << label << " threads=4 row " << i << " field " << f;
+    }
+  }
+}
+
+/// TestRowType plus m DOUBLE?, a column whose rows mix Int and Double
+/// values — Int(2) next to Double(2.0), fractional doubles, -1.5 and NULLs.
+/// A table decomposition carries it boxed (kValue); decoding row batches
+/// gives kDouble for all-double batches and kValue for the others.
+RelDataTypePtr MixedRowType(const TypeFactory& tf) {
+  const RelDataTypePtr base = TestRowType(tf);
+  std::vector<std::string> names;
+  std::vector<RelDataTypePtr> types;
+  for (const auto& field : base->fields()) {
+    names.push_back(field.name);
+    types.push_back(field.type);
+  }
+  names.push_back("m");
+  types.push_back(tf.CreateSqlType(SqlTypeName::kDouble, -1, true));
+  return tf.CreateStructType(names, types);
+}
+
+std::vector<Row> MakeMixedRows(size_t n) {
+  std::vector<Row> rows = MakeRows(n);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t v = static_cast<int64_t>(i % 5);
+    Value m;
+    switch (i % 6) {
+      case 0:
+        break;  // NULL
+      case 1:
+        m = Value::Double(-1.5);
+        break;
+      case 2:
+        m = Value::Int(v);
+        break;
+      case 3:
+        m = Value::Double(static_cast<double>(v));
+        break;
+      case 4:
+        m = Value::Double(static_cast<double>(v) + 0.5);
+        break;
+      default:
+        m = Value::Int(2);
+        break;
+    }
+    rows[i].push_back(std::move(m));
+  }
+  return rows;
+}
+
+TEST_F(ColumnarParityTest, SortMatchesStableSort) {
+  using D = Direction;
+  const std::vector<RelCollation> collations = {
+      RelCollation({{1, D::kAscending}}),   // int key, NULLs, duplicates
+      RelCollation({{1, D::kDescending}}),  // DESC puts NULLs last
+      RelCollation({{3, D::kDescending}, {1, D::kAscending}}),  // double, int
+      RelCollation({{2, D::kAscending}}),                       // strings
+      RelCollation({{4, D::kDescending}, {2, D::kDescending},
+                    {0, D::kAscending}}),  // bool, string, unique id
+      RelCollation(),                      // OFFSET/FETCH only
+  };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1025}}) {
+    RelNodePtr scan = Scan(n);
+    const RelDataTypePtr& rt = scan->row_type();
+    // id > k is a residual: its batches reach the sort with a selection.
+    RelNodePtr filtered = EnumerableFilter::Create(
+        scan, Call(OpKind::kGreaterThan, {Field(rt, 0), Field(rt, 1)}));
+    // Projecting the filtered rows writes the columns into the project's
+    // arena, which the sort compacts into its own — through the selection
+    // when a filter above the projection narrows it again.
+    std::vector<RexNodePtr> exprs = {
+        Field(rt, 0), Field(rt, 1), Field(rt, 2),
+        Call(OpKind::kTimes, {Field(rt, 3), rex_.MakeDoubleLiteral(2.0)}),
+        Field(rt, 4)};
+    RelNodePtr projected = EnumerableProject::Create(
+        filtered, exprs,
+        DeriveProjectRowType(exprs, {"id", "k", "s", "d2", "f"}, tf_));
+    const RelDataTypePtr& pt = projected->row_type();
+    RelNodePtr refiltered = EnumerableFilter::Create(
+        projected, rex_.MakeOr({Call(OpKind::kIsNull, {Field(pt, 3)}),
+                                Call(OpKind::kGreaterThan,
+                                     {Field(pt, 3), Field(pt, 1)})}));
+    const int64_t ni = static_cast<int64_t>(n);
+    // {offset, fetch}: full sort, LIMIT 0, a small top-N, an offset window,
+    // an offset past the end, a fetch larger than n, an offset alone.
+    const std::vector<std::pair<int64_t, int64_t>> windows = {
+        {0, -1}, {0, 0}, {0, 10}, {7, 5}, {ni + 3, 10}, {0, ni + 100},
+        {2, -1}};
+    for (const RelNodePtr& input : {scan, filtered, projected, refiltered}) {
+      for (size_t c = 0; c < collations.size(); ++c) {
+        for (const auto& [offset, fetch] : windows) {
+          ExpectSortParity(
+              EnumerableSort::Create(input, collations[c], offset, fetch),
+              collations[c], input->op_name() + " collation " +
+                                 std::to_string(c) + " offset " +
+                                 std::to_string(offset) + " fetch " +
+                                 std::to_string(fetch) + " n=" +
+                                 std::to_string(n));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarParityTest, SortMixedNumericKeyComparesBoxed) {
+  const RelDataTypePtr row_type = MixedRowType(tf_);
+  const std::vector<Row> rows = MakeMixedRows(1025);
+  auto table = std::make_shared<MemTable>(row_type, rows);
+  RelNodePtr scan = ScanOf(table);
+  // Projecting filtered rows gathers the boxed m into the project's batch.
+  std::vector<RexNodePtr> exprs;
+  std::vector<std::string> names;
+  for (int c = 0; c < 6; ++c) {
+    exprs.push_back(Field(row_type, c));
+    names.push_back(row_type->fields()[static_cast<size_t>(c)].name);
+  }
+  RelNodePtr projected = EnumerableProject::Create(
+      EnumerableFilter::Create(
+          scan, Call(OpKind::kGreaterThan,
+                     {Field(row_type, 0), Field(row_type, 1)})),
+      exprs, DeriveProjectRowType(exprs, names, tf_));
+  // The MemTable scan boxes m in every batch; Values decodes each row batch,
+  // so batches disagree on m's physical class.
+  for (const RelNodePtr& input :
+       {scan, EnumerableValues::Create(row_type, rows), projected}) {
+    for (Direction dir : {Direction::kAscending, Direction::kDescending}) {
+      const RelCollation by_m({{5, dir}});
+      for (int64_t fetch : {int64_t{-1}, int64_t{20}}) {
+        ExpectSortParity(EnumerableSort::Create(input, by_m, 0, fetch), by_m,
+                         input->op_name() + " mixed key fetch " +
+                             std::to_string(fetch));
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarParityTest, SortOverJoinAndAggregateOutputs) {
+  using D = Direction;
+  for (size_t n : {size_t{0}, size_t{1025}}) {
+    RelNodePtr left = Scan(n);
+    RelNodePtr right = Scan(97);
+    const RelDataTypePtr& lt = left->row_type();
+    const RelDataTypePtr& rt = right->row_type();
+    const int left_width = static_cast<int>(lt->fields().size());
+    RexNodePtr equi = rex_.MakeEquals(
+        Field(lt, 1), rex_.MakeInputRef(left_width + 1, rt->fields()[1].type));
+    RelNodePtr join = EnumerableHashJoin::Create(
+        left, right, equi, JoinType::kInner,
+        DeriveJoinRowType(lt, rt, JoinType::kInner, tf_));
+    const RelCollation by_join(
+        {{3, D::kDescending}, {left_width + 2, D::kAscending}});
+    for (int64_t fetch : {int64_t{-1}, int64_t{15}}) {
+      ExpectSortParity(EnumerableSort::Create(join, by_join, 0, fetch),
+                       by_join, "over join fetch " + std::to_string(fetch) +
+                                    " n=" + std::to_string(n));
+    }
+
+    const std::vector<AggregateCall> calls = CountSumMin(0, 3);
+    RelNodePtr agg = EnumerableAggregate::Create(
+        left, {1, 2}, calls, DeriveAggregateRowType(lt, {1, 2}, calls, tf_));
+    const RelCollation by_agg(
+        {{2, D::kDescending}, {4, D::kAscending}, {1, D::kDescending}});
+    for (int64_t fetch : {int64_t{-1}, int64_t{5}}) {
+      ExpectSortParity(EnumerableSort::Create(agg, by_agg, 1, fetch), by_agg,
+                       "over aggregate fetch " + std::to_string(fetch) +
+                           " n=" + std::to_string(n));
+    }
+  }
+}
+
+// Set ops resolve rows to key ids in the columnar aggregate's key table and
+// emit in the reference order: input 0 order for INTERSECT/EXCEPT, first
+// occurrence across inputs for UNION. NaN is left out here and below: it
+// compares equal to every number under Value::Compare but not under Value
+// hashing, so neither engine pins where it groups or sorts.
+TEST_F(ColumnarParityTest, SetOps) {
+  const std::vector<std::vector<int>> projections = {{1}, {1, 2}, {3, 4, 2}};
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1025}}) {
+    RelNodePtr a = Scan(n);
+    // b's rows pass a residual filter (id > k), so its batches carry a
+    // selection and its projections are written into an arena (compacted
+    // when b is input 0).
+    RelNodePtr b_scan = Scan(n / 2 + 1);
+    const RelDataTypePtr& bt = b_scan->row_type();
+    RelNodePtr b = EnumerableFilter::Create(
+        b_scan, Call(OpKind::kGreaterThan, {Field(bt, 0), Field(bt, 1)}));
+    for (const std::vector<int>& cols : projections) {
+      std::vector<RexNodePtr> exprs;
+      std::vector<std::string> names;
+      for (int c : cols) {
+        exprs.push_back(Field(a->row_type(), c));
+        names.push_back("c" + std::to_string(c));
+      }
+      auto type = DeriveProjectRowType(exprs, names, tf_);
+      RelNodePtr pa = EnumerableProject::Create(a, exprs, type);
+      RelNodePtr pb = EnumerableProject::Create(b, exprs, type);
+      for (auto kind : {SetOp::Kind::kUnion, SetOp::Kind::kIntersect,
+                        SetOp::Kind::kMinus}) {
+        for (bool all : {false, true}) {
+          const std::string label =
+              "kind " + std::to_string(static_cast<int>(kind)) + " all " +
+              std::to_string(all) + " width " + std::to_string(cols.size()) +
+              " n=" + std::to_string(n);
+          ExpectColumnarParity(
+              EnumerableSetOp::Create({pa, pb}, kind, all, type), label);
+          ExpectColumnarParity(
+              EnumerableSetOp::Create({pb, pa, pb}, kind, all, type),
+              label + " three inputs");
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarParityTest, SetOpsUnifyIntAndDouble) {
+  // Left carries m boxed (Int(2) among its values), right as typed doubles
+  // (Double(2.0)): the key table must treat them as one value and keep the
+  // representation the reference keeps.
+  auto dbl_null = tf_.CreateSqlType(SqlTypeName::kDouble, -1, true);
+  auto row_type = tf_.CreateStructType({"m"}, {dbl_null});
+  std::vector<Row> left_rows = {{Value::Int(2)},       {Value::Null()},
+                                {Value::Double(3.5)},  {Value::Int(7)},
+                                {Value::Null()},       {Value::Int(2)},
+                                {Value::Double(-1.0)}};
+  std::vector<Row> right_rows = {{Value::Double(2.0)}, {Value::Null()},
+                                 {Value::Double(7.5)}, {Value::Double(2.0)},
+                                 {Value::Double(-1.0)}};
+  RelNodePtr left =
+      ScanOf(std::make_shared<MemTable>(row_type, std::move(left_rows)));
+  RelNodePtr right =
+      ScanOf(std::make_shared<MemTable>(row_type, std::move(right_rows)));
+  for (auto kind : {SetOp::Kind::kUnion, SetOp::Kind::kIntersect,
+                    SetOp::Kind::kMinus}) {
+    for (bool all : {false, true}) {
+      for (const auto& inputs : {std::vector<RelNodePtr>{left, right},
+                                 std::vector<RelNodePtr>{right, left}}) {
+        ExpectColumnarParity(
+            EnumerableSetOp::Create(inputs, kind, all, row_type),
+            "mixed kind " + std::to_string(static_cast<int>(kind)) + " all " +
+                std::to_string(all) + " left first " +
+                std::to_string(inputs[0] == left));
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarParityTest, DistinctAggregates) {
+  // COUNT, SUM, AVG and MIN (DISTINCT ...) over ints (typed int64 dedup),
+  // doubles both integral and fractional, the mixed Int/Double column, and
+  // strings (COUNT and MIN only); NULLs everywhere. The 4-thread leg merges
+  // per-worker distinct sets (AggAccumulator::MergeFrom).
+  auto distinct = [](AggKind kind, int arg) {
+    AggregateCall c;
+    c.kind = kind;
+    c.args = {arg};
+    c.distinct = true;
+    c.name = "a" + std::to_string(arg);
+    return c;
+  };
+  std::vector<AggregateCall> calls;
+  for (int arg : {1, 3, 5}) {
+    for (AggKind kind :
+         {AggKind::kCount, AggKind::kSum, AggKind::kAvg, AggKind::kMin}) {
+      calls.push_back(distinct(kind, arg));
+    }
+  }
+  calls.push_back(distinct(AggKind::kCount, 2));
+  calls.push_back(distinct(AggKind::kMin, 2));
+  const RelDataTypePtr row_type = MixedRowType(tf_);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1025}, size_t{5000}}) {
+    const std::vector<Row> rows = MakeMixedRows(n);
+    RelNodePtr scan = ScanOf(std::make_shared<MemTable>(row_type, rows));
+    for (const RelNodePtr& input :
+         {scan, EnumerableValues::Create(row_type, rows)}) {
+      for (const std::vector<int>& keys :
+           {std::vector<int>{}, std::vector<int>{4}, std::vector<int>{1}}) {
+        ExpectColumnarParity(
+            EnumerableAggregate::Create(
+                input, keys, calls,
+                DeriveAggregateRowType(row_type, keys, calls, tf_)),
+            input->op_name() + " distinct keys=" +
+                std::to_string(keys.size()) + " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
+// Both engines share AggAccumulator's distinct set, so the parity above
+// cannot see its semantics; these pin them: Value::Compare equality (Int(2)
+// is Double(2.0), -0.0 is 0), first-seen representation, and a merge that
+// replays other's values in the representation other saw first.
+TEST(DistinctValuesTest, FollowValueEquality) {
+  AggregateCall count;
+  count.kind = AggKind::kCount;
+  count.args = {0};
+  count.distinct = true;
+  AggAccumulator counter(count);
+  for (const Value& v :
+       {Value::Int(2), Value::Double(2.0), Value::Double(-0.0), Value::Int(0),
+        Value::Double(2.5), Value::String("2"), Value::Null(),
+        Value::Double(0x1p62), Value::Int(int64_t{1} << 62)}) {
+    ASSERT_TRUE(counter.Add({v}).ok());
+  }
+  EXPECT_EQ(counter.Finish().ToString(), "5");  // 2, 0, 2.5, '2', 2^62
+
+  AggregateCall sum = count;
+  sum.kind = AggKind::kSum;
+  AggAccumulator serial(sum);
+  for (const Value& v : {Value::Double(2.0), Value::Int(2), Value::Int(3)}) {
+    ASSERT_TRUE(serial.AddNonNullValue(v).ok());
+  }
+  EXPECT_EQ(serial.Finish().ToString(), Value::Double(5.0).ToString());
+
+  AggAccumulator empty(sum);
+  AggAccumulator other(sum);
+  ASSERT_TRUE(other.AddNonNullValue(Value::Double(2.0)).ok());
+  ASSERT_TRUE(other.AddNonNullInt64Distinct(2).ok());
+  ASSERT_TRUE(empty.MergeFrom(other).ok());
+  EXPECT_EQ(empty.Finish().ToString(), Value::Double(2.0).ToString());
+
+  AggregateCall min = count;
+  min.kind = AggKind::kMin;
+  AggAccumulator min_empty(min);
+  AggAccumulator min_other(min);
+  ASSERT_TRUE(min_other.AddNonNullValue(Value::Double(-0.0)).ok());
+  ASSERT_TRUE(min_empty.MergeFrom(min_other).ok());
+  EXPECT_EQ(min_empty.Finish().ToString(), "-0.0");
 }
 
 TEST_F(ColumnarParityTest, OperatorsOverDiskTable) {
