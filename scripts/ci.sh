@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# CI entry point: configure -> build -> ctest -> bench smoke-run -> end-to-end
-# SQL check.
+# CI entry point: configure -> build -> ctest -> examples -> bench smoke-run
+# -> end-to-end SQL check.
 # Usage: scripts/ci.sh [build-dir] [sanitizer|scalar]
-#   scripts/ci.sh build           # regular build + full test suite + bench
-#                                 # smoke + sqlbench correctness pass
+#   scripts/ci.sh build           # regular build + full test suite + the
+#                                 # example programs + bench smoke +
+#                                 # sqlbench correctness pass
 #   scripts/ci.sh build-tsan thread
 #                                 # ThreadSanitizer build; runs the
 #                                 # concurrency-focused tests (the morsel-driven
-#                                 # parallel executor and the linq exchange
-#                                 # combinator) race-checked
+#                                 # parallel executor) race-checked
 #   scripts/ci.sh build-asan address,undefined
 #                                 # ASan+UBSan build; runs the batch-engine,
 #                                 # parity, and expression-kernel fuzz suites —
@@ -95,9 +95,9 @@ if [[ -n "$SANITIZER" ]]; then
   # everywhere: it overrides global
   # operator new, which fights the sanitizer allocators.
   if [[ "$SANITIZER" == *thread* ]]; then
-    FILTER='parallel_exec_test|linq_batch_test|batch_parity_test|columnar_parity_test|rex_fuse_test|rex_kernel_fuzz_test|storage_test|stats_test'
+    FILTER='parallel_exec_test|batch_parity_test|columnar_parity_test|rex_fuse_test|rex_kernel_fuzz_test|storage_test|stats_test'
   else
-    FILTER='row_batch_test|rex_kernel_fuzz_test|rex_fuse_test|simd_kernels_test|batch_parity_test|linq_batch_test|parallel_exec_test|columnar_parity_test|storage_test|stats_test'
+    FILTER='row_batch_test|rex_kernel_fuzz_test|rex_fuse_test|simd_kernels_test|batch_parity_test|parallel_exec_test|columnar_parity_test|storage_test|stats_test'
   fi
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
     -R "$FILTER"
@@ -124,6 +124,21 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 
 echo "=== test ==="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+echo "=== examples ==="
+# Each example is an end-to-end program over the public API that exits
+# non-zero on any error: federation drives the JDBC/Splunk/Spark plan race
+# of Figure 2, semistructured_geo the Mongo adapter, streaming the stream
+# tables, pig_builder the RelBuilder path and quickstart the basic
+# parse/plan/execute loop.
+for example in quickstart federation streaming semistructured_geo \
+    pig_builder; do
+  echo "--- example_$example"
+  "$BUILD_DIR/example_$example" > /dev/null || {
+    echo "example_$example failed"
+    exit 1
+  }
+done
 
 echo "=== fuzz (raised iterations) ==="
 # Dedicated deep run of the fused-vs-per-node-vs-per-row differential:

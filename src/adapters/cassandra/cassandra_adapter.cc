@@ -8,23 +8,20 @@
 
 namespace calcite {
 
-CassandraTable::CassandraTable(RelDataTypePtr row_type, std::vector<Row> rows,
-                               std::vector<int> partition_keys,
-                               RelCollation clustering)
-    : row_type_(std::move(row_type)),
-      rows_(std::move(rows)),
-      partition_keys_(std::move(partition_keys)),
-      clustering_(std::move(clustering)) {
-  // Physically store rows grouped by partition and clustered within it,
-  // as Cassandra does.
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [this](const Row& a, const Row& b) {
-                     for (int k : partition_keys_) {
+namespace {
+
+/// `rows` in storage order: by partition key, then clustering collation.
+std::vector<Row> PartitionOrder(std::vector<Row> rows,
+                                const std::vector<int>& partition_keys,
+                                const RelCollation& clustering) {
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](const Row& a, const Row& b) {
+                     for (int k : partition_keys) {
                        int c = a[static_cast<size_t>(k)].Compare(
                            b[static_cast<size_t>(k)]);
                        if (c != 0) return c < 0;
                      }
-                     for (const FieldCollation& fc : clustering_.fields()) {
+                     for (const FieldCollation& fc : clustering.fields()) {
                        int c = a[static_cast<size_t>(fc.field)].Compare(
                            b[static_cast<size_t>(fc.field)]);
                        if (fc.direction == Direction::kDescending) c = -c;
@@ -32,27 +29,18 @@ CassandraTable::CassandraTable(RelDataTypePtr row_type, std::vector<Row> rows,
                      }
                      return false;
                    });
+  return rows;
 }
 
-TableStats CassandraTable::GetStatistic() const {
-  TableStats stat;
-  stat.row_count = static_cast<double>(rows_.size());
-  return stat;
-}
+}  // namespace
 
-Result<std::vector<Row>> CassandraTable::Scan() const { return rows_; }
-
-Result<RowBatchPuller> CassandraTable::ScanBatched(size_t batch_size) const {
-  return SliceRows(rows_, batch_size);
-}
-
-Result<RowBatchPuller> CassandraTable::ScanBatchedFiltered(
-    size_t batch_size, ScanPredicateList predicates) const {
-  // The simulated backend filters its stored rows before materializing
-  // them; partition/clustering order is preserved (pushdown only drops
-  // rows, never reorders them).
-  return FilterSliceRows(rows_, batch_size, std::move(predicates));
-}
+CassandraTable::CassandraTable(RelDataTypePtr row_type, std::vector<Row> rows,
+                               std::vector<int> partition_keys,
+                               RelCollation clustering)
+    : MemTable(std::move(row_type),
+               PartitionOrder(std::move(rows), partition_keys, clustering)),
+      partition_keys_(std::move(partition_keys)),
+      clustering_(std::move(clustering)) {}
 
 const Convention* CassandraSchema::CassandraConvention() {
   static const Convention* kConvention = new Convention("CASSANDRA", 0.9);
@@ -79,8 +67,9 @@ RelNodePtr CassandraTableScan::Copy(RelTraitSet traits,
                                            table_convention_));
 }
 
-Result<std::vector<Row>> CassandraTableScan::Execute() const {
-  return table_->Scan();
+Result<RowBatchPuller> CassandraTableScan::ExecuteBatched(
+    const ExecOptions& opts) const {
+  return ChunkResult(table_->Scan(), opts);
 }
 
 RelNodePtr CassandraFilter::Create(
@@ -105,16 +94,12 @@ RelNodePtr CassandraFilter::Copy(RelTraitSet traits,
                                         single_partition_, table_));
 }
 
-Result<std::vector<Row>> CassandraFilter::Execute() const {
-  auto rows = input(0)->Execute();
-  if (!rows.ok()) return rows;
-  std::vector<Row> out;
-  for (Row& row : rows.value()) {
-    auto pass = RexInterpreter::EvalPredicate(condition_, row);
-    if (!pass.ok()) return pass.status();
-    if (pass.value()) out.push_back(std::move(row));
-  }
-  return out;
+Result<RowBatchPuller> CassandraFilter::ExecuteBatched(
+    const ExecOptions& opts) const {
+  auto rows = input(0)->Execute(opts);
+  if (!rows.ok()) return rows.status();
+  return ChunkResult(
+      RexInterpreter::FilterRows(condition_, std::move(rows).value()), opts);
 }
 
 std::optional<RelOptCost> CassandraFilter::SelfCost(MetadataQuery* mq) const {
@@ -142,9 +127,10 @@ RelNodePtr CassandraSort::Copy(RelTraitSet traits,
                                       offset_, fetch_));
 }
 
-Result<std::vector<Row>> CassandraSort::Execute() const {
-  auto rows = input(0)->Execute();
-  if (!rows.ok()) return rows;
+Result<RowBatchPuller> CassandraSort::ExecuteBatched(
+    const ExecOptions& opts) const {
+  auto rows = input(0)->Execute(opts);
+  if (!rows.ok()) return rows.status();
   std::vector<Row> data = std::move(rows).value();
   // Within a single partition the store already returns rows in clustering
   // order; the stable sort below is a no-op pass in the common case and
@@ -159,7 +145,7 @@ Result<std::vector<Row>> CassandraSort::Execute() const {
                      }
                      return false;
                    });
-  return data;
+  return ChunkResult(std::move(data), opts);
 }
 
 std::optional<RelOptCost> CassandraSort::SelfCost(MetadataQuery* mq) const {

@@ -18,35 +18,19 @@ namespace calcite {
 ///   (1) the table has been previously filtered to a single partition, and
 ///   (2) the sorting of partitions has some common prefix with the required
 ///       sort.
-class CassandraTable final : public Table {
+class CassandraTable final : public MemTable {
  public:
+  /// Stores `rows` grouped by partition and clustered within it, as
+  /// Cassandra does.
   CassandraTable(RelDataTypePtr row_type, std::vector<Row> rows,
                  std::vector<int> partition_keys, RelCollation clustering);
-
-  RelDataTypePtr GetRowType(const TypeFactory&) const override {
-    return row_type_;
-  }
-  TableStats GetStatistic() const override;
-  Result<std::vector<Row>> Scan() const override;
-  Result<RowBatchPuller> ScanBatched(size_t batch_size) const override;
-  Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const override;
-
-  /// The simulated backend is immutable after construction, so the columnar
-  /// decomposition is built once and cached.
-  TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {
-    return columnar_.Get(rows_, row_type_);
-  }
 
   const std::vector<int>& partition_keys() const { return partition_keys_; }
   const RelCollation& clustering() const { return clustering_; }
 
  private:
-  RelDataTypePtr row_type_;
-  std::vector<Row> rows_;
   std::vector<int> partition_keys_;
   RelCollation clustering_;
-  ColumnarCache columnar_;
 };
 
 class CassandraSchema final : public Schema {
@@ -68,7 +52,8 @@ class CassandraTableScan final : public TableScan {
   std::string op_name() const override { return "CassandraTableScan"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
 
  private:
   using TableScan::TableScan;
@@ -94,7 +79,8 @@ class CassandraFilter final : public Filter {
   std::string DigestAttributes() const override;
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
   std::optional<RelOptCost> SelfCost(MetadataQuery* mq) const override;
 
  private:
@@ -118,7 +104,8 @@ class CassandraSort final : public Sort {
   std::string op_name() const override { return "CassandraSort"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
   /// Rows inside one partition are already stored in clustering order, so
   /// this sort is nearly free — that is why pushing it down wins.
   std::optional<RelOptCost> SelfCost(MetadataQuery* mq) const override;

@@ -1,8 +1,10 @@
 #include "adapters/csv/csv_adapter.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "util/string_utils.h"
@@ -33,16 +35,36 @@ Result<RelDataTypePtr> ColumnType(const std::string& type_name,
                                  "'");
 }
 
-Result<Value> ParseCell(const std::string& text, const RelDataType& type) {
+/// Parses all of `text` as a T, or nullopt if it is not one (trailing
+/// characters, out of range).
+template <typename T>
+std::optional<T> ParseNumber(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// The value `text` denotes in a column of `type`, or nullopt when it
+/// denotes none. An empty cell is NULL.
+std::optional<Value> ParseCell(const std::string& text,
+                               const RelDataType& type) {
   if (text.empty()) return Value::Null();
   switch (type.type_name()) {
     case SqlTypeName::kInteger:
+      if (auto v = ParseNumber<int32_t>(text)) return Value::Int(*v);
+      return std::nullopt;
     case SqlTypeName::kBigInt:
-      return Value::Int(std::strtoll(text.c_str(), nullptr, 10));
+      if (auto v = ParseNumber<int64_t>(text)) return Value::Int(*v);
+      return std::nullopt;
     case SqlTypeName::kDouble:
-      return Value::Double(std::strtod(text.c_str(), nullptr));
+      if (auto v = ParseNumber<double>(text)) return Value::Double(*v);
+      return std::nullopt;
     case SqlTypeName::kBoolean:
-      return Value::Bool(EqualsIgnoreCase(text, "true"));
+      if (EqualsIgnoreCase(text, "true")) return Value::Bool(true);
+      if (EqualsIgnoreCase(text, "false")) return Value::Bool(false);
+      return std::nullopt;
     default:
       return Value::String(text);
   }
@@ -50,7 +72,7 @@ Result<Value> ParseCell(const std::string& text, const RelDataType& type) {
 
 }  // namespace
 
-Result<std::shared_ptr<CsvTable>> CsvTable::FromText(const std::string& text) {
+Result<std::shared_ptr<MemTable>> ParseCsv(const std::string& text) {
   std::istringstream in(text);
   std::string header;
   if (!std::getline(in, header)) {
@@ -72,42 +94,43 @@ Result<std::shared_ptr<CsvTable>> CsvTable::FromText(const std::string& text) {
   }
   std::vector<Row> rows;
   std::string line;
+  size_t line_number = 1;  // the header
   while (std::getline(in, line)) {
+    ++line_number;
     if (Trim(line).empty()) continue;
     std::vector<std::string> cells = Split(line, ',');
     if (cells.size() != names.size()) {
-      return Status::InvalidArgument("CSV row has " +
-                                     std::to_string(cells.size()) +
-                                     " cells, expected " +
-                                     std::to_string(names.size()));
+      return Status::InvalidArgument(
+          "CSV line " + std::to_string(line_number) + " has " +
+          std::to_string(cells.size()) + " cells, expected " +
+          std::to_string(names.size()));
     }
     Row row;
     for (size_t i = 0; i < cells.size(); ++i) {
-      auto value = ParseCell(Trim(cells[i]), *types[i]);
-      if (!value.ok()) return value.status();
-      row.push_back(std::move(value).value());
+      std::string cell = Trim(cells[i]);
+      std::optional<Value> value = ParseCell(cell, *types[i]);
+      if (!value.has_value()) {
+        return Status::InvalidArgument(
+            "CSV line " + std::to_string(line_number) + ", column '" +
+            names[i] + "': '" + cell + "' is not a valid " +
+            types[i]->ToString());
+      }
+      row.push_back(std::move(*value));
     }
     rows.push_back(std::move(row));
   }
-  RelDataTypePtr row_type = tf.CreateStructType(names, types);
-  return std::shared_ptr<CsvTable>(
-      new CsvTable(std::move(row_type), std::move(rows)));
+  return std::make_shared<MemTable>(tf.CreateStructType(names, types),
+                                    std::move(rows));
 }
 
-Result<std::shared_ptr<CsvTable>> CsvTable::FromFile(const std::string& path) {
+Result<std::shared_ptr<MemTable>> ReadCsvFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     return Status::NotFound("cannot open CSV file '" + path + "'");
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  return FromText(buffer.str());
-}
-
-TableStats CsvTable::GetStatistic() const {
-  TableStats stat;
-  stat.row_count = static_cast<double>(rows_.size());
-  return stat;
+  return ParseCsv(buffer.str());
 }
 
 Result<SchemaPtr> CsvSchemaFactory(const std::string& directory) {
@@ -119,7 +142,7 @@ Result<SchemaPtr> CsvSchemaFactory(const std::string& directory) {
   for (const auto& entry : fs::directory_iterator(directory)) {
     if (!entry.is_regular_file()) continue;
     if (entry.path().extension() != ".csv") continue;
-    auto table = CsvTable::FromFile(entry.path().string());
+    auto table = ReadCsvFile(entry.path().string());
     if (!table.ok()) return table.status();
     schema->AddTable(entry.path().stem().string(), table.value());
   }

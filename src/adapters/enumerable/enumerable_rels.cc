@@ -30,9 +30,10 @@ namespace calcite {
 // emit, QueryResult) reads them. With it off, every operator runs its plain
 // per-row reference path (RexInterpreter::Eval, HashAggState, stable_sort
 // with CompareRows, CombineSetOp), the oracle the parity suites diff
-// against. Execute() is the materializing wrapper over the same pipeline;
-// `batch_size = 1` reproduces row-at-a-time behaviour exactly (see the
-// parity tests).
+// against. Each operator implements only ExecuteBatched (plus
+// TryExecuteColumnar where it produces columns); RelNode::Execute drains
+// that same pipeline. `batch_size = 1` reproduces row-at-a-time behaviour
+// exactly (see the parity tests).
 
 namespace {
 
@@ -111,13 +112,6 @@ Result<ColumnBatchPuller> LiftToColumns(const RelNode& node,
   return RowToColumnarPuller(std::move(rows).value(), node.row_type());
 }
 
-/// Materializes a node's full output through its batch pipeline.
-Result<std::vector<Row>> DrainNode(const RelNode& node) {
-  auto puller = node.ExecuteBatched(ExecOptions{});
-  if (!puller.ok()) return puller.status();
-  return DrainBatches(puller.value());
-}
-
 }  // namespace
 
 std::optional<Row> JoinSideKey(const Row& row,
@@ -167,10 +161,6 @@ RelNodePtr EnumerableTableScan::Copy(RelTraitSet traits,
   return RelNodePtr(new EnumerableTableScan(std::move(traits), row_type(),
                                             table_, qualified_name_,
                                             table_convention_));
-}
-
-Result<std::vector<Row>> EnumerableTableScan::Execute() const {
-  return table_->Scan();
 }
 
 namespace {
@@ -256,10 +246,6 @@ RelNodePtr EnumerableFilter::Copy(RelTraitSet traits,
                                   std::vector<RelNodePtr> inputs) const {
   return RelNodePtr(new EnumerableFilter(std::move(traits), row_type(),
                                          std::move(inputs[0]), condition_));
-}
-
-Result<std::vector<Row>> EnumerableFilter::Execute() const {
-  return DrainNode(*this);
 }
 
 Result<RowBatchPuller> EnumerableFilter::ExecuteBatched(
@@ -391,10 +377,6 @@ RelNodePtr EnumerableProject::Copy(RelTraitSet traits,
                                           std::move(inputs[0]), exprs_));
 }
 
-Result<std::vector<Row>> EnumerableProject::Execute() const {
-  return DrainNode(*this);
-}
-
 Result<RowBatchPuller> EnumerableProject::ExecuteBatched(
     const ExecOptions& opts) const {
   if (auto parallel = TryExecuteParallel(*this, opts)) {
@@ -485,10 +467,6 @@ RelNodePtr EnumerableHashJoin::Copy(RelTraitSet traits,
                                            std::move(inputs[0]),
                                            std::move(inputs[1]), condition_,
                                            join_type_));
-}
-
-Result<std::vector<Row>> EnumerableHashJoin::Execute() const {
-  return DrainNode(*this);
 }
 
 namespace {
@@ -815,10 +793,6 @@ std::optional<RelOptCost> EnumerableNestedLoopJoin::SelfCost(
          convention()->cost_factor();
 }
 
-Result<std::vector<Row>> EnumerableNestedLoopJoin::Execute() const {
-  return DrainNode(*this);
-}
-
 Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
     const ExecOptions& opts) const {
   auto left = input(0)->ExecuteBatched(opts);
@@ -899,10 +873,6 @@ RelNodePtr EnumerableAggregate::Copy(RelTraitSet traits,
   return RelNodePtr(new EnumerableAggregate(std::move(traits), row_type(),
                                             std::move(inputs[0]), group_keys_,
                                             agg_calls_));
-}
-
-Result<std::vector<Row>> EnumerableAggregate::Execute() const {
-  return DrainNode(*this);
 }
 
 namespace {
@@ -1029,10 +999,6 @@ RelNodePtr EnumerableSort::Copy(RelTraitSet traits,
   return RelNodePtr(new EnumerableSort(std::move(traits), row_type(),
                                        std::move(inputs[0]), collation_,
                                        offset_, fetch_));
-}
-
-Result<std::vector<Row>> EnumerableSort::Execute() const {
-  return DrainNode(*this);
 }
 
 namespace {
@@ -1422,10 +1388,6 @@ RelNodePtr EnumerableSetOp::Copy(RelTraitSet traits,
                                         std::move(inputs), set_kind_, all_));
 }
 
-Result<std::vector<Row>> EnumerableSetOp::Execute() const {
-  return DrainNode(*this);
-}
-
 namespace {
 
 /// Multiset combination of fully-materialized inputs (INTERSECT / MINUS and
@@ -1668,8 +1630,6 @@ RelNodePtr EnumerableValues::Copy(RelTraitSet traits,
       new EnumerableValues(std::move(traits), row_type(), tuples_));
 }
 
-Result<std::vector<Row>> EnumerableValues::Execute() const { return tuples_; }
-
 Result<RowBatchPuller> EnumerableValues::ExecuteBatched(
     const ExecOptions& opts) const {
   RelNodePtr self = shared_from_this();  // pins tuples_ for the slicer
@@ -1812,10 +1772,6 @@ Result<RowBatchPuller> EnumerableWindow::ExecuteBatched(
       [self, puller]() -> Result<RowBatch> { return puller(); });
 }
 
-Result<std::vector<Row>> EnumerableWindow::Execute() const {
-  return DrainNode(*this);
-}
-
 // ------------------------------- Interpreter -------------------------------
 
 RelNodePtr EnumerableInterpreter::Create(RelNodePtr input) {
@@ -1834,15 +1790,12 @@ RelNodePtr EnumerableInterpreter::Copy(RelTraitSet traits,
                                               std::move(inputs[0])));
 }
 
-Result<std::vector<Row>> EnumerableInterpreter::Execute() const {
-  return input(0)->Execute();
-}
-
 Result<RowBatchPuller> EnumerableInterpreter::ExecuteBatched(
     const ExecOptions& opts) const {
-  // The foreign input executes inside its own engine; its default
-  // ExecuteBatched materializes there and re-chunks — the per-row transfer
-  // the cost model charges this converter for.
+  // The foreign input executes inside its own engine: its ExecuteBatched
+  // computes the result there, reading any enumerable subtree below it
+  // under these same options, and re-chunks it (ChunkResult) — the per-row
+  // transfer the cost model charges this converter for.
   return input(0)->ExecuteBatched(opts);
 }
 

@@ -24,7 +24,6 @@ class EnumerableTableScan final : public TableScan {
   std::string op_name() const override { return "EnumerableTableScan"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
   /// Zero-copy columnar scan over the table's cached column decomposition
@@ -50,7 +49,6 @@ class EnumerableFilter final : public Filter {
   std::string op_name() const override { return "EnumerableFilter"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
   /// Columnar filter: rows are never compacted, only each batch's
@@ -70,7 +68,6 @@ class EnumerableProject final : public Project {
   std::string op_name() const override { return "EnumerableProject"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
   /// Columnar projection over any input (lifted when it is not columnar):
@@ -102,7 +99,6 @@ class EnumerableHashJoin final : public Join {
   std::string op_name() const override { return "EnumerableHashJoin"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 
@@ -120,7 +116,6 @@ class EnumerableNestedLoopJoin final : public Join {
   std::string op_name() const override { return "EnumerableNestedLoopJoin"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 
@@ -141,7 +136,6 @@ class EnumerableAggregate final : public Aggregate {
   std::string op_name() const override { return "EnumerableAggregate"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 
@@ -163,7 +157,6 @@ class EnumerableSort final : public Sort {
   std::string op_name() const override { return "EnumerableSort"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 
@@ -183,7 +176,6 @@ class EnumerableSetOp final : public SetOp {
   std::string op_name() const override;
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 
@@ -198,7 +190,6 @@ class EnumerableValues final : public Values {
   std::string op_name() const override { return "EnumerableValues"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 
@@ -214,7 +205,6 @@ class EnumerableWindow final : public Window {
   std::string op_name() const override { return "EnumerableWindow"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 
@@ -234,7 +224,6 @@ class EnumerableInterpreter final : public Converter {
   std::string op_name() const override { return "EnumerableInterpreter"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 

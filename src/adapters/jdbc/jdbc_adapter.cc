@@ -24,12 +24,13 @@ Result<std::vector<Row>> RemoteSqlEngine::ExecuteSql(const std::string& sql) {
   return std::move(result).value().rows;
 }
 
-Result<std::vector<Row>> JdbcRel::ExecuteViaSql(const RelNode& self) const {
+Result<RowBatchPuller> JdbcRel::ExecuteViaSql(const RelNode& self,
+                                              const ExecOptions& opts) const {
   RelToSqlConverter converter(engine_->dialect());
   // shared_from_this is safe: nodes are always held in shared_ptr.
   auto sql = converter.Convert(self.shared_from_this());
   if (!sql.ok()) return sql.status();
-  return engine_->ExecuteSql(sql.value());
+  return ChunkResult(engine_->ExecuteSql(sql.value()), opts);
 }
 
 Result<std::string> JdbcGenerateSql(const RelNodePtr& node) {

@@ -76,7 +76,10 @@ class JdbcRel {
   const RemoteSqlEnginePtr& engine() const { return engine_; }
 
  protected:
-  Result<std::vector<Row>> ExecuteViaSql(const RelNode& self) const;
+  /// Renders `self`'s subtree to SQL, runs it remotely, and streams the
+  /// returned rows in opts.batch_size chunks.
+  Result<RowBatchPuller> ExecuteViaSql(const RelNode& self,
+                                       const ExecOptions& opts) const;
 
   RemoteSqlEnginePtr engine_;
 };

@@ -22,8 +22,9 @@ class JdbcTableScan final : public TableScan, public JdbcRel {
   std::string op_name() const override { return "JdbcTableScan"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override {
-    return ExecuteViaSql(*this);
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override {
+    return ExecuteViaSql(*this, opts);
   }
 
  private:
@@ -44,8 +45,9 @@ class JdbcFilter final : public Filter, public JdbcRel {
   std::string op_name() const override { return "JdbcFilter"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override {
-    return ExecuteViaSql(*this);
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override {
+    return ExecuteViaSql(*this, opts);
   }
 
  private:
@@ -65,8 +67,9 @@ class JdbcProject final : public Project, public JdbcRel {
   std::string op_name() const override { return "JdbcProject"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override {
-    return ExecuteViaSql(*this);
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override {
+    return ExecuteViaSql(*this, opts);
   }
 
  private:
@@ -87,8 +90,9 @@ class JdbcJoin final : public Join, public JdbcRel {
   std::string op_name() const override { return "JdbcJoin"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override {
-    return ExecuteViaSql(*this);
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override {
+    return ExecuteViaSql(*this, opts);
   }
 
  private:
@@ -110,8 +114,9 @@ class JdbcAggregate final : public Aggregate, public JdbcRel {
   std::string op_name() const override { return "JdbcAggregate"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override {
-    return ExecuteViaSql(*this);
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override {
+    return ExecuteViaSql(*this, opts);
   }
 
  private:
@@ -134,8 +139,9 @@ class JdbcSort final : public Sort, public JdbcRel {
   std::string op_name() const override { return "JdbcSort"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override {
-    return ExecuteViaSql(*this);
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override {
+    return ExecuteViaSql(*this, opts);
   }
 
  private:

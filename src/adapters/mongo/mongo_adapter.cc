@@ -83,8 +83,9 @@ RelNodePtr MongoTableScan::Copy(RelTraitSet traits,
                                        qualified_name_, table_convention_));
 }
 
-Result<std::vector<Row>> MongoTableScan::Execute() const {
-  return table_->Scan();
+Result<RowBatchPuller> MongoTableScan::ExecuteBatched(
+    const ExecOptions& opts) const {
+  return ChunkResult(table_->Scan(), opts);
 }
 
 RelNodePtr MongoFilter::Create(RelNodePtr input, RexNodePtr condition,
@@ -106,16 +107,12 @@ RelNodePtr MongoFilter::Copy(RelTraitSet traits,
                                     find_query_));
 }
 
-Result<std::vector<Row>> MongoFilter::Execute() const {
-  auto rows = input(0)->Execute();
-  if (!rows.ok()) return rows;
-  std::vector<Row> out;
-  for (Row& row : rows.value()) {
-    auto pass = RexInterpreter::EvalPredicate(condition_, row);
-    if (!pass.ok()) return pass.status();
-    if (pass.value()) out.push_back(std::move(row));
-  }
-  return out;
+Result<RowBatchPuller> MongoFilter::ExecuteBatched(
+    const ExecOptions& opts) const {
+  auto rows = input(0)->Execute(opts);
+  if (!rows.ok()) return rows.status();
+  return ChunkResult(
+      RexInterpreter::FilterRows(condition_, std::move(rows).value()), opts);
 }
 
 std::optional<RelOptCost> MongoFilter::SelfCost(MetadataQuery* mq) const {

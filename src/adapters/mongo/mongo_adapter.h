@@ -51,7 +51,8 @@ class MongoTableScan final : public TableScan {
   std::string op_name() const override { return "MongoTableScan"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
 
  private:
   using TableScan::TableScan;
@@ -71,7 +72,8 @@ class MongoFilter final : public Filter {
   std::string DigestAttributes() const override;
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
   std::optional<RelOptCost> SelfCost(MetadataQuery* mq) const override;
 
  private:

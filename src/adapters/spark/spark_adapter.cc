@@ -24,8 +24,10 @@ RelNodePtr SparkDataTransfer::Copy(RelTraitSet traits,
                                           std::move(inputs[0])));
 }
 
-Result<std::vector<Row>> SparkDataTransfer::Execute() const {
-  return input(0)->Execute();
+Result<RowBatchPuller> SparkDataTransfer::ExecuteBatched(
+    const ExecOptions& opts) const {
+  // The RDD load materializes the source engine's whole result.
+  return ChunkResult(input(0)->Execute(opts), opts);
 }
 
 std::optional<RelOptCost> SparkDataTransfer::SelfCost(
@@ -52,12 +54,13 @@ RelNodePtr SparkHashJoin::Copy(RelTraitSet traits,
                                       join_type_));
 }
 
-Result<std::vector<Row>> SparkHashJoin::Execute() const {
+Result<RowBatchPuller> SparkHashJoin::ExecuteBatched(
+    const ExecOptions& opts) const {
   // Delegate to the enumerable hash-join algorithm over the transferred
   // inputs (the simulation runs in-process).
   RelNodePtr as_enumerable = EnumerableHashJoin::Create(
       input(0), input(1), condition_, join_type_, row_type());
-  return as_enumerable->Execute();
+  return as_enumerable->ExecuteBatched(opts);
 }
 
 namespace {

@@ -37,7 +37,8 @@ class SparkDataTransfer final : public Converter {
   std::string op_name() const override { return "SparkDataTransfer"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
   std::optional<RelOptCost> SelfCost(MetadataQuery* mq) const override;
 
  private:
@@ -53,7 +54,8 @@ class SparkHashJoin final : public Join {
   std::string op_name() const override { return "SparkHashJoin"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
 
  private:
   using Join::Join;

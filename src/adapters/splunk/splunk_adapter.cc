@@ -37,8 +37,9 @@ RelNodePtr SplunkTableScan::Copy(RelTraitSet traits,
                                         qualified_name_, table_convention_));
 }
 
-Result<std::vector<Row>> SplunkTableScan::Execute() const {
-  return table_->Scan();
+Result<RowBatchPuller> SplunkTableScan::ExecuteBatched(
+    const ExecOptions& opts) const {
+  return ChunkResult(table_->Scan(), opts);
 }
 
 RelNodePtr SplunkFilter::Create(RelNodePtr input, RexNodePtr condition) {
@@ -54,16 +55,12 @@ RelNodePtr SplunkFilter::Copy(RelTraitSet traits,
                                      std::move(inputs[0]), condition_));
 }
 
-Result<std::vector<Row>> SplunkFilter::Execute() const {
-  auto rows = input(0)->Execute();
-  if (!rows.ok()) return rows;
-  std::vector<Row> out;
-  for (Row& row : rows.value()) {
-    auto pass = RexInterpreter::EvalPredicate(condition_, row);
-    if (!pass.ok()) return pass.status();
-    if (pass.value()) out.push_back(std::move(row));
-  }
-  return out;
+Result<RowBatchPuller> SplunkFilter::ExecuteBatched(
+    const ExecOptions& opts) const {
+  auto rows = input(0)->Execute(opts);
+  if (!rows.ok()) return rows.status();
+  return ChunkResult(
+      RexInterpreter::FilterRows(condition_, std::move(rows).value()), opts);
 }
 
 std::optional<RelOptCost> SplunkFilter::SelfCost(MetadataQuery* mq) const {
@@ -97,9 +94,10 @@ std::optional<RelOptCost> SplunkLookupJoin::SelfCost(MetadataQuery* mq) const {
   return RelOptCost(left_rows, left_rows * 0.5, lookups * 0.2);
 }
 
-Result<std::vector<Row>> SplunkLookupJoin::Execute() const {
-  auto left_rows = input(0)->Execute();
-  if (!left_rows.ok()) return left_rows;
+Result<RowBatchPuller> SplunkLookupJoin::ExecuteBatched(
+    const ExecOptions& opts) const {
+  auto left_rows = input(0)->Execute(opts);
+  if (!left_rows.ok()) return left_rows.status();
 
   std::vector<std::pair<int, int>> keys;
   std::vector<RexNodePtr> remaining;
@@ -133,7 +131,7 @@ Result<std::vector<Row>> SplunkLookupJoin::Execute() const {
                         engine_->dialect().QuoteIdentifier(right_key_name) +
                         " = " + key_text;
       auto rows = engine_->ExecuteSql(sql);
-      if (!rows.ok()) return rows;
+      if (!rows.ok()) return rows.status();
       it = lookup_cache.emplace(key, std::move(rows).value()).first;
     }
     for (const Row& rrow : it->second) {
@@ -150,7 +148,7 @@ Result<std::vector<Row>> SplunkLookupJoin::Execute() const {
       if (pass) out.push_back(std::move(combined));
     }
   }
-  return out;
+  return ChunkResult(std::move(out), opts);
 }
 
 // --------------------------------- rules -----------------------------------

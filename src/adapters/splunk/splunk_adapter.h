@@ -48,7 +48,8 @@ class SplunkTableScan final : public TableScan {
   std::string op_name() const override { return "SplunkTableScan"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
 
  private:
   using TableScan::TableScan;
@@ -61,7 +62,8 @@ class SplunkFilter final : public Filter {
   std::string op_name() const override { return "SplunkFilter"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
 
   /// Filtering inside the engine avoids shipping non-matching events.
   std::optional<RelOptCost> SelfCost(MetadataQuery* mq) const override;
@@ -83,7 +85,8 @@ class SplunkLookupJoin final : public Join {
   std::string op_name() const override { return "SplunkLookupJoin"; }
   RelNodePtr Copy(RelTraitSet traits,
                   std::vector<RelNodePtr> inputs) const override;
-  Result<std::vector<Row>> Execute() const override;
+  Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
+      const override;
 
   /// Per-key lookups avoid bulk transfer of the right side: cost scales
   /// with the left (event) side and the number of distinct keys.

@@ -170,10 +170,9 @@ using ScanPredicateList = std::vector<ScanPredicate>;
 bool ScanPredicatesMatch(const ScanPredicateList& predicates, const Row& row);
 
 /// Everything a leaf scan needs to know, in one struct — the single
-/// currency of Table::OpenScan. This consolidates the surface that had
-/// accreted one virtual per feature (ScanBatched, ScanBatchedFiltered,
-/// ScanUnitRows...): new per-scan knobs (sampling for ANALYZE, projection
-/// hints, access-path forcing) are fields here, not new virtuals on Table.
+/// currency of Table::OpenScan, the one scan entry point: new per-scan
+/// knobs (sampling for ANALYZE, projection hints, access-path forcing) are
+/// fields here, not new virtuals on Table.
 struct ScanSpec {
   /// Sentinel for unit_end: no unit restriction.
   static constexpr size_t kAllUnits = static_cast<size_t>(-1);
@@ -182,7 +181,7 @@ struct ScanSpec {
   size_t batch_size = kDefaultBatchSize;
 
   /// Pushed predicates, evaluated before rows are materialized. Result rows
-  /// satisfy every predicate (same contract as ScanBatchedFiltered).
+  /// satisfy every predicate.
   ScanPredicateList predicates;
 
   /// When non-empty, result rows contain exactly these input columns, in
@@ -203,8 +202,8 @@ struct ScanSpec {
   /// Restricts the scan to units [unit_begin, unit_end) of the table's
   /// paged scan surface (ScanUnitCount tiling) — the morsel-driven parallel
   /// executor reads one unit per morsel this way. Only meaningful for
-  /// tables that expose scan units; unit_begin past the unit count is an
-  /// error, mirroring ScanUnitRows.
+  /// tables that expose scan units; unit_begin past the unit count, or any
+  /// unit range on a table without units, is InvalidArgument.
   size_t unit_begin = 0;
   size_t unit_end = kAllUnits;
 

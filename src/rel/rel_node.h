@@ -112,30 +112,31 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
     return std::nullopt;
   }
 
-  /// Executes the node, materializing its full result. Only physical
-  /// (non-logical convention) operators are executable; logical operators
-  /// return an error. Execution is pull-based internally (iterator
-  /// interface; §5) but the public surface materializes for simplicity.
-  virtual Result<std::vector<Row>> Execute() const {
-    return Status::PlanError("operator " + op_name() +
-                             " is not executable (logical convention)");
+  /// Executes the node and materializes its full result: drains
+  /// ExecuteBatched(opts). This is the row-level reference surface (tests,
+  /// foreign nodes reading their inputs); the engine itself pulls
+  /// ExecuteBatched. Not virtual — operators implement ExecuteBatched.
+  Result<std::vector<Row>> Execute(const ExecOptions& opts = ExecOptions{})
+      const {
+    auto puller = ExecuteBatched(opts);
+    if (!puller.ok()) return puller.status();
+    return DrainBatches(puller.value());
   }
 
-  /// Executes the node as a vectorized pull pipeline: the returned puller
-  /// yields RowBatch chunks of at most `opts.batch_size` rows (an empty
-  /// batch ends the stream). The enumerable convention's operators override
-  /// this with native batch implementations; foreign-convention adapter
-  /// nodes inherit this default, which materializes through Execute() and
-  /// re-chunks — exactly the per-row transfer the EnumerableInterpreter's
-  /// cost model charges for. The returned puller shares ownership of this
-  /// node, so it stays valid after the caller drops its plan reference.
+  /// Executes the node as a pull pipeline (the iterator interface of §5):
+  /// the returned puller yields RowBatch chunks of at most `opts.batch_size`
+  /// rows (an empty batch ends the stream). Only physical (non-logical
+  /// convention) operators are executable; the default reports the node as
+  /// logical. Enumerable operators stream natively; foreign-convention
+  /// adapter nodes compute their result inside their backend and hand it
+  /// over through ChunkResult — the per-row transfer the
+  /// EnumerableInterpreter's cost model charges. The returned puller shares
+  /// ownership of everything it reads (this node, its tables), so it stays
+  /// valid after the caller drops its plan reference.
   virtual Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts) const {
-    auto rows = Execute();
-    if (!rows.ok()) return rows.status();
-    RowBatchPuller puller = ChunkRows(std::move(rows).value(), opts.batch_size);
-    RelNodePtr self = shared_from_this();
-    return RowBatchPuller(
-        [self, puller]() -> Result<RowBatch> { return puller(); });
+    (void)opts;
+    return Status::PlanError("operator " + op_name() +
+                             " is not executable (logical convention)");
   }
 
   /// Columnar batch execution: when this operator produces its output as
@@ -167,6 +168,15 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
   RelDataTypePtr row_type_;
   std::vector<RelNodePtr> inputs_;
 };
+
+/// The batch stream of a foreign-convention node that computes its whole
+/// result at once (a remote query, a simulated backend call): `rows`
+/// re-chunked to opts.batch_size, or its error. The puller owns the rows.
+inline Result<RowBatchPuller> ChunkResult(Result<std::vector<Row>> rows,
+                                          const ExecOptions& opts) {
+  if (!rows.ok()) return rows.status();
+  return ChunkRows(std::move(rows).value(), opts.batch_size);
+}
 
 }  // namespace calcite
 

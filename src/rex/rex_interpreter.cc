@@ -470,4 +470,15 @@ Result<bool> RexInterpreter::EvalPredicate(const RexNodePtr& node,
   return v.value().AsBool();
 }
 
+Result<std::vector<Row>> RexInterpreter::FilterRows(const RexNodePtr& condition,
+                                                    std::vector<Row> rows) {
+  std::vector<Row> out;
+  for (Row& row : rows) {
+    auto pass = EvalPredicate(condition, row);
+    if (!pass.ok()) return pass.status();
+    if (pass.value()) out.push_back(std::move(row));
+  }
+  return out;
+}
+
 }  // namespace calcite

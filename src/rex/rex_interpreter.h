@@ -1,6 +1,8 @@
 #ifndef CALCITE_REX_REX_INTERPRETER_H_
 #define CALCITE_REX_REX_INTERPRETER_H_
 
+#include <vector>
+
 #include "rex/rex_node.h"
 #include "type/value.h"
 #include "util/status.h"
@@ -22,6 +24,11 @@ class RexInterpreter {
 
   /// Evaluates a predicate for filtering: NULL/UNKNOWN results are false.
   static Result<bool> EvalPredicate(const RexNodePtr& node, const Row& input);
+
+  /// The rows of `rows` passing `condition` under EvalPredicate, in order
+  /// (the simulated backends' in-engine filter).
+  static Result<std::vector<Row>> FilterRows(const RexNodePtr& condition,
+                                             std::vector<Row> rows);
 
   /// Casts a runtime value to the target SQL type (implements CAST
   /// semantics: numeric narrowing/widening, to/from VARCHAR, etc.).

@@ -1,64 +1,40 @@
 #include "schema/table.h"
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 
 namespace calcite {
 
 namespace {
 
-/// Lazily materializes scan units [unit, end) one at a time, filtering and
-/// re-chunking into batches — bounded memory (one unit resident) for the
-/// unit-restricted OpenScan default.
-RowBatchPuller PullUnits(const Table* table, size_t begin, size_t end,
-                         ScanPredicateList predicates, size_t batch_size) {
-  struct State {
-    size_t unit;
-    std::vector<Row> rows;
-    size_t pos = 0;
-  };
-  auto state = std::make_shared<State>();
-  state->unit = begin;
-  auto preds = std::make_shared<ScanPredicateList>(std::move(predicates));
-  return [table, state, end, preds, batch_size]() -> Result<RowBatch> {
-    RowBatch out;
-    while (out.size() < batch_size) {
-      if (state->pos >= state->rows.size()) {
-        if (state->unit >= end) break;
-        auto rows = table->ScanUnitRows(state->unit++);
-        if (!rows.ok()) return rows.status();
-        state->rows = std::move(rows).value();
-        state->pos = 0;
-        continue;
-      }
-      Row& row = state->rows[state->pos++];
-      if (ScanPredicatesMatch(*preds, row)) out.push_back(std::move(row));
-    }
-    return out;
-  };
+Status NoScanUnits() {
+  return Status::InvalidArgument("table has no paged scan surface");
 }
 
 }  // namespace
 
 Result<RowBatchPuller> Table::OpenScan(const ScanSpec& raw_spec) const {
   ScanSpec spec = raw_spec.Normalized();
-  RowBatchPuller puller;
-  if (spec.has_unit_range()) {
-    size_t count = ScanUnitCount();
-    if (count == 0) {
-      return Status::Internal("table has no paged scan surface");
-    }
-    if (spec.unit_begin > count) {
-      return Status::Internal("scan unit range out of bounds");
-    }
-    puller = PullUnits(this, spec.unit_begin, std::min(spec.unit_end, count),
-                       std::move(spec.predicates), spec.batch_size);
-  } else {
-    auto base = ScanBatchedFiltered(spec.batch_size, spec.predicates);
-    if (!base.ok()) return base.status();
-    puller = std::move(base).value();
-  }
-  return ApplyScanSpecDecorators(std::move(puller), spec);
+  if (spec.has_unit_range()) return NoScanUnits();
+  auto scanned = Scan();
+  if (!scanned.ok()) return scanned.status();
+  std::vector<Row> rows = std::move(scanned).value();
+  rows.erase(std::remove_if(rows.begin(), rows.end(),
+                            [&spec](const Row& row) {
+                              return !ScanPredicatesMatch(spec.predicates,
+                                                          row);
+                            }),
+             rows.end());
+  return ApplyScanSpecDecorators(ChunkRows(std::move(rows), spec.batch_size),
+                                 spec);
+}
+
+Result<RowBatchPuller> MemTable::OpenScan(const ScanSpec& raw_spec) const {
+  ScanSpec spec = raw_spec.Normalized();
+  if (spec.has_unit_range()) return NoScanUnits();
+  return ApplyScanSpecDecorators(
+      FilterSliceRows(rows_, spec.batch_size, std::move(spec.predicates)),
+      spec);
 }
 
 }  // namespace calcite

@@ -33,50 +33,23 @@ class Table {
   /// everything unknown.
   virtual TableStats GetStatistic() const { return TableStats{}; }
 
-  /// Full scan of the table contents, in storage order. This is the access
-  /// path the enumerable convention uses.
+  /// Full scan of the table contents, in storage order: the paper's
+  /// minimal adapter contract, and all the default OpenScan needs.
   virtual Result<std::vector<Row>> Scan() const = 0;
 
-  /// Batched scan: yields the table contents as RowBatch chunks of at most
-  /// `batch_size` rows. The default materializes through Scan() and
-  /// re-chunks; tables that physically hold rows override it to slice
-  /// batches out lazily without the intermediate full copy. The returned
-  /// puller captures `this` — the caller (the scan operator) must keep the
-  /// table alive while pulling, which EnumerableTableScan does by holding
-  /// its TablePtr in the pipeline closure.
-  virtual Result<RowBatchPuller> ScanBatched(size_t batch_size) const {
-    auto rows = Scan();
-    if (!rows.ok()) return rows.status();
-    return ChunkRows(std::move(rows).value(), batch_size);
-  }
-
-  /// Batched scan with leaf-level predicate pushdown: yields only the rows
-  /// matching every ScanPredicate (simple `column <op> literal` / NULL-test
-  /// shapes — see exec/row_batch.h), chunked like ScanBatched. Tables that
-  /// physically hold rows override this to test each stored row *before*
-  /// copying it into a batch, so filtered-out rows are never materialized;
-  /// the default filters after the generic batched scan, which is
-  /// semantically identical. Same lifetime contract as ScanBatched.
-  virtual Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const {
-    if (predicates.empty()) return ScanBatched(batch_size);
-    auto rows = Scan();
-    if (!rows.ok()) return rows.status();
-    std::vector<Row> kept;
-    for (Row& row : rows.value()) {
-      if (ScanPredicatesMatch(predicates, row)) kept.push_back(std::move(row));
-    }
-    return ChunkRows(std::move(kept), batch_size);
-  }
-
-  /// The unified scan entry point: one ScanSpec (exec/row_batch.h) carries
-  /// predicates, projection hint, ANALYZE sample fraction, access-path hint
-  /// and scan-unit range, so per-scan features do not each grow a virtual.
-  /// The default routes through the narrower virtuals — ScanUnitRows for a
-  /// unit-restricted spec, ScanBatchedFiltered otherwise — then applies the
-  /// access-path-independent decorators (sampling, projection); tables with
-  /// several physical access paths (DiskTable) override it to resolve
-  /// spec.access_path themselves. Same lifetime contract as ScanBatched.
+  /// The scan entry point: one ScanSpec (exec/row_batch.h) carries batch
+  /// size, pushed predicates, projection hint, ANALYZE sample fraction,
+  /// access-path hint and scan-unit range, so per-scan features do not each
+  /// grow a virtual. Result rows satisfy every pushed predicate. The default
+  /// materializes Scan(), filters, re-chunks and applies the
+  /// access-path-independent decorators (sampling, projection); a
+  /// unit-ranged spec on a table without scan units is InvalidArgument.
+  /// Tables that hold rows override it to slice their storage without the
+  /// full copy; tables with several physical access paths (DiskTable)
+  /// resolve spec.access_path themselves. The returned puller may capture
+  /// `this` — the caller (the scan operator) must keep the table alive
+  /// while pulling, which EnumerableTableScan does by holding its TablePtr
+  /// in the pipeline closure.
   virtual Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const;
 
   /// Paged scan surface for tables whose rows live out-of-core and so have
@@ -84,18 +57,12 @@ class Table {
   /// independently scannable units — for a disk table, a run of heap pages
   /// — and the morsel-driven parallel executor claims whole units as
   /// morsels, each worker reading only the unit it claimed (a unit-ranged
-  /// OpenScan) instead of a whole-table copy. 0 (the default) means no
-  /// paged surface; a table with neither surface runs its fragments on the
-  /// serial operators. Units must tile the table: concatenating
-  /// ScanUnitRows(0..ScanUnitCount()-1) yields exactly Scan()'s rows.
+  /// OpenScan, thread-safe for distinct units) instead of a whole-table
+  /// copy. 0 (the default) means no paged surface; a table with neither
+  /// surface runs its fragments on the serial operators. Units must tile
+  /// the table: concatenating the unit-ranged OpenScans of units
+  /// 0..ScanUnitCount()-1 yields exactly Scan()'s rows.
   virtual size_t ScanUnitCount() const { return 0; }
-
-  /// Materializes one scan unit. Thread-safe for distinct units (parallel
-  /// workers call it concurrently); only valid for unit < ScanUnitCount().
-  virtual Result<std::vector<Row>> ScanUnitRows(size_t unit) const {
-    (void)unit;
-    return Status::Internal("table has no paged scan surface");
-  }
 
   /// The table's contents decomposed into column-major typed storage
   /// (exec/column_batch.h), or nullptr when the table cannot provide it.
@@ -118,9 +85,10 @@ class Table {
 
 using TablePtr = std::shared_ptr<Table>;
 
-/// A straightforward in-memory table: a row type plus a vector of rows.
-/// Used by tests, examples, and as the backing store of the simulated
-/// adapters.
+/// A straightforward in-memory table: a row type plus a vector of rows,
+/// with a lazily built columnar decomposition. The one row-holding table:
+/// tests, examples, the CSV reader and the simulated Cassandra and stream
+/// backends all keep their rows here.
 class MemTable : public Table {
  public:
   MemTable(RelDataTypePtr row_type, std::vector<Row> rows)
@@ -140,24 +108,17 @@ class MemTable : public Table {
 
   Result<std::vector<Row>> Scan() const override { return rows_; }
 
-  Result<RowBatchPuller> ScanBatched(size_t batch_size) const override {
-    return SliceRows(rows_, batch_size);
-  }
-
-  /// Pushed predicates run against the stored rows directly; rows that fail
-  /// are never copied.
-  Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const override {
-    return FilterSliceRows(rows_, batch_size, std::move(predicates));
-  }
+  /// Slices the stored rows; pushed predicates run against them directly,
+  /// so rows that fail are never copied. No scan units.
+  Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const override;
 
   TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {
     return columnar_.Get(rows_, row_type_);
   }
 
-  /// Mutable access for test/bench setup. Conservatively drops the cached
-  /// columnar decomposition — the caller may mutate the rows through the
-  /// returned reference.
+  /// Mutable access (test/bench setup, stream appends). Conservatively
+  /// drops the cached columnar decomposition — the caller may mutate the
+  /// rows through the returned reference.
   std::vector<Row>& rows() {
     columnar_.Invalidate();
     return rows_;

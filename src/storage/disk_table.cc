@@ -615,17 +615,6 @@ size_t DiskTable::ScanUnitCount() const {
          options_.pages_per_run;
 }
 
-Result<std::vector<Row>> DiskTable::ScanUnitRows(size_t unit) const {
-  size_t first = unit * options_.pages_per_run;
-  if (first >= heap_pages_.size()) {
-    return Status::InvalidArgument("scan unit out of range");
-  }
-  std::vector<Row> out;
-  CALCITE_RETURN_IF_ERROR(
-      DecodePages(first, first + options_.pages_per_run, nullptr, &out));
-  return out;
-}
-
 RowBatchPuller DiskTable::MakeHeapPuller(size_t first_page, size_t last_page,
                                          size_t batch_size,
                                          ScanPredicateList predicates) const {
@@ -710,20 +699,6 @@ RowBatchPuller DiskTable::MakeIndexPuller(int64_t lo, int64_t hi,
     }
     return batch;
   };
-}
-
-Result<RowBatchPuller> DiskTable::ScanBatched(size_t batch_size) const {
-  if (batch_size == 0) batch_size = 1;
-  return MakeHeapPuller(0, heap_pages_.size(), batch_size,
-                        ScanPredicateList{});
-}
-
-Result<RowBatchPuller> DiskTable::ScanBatchedFiltered(
-    size_t batch_size, ScanPredicateList predicates) const {
-  ScanSpec spec;
-  spec.batch_size = batch_size;
-  spec.predicates = std::move(predicates);
-  return OpenScan(spec);
 }
 
 Result<RowBatchPuller> DiskTable::OpenScan(const ScanSpec& raw_spec) const {

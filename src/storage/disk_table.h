@@ -104,19 +104,14 @@ class DiskTable : public Table {
 
   calcite::Result<std::vector<Row>> Scan() const override;
 
-  calcite::Result<RowBatchPuller> ScanBatched(size_t batch_size) const override;
-
-  calcite::Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const override;
-
-  /// The unified scan surface. Resolves spec.access_path (kAuto goes to the
+  /// The scan entry point. Resolves spec.access_path (kAuto goes to the
   /// cost model) and honours the scan-unit range with a page-range heap
   /// scan, so parallel morsel workers and ANALYZE sampling go through the
-  /// same entry point.
+  /// same entry point. A unit range starting past ScanUnitCount() is
+  /// InvalidArgument.
   calcite::Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const override;
 
   size_t ScanUnitCount() const override;
-  calcite::Result<std::vector<Row>> ScanUnitRows(size_t unit) const override;
 
   // --------------------------- observability --------------------------
 
@@ -129,7 +124,7 @@ class DiskTable : public Table {
   size_t heap_page_count() const { return heap_pages_.size(); }
   const BufferPool& buffer_pool() const { return *pool_; }
 
-  /// True if the last ScanBatchedFiltered stream was served by the index
+  /// True if the last whole-table OpenScan stream was served by the index
   /// path (bench/test introspection; races with concurrent scans are
   /// benign).
   bool last_scan_used_index() const {

@@ -23,9 +23,10 @@ Status StreamTable::Append(Row event) {
       static_cast<size_t>(rowtime_column_) >= event.size()) {
     return Status::InvalidArgument("event lacks the rowtime column");
   }
-  if (!events_.empty()) {
+  std::vector<Row>& events = rows();
+  if (!events.empty()) {
     const Value& last =
-        events_.back()[static_cast<size_t>(rowtime_column_)];
+        events.back()[static_cast<size_t>(rowtime_column_)];
     const Value& now = event[static_cast<size_t>(rowtime_column_)];
     if (now.Compare(last) < 0) {
       return Status::InvalidArgument(
@@ -33,8 +34,7 @@ Status StreamTable::Append(Row event) {
           now.ToString() + " after " + last.ToString() + ")");
     }
   }
-  events_.push_back(std::move(event));
-  columnar_.Invalidate();
+  events.push_back(std::move(event));
   return Status::OK();
 }
 

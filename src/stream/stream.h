@@ -16,57 +16,28 @@ namespace calcite::stream {
 /// to the disk" (§1, §7.2). Backed in the simulation by an in-memory event
 /// log ordered by the rowtime column, which is declared monotonic so the
 /// validator accepts windowed streaming aggregations.
-class StreamTable final : public Table {
+class StreamTable final : public MemTable {
  public:
   /// `rowtime_column`: index of the event-time column (monotonically
   /// non-decreasing across the log).
   StreamTable(RelDataTypePtr row_type, int rowtime_column)
-      : row_type_(std::move(row_type)), rowtime_column_(rowtime_column) {}
-
-  RelDataTypePtr GetRowType(const TypeFactory&) const override {
-    return row_type_;
-  }
-
-  TableStats GetStatistic() const override {
+      : MemTable(std::move(row_type), {}), rowtime_column_(rowtime_column) {
     TableStats stat;
-    stat.row_count = static_cast<double>(events_.size());
     stat.monotonic_columns = {rowtime_column_};
-    return stat;
-  }
-
-  Result<std::vector<Row>> Scan() const override { return events_; }
-
-  /// Replays the event log a batch at a time (arrival order preserved).
-  Result<RowBatchPuller> ScanBatched(size_t batch_size) const override {
-    return SliceRows(events_, batch_size);
-  }
-
-  /// Predicate pushdown only drops events, never reorders them, so the
-  /// stream's arrival-order contract survives.
-  Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const override {
-    return FilterSliceRows(events_, batch_size, std::move(predicates));
+    set_statistic(std::move(stat));
   }
 
   bool IsStream() const override { return true; }
 
-  /// Columnar replay of the log so far. Append() invalidates the cached
-  /// decomposition; scans already in flight keep their snapshot alive.
-  TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {
-    return columnar_.Get(events_, row_type_);
-  }
-
   int rowtime_column() const { return rowtime_column_; }
-  const std::vector<Row>& events() const { return events_; }
 
   /// Appends an event; rowtime must be >= the previous event's rowtime.
+  /// Drops the cached columnar decomposition; scans already in flight keep
+  /// their snapshot alive.
   Status Append(Row event);
 
  private:
-  RelDataTypePtr row_type_;
   int rowtime_column_;
-  std::vector<Row> events_;
-  ColumnarCache columnar_;
 };
 
 /// Executes a STREAM query incrementally: events are delivered to the query

@@ -340,7 +340,7 @@ TEST(JdbcTest, AggregatePushdown) {
 // ------------------------------- CSV / model -------------------------------
 
 TEST(CsvTest, ParseAndQuery) {
-  auto table = CsvTable::FromText(
+  auto table = ParseCsv(
       "empno:int,name:string,sal:double\n"
       "100,Fred,5000.5\n"
       "110,Eric,8000\n"
@@ -382,8 +382,56 @@ TEST(CsvTest, ModelFileLoadsDirectory) {
 }
 
 TEST(CsvTest, BadHeaderIsError) {
-  auto table = CsvTable::FromText("empno\n100\n");
+  auto table = ParseCsv("empno\n100\n");
   EXPECT_FALSE(table.ok());
+}
+
+TEST(CsvTest, CellsMustParseAsTheirColumnType) {
+  struct Case {
+    const char* type;
+    const char* cell;
+  };
+  const std::vector<Case> bad = {
+      {"int", "abc"},
+      {"int", "12x"},
+      {"int", "99999999999999999999"},
+      {"int", "3000000000"},  // beyond INTEGER, fine as a long
+      {"long", "99999999999999999999"},
+      {"double", "foo"},
+      {"double", "1.5e"},
+      {"boolean", "yes"},
+  };
+  for (const Case& c : bad) {
+    std::string text = std::string("id:int,v:") + c.type + "\n1,\n\n2," +
+                       c.cell + "\n";
+    auto table = ParseCsv(text);
+    ASSERT_FALSE(table.ok()) << c.type << " '" << c.cell << "' was accepted";
+    EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = table.status().message();
+    EXPECT_NE(message.find("line 4"), std::string::npos) << message;
+    EXPECT_NE(message.find("'v'"), std::string::npos) << message;
+    EXPECT_NE(message.find(c.cell), std::string::npos) << message;
+  }
+
+  // What each type can represent still loads; an empty cell is NULL.
+  auto table = ParseCsv(
+      "i:int,l:long,d:double,b:boolean\n"
+      "-2147483648,9223372036854775807,1.5e3,TRUE\n"
+      "2147483647,-42,-0.25,false\n"
+      ",,,\n");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  auto rows = table.value()->Scan();
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().size(), 3u);
+  EXPECT_EQ(rows.value()[0][0].AsInt(), -2147483648LL);
+  EXPECT_EQ(rows.value()[0][1].AsInt(), 9223372036854775807LL);
+  EXPECT_DOUBLE_EQ(rows.value()[0][2].AsDouble(), 1500.0);
+  EXPECT_TRUE(rows.value()[0][3].AsBool());
+  EXPECT_EQ(rows.value()[1][0].AsInt(), 2147483647LL);
+  EXPECT_EQ(rows.value()[1][1].AsInt(), -42);
+  EXPECT_DOUBLE_EQ(rows.value()[1][2].AsDouble(), -0.25);
+  EXPECT_FALSE(rows.value()[1][3].AsBool());
+  for (const Value& v : rows.value()[2]) EXPECT_TRUE(v.IsNull());
 }
 
 // ------------------------------ SPL generation ------------------------------

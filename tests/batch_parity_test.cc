@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "adapters/enumerable/enumerable_rels.h"
+#include "adapters/spark/spark_adapter.h"
 #include "rel/core.h"
 #include "rex/rex_builder.h"
 #include "rex/rex_interpreter.h"
@@ -485,6 +486,70 @@ TEST_F(BatchParityTest, WindowInputRunsUnderQueryOptions) {
   EXPECT_EQ(table->specs[0].access_path, AccessPath::kForceHeap);
 }
 
+TEST_F(BatchParityTest, ForeignNodesRunInputsUnderQueryOptions) {
+  // Foreign-convention nodes read their enumerable inputs under the query's
+  // options: a Spark transfer over a scan, and a Spark join over two such
+  // transfers, each open their scans exactly once with the query's batch
+  // size and access path, and return the enumerable plan's rows.
+  ExecOptions opts;
+  opts.batch_size = 7;
+  opts.access_path = AccessPath::kForceHeap;
+  auto scan_of = [this](TablePtr table) {
+    auto logical = LogicalTableScan::Create(std::move(table), {"t"},
+                                            Convention::Enumerable(), tf_);
+    return EnumerableTableScan::Create(
+        *static_cast<const TableScan*>(logical.get()));
+  };
+  auto run = [&opts](const RelNodePtr& node) {
+    auto puller = node->ExecuteBatched(opts);
+    EXPECT_TRUE(puller.ok()) << puller.status().ToString();
+    std::vector<std::string> out;
+    if (!puller.ok()) return out;
+    auto rows = DrainBatches(puller.value());
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (rows.ok()) {
+      for (const Row& row : rows.value()) out.push_back(RowToString(row));
+    }
+    return out;
+  };
+  auto expect_one_scan = [&opts](const RecordingTable& table,
+                                 const std::string& label) {
+    ASSERT_EQ(table.specs.size(), 1u) << label;
+    EXPECT_EQ(table.specs[0].batch_size, opts.batch_size) << label;
+    EXPECT_EQ(table.specs[0].access_path, opts.access_path) << label;
+  };
+  auto row_type = TestRowType(tf_);
+
+  auto table = std::make_shared<RecordingTable>(row_type, MakeRows(50));
+  std::vector<std::string> transferred =
+      run(SparkDataTransfer::Create(scan_of(table)));
+  expect_one_scan(*table, "transfer");
+  EXPECT_EQ(transferred,
+            run(scan_of(std::make_shared<MemTable>(row_type, MakeRows(50)))));
+
+  auto left = std::make_shared<RecordingTable>(row_type, MakeRows(40));
+  auto right = std::make_shared<RecordingTable>(row_type, MakeRows(30));
+  // Equi-key on the k columns: $1 = $5 in join coordinates.
+  auto condition = rex_.MakeEquals(
+      Field(row_type, 1),
+      rex_.MakeInputRef(static_cast<int>(row_type->fields().size()) + 1,
+                        row_type->fields()[1].type));
+  auto join_type =
+      DeriveJoinRowType(row_type, row_type, JoinType::kInner, tf_);
+  std::vector<std::string> joined = run(SparkHashJoin::Create(
+      SparkDataTransfer::Create(scan_of(left)),
+      SparkDataTransfer::Create(scan_of(right)), condition, JoinType::kInner,
+      join_type));
+  expect_one_scan(*left, "join left");
+  expect_one_scan(*right, "join right");
+  std::vector<std::string> expected = run(EnumerableHashJoin::Create(
+      scan_of(std::make_shared<MemTable>(row_type, MakeRows(40))),
+      scan_of(std::make_shared<MemTable>(row_type, MakeRows(30))), condition,
+      JoinType::kInner, join_type));
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(joined, expected);
+}
+
 TEST_F(BatchParityTest, Interpreter) {
   for (size_t n : kCardinalities) {
     ExpectParity(EnumerableInterpreter::Create(Leaf(n)),
@@ -647,27 +712,6 @@ TEST_F(BatchParityTest, FilterUnderAggregateSelectionParity) {
   }
 }
 
-namespace {
-
-/// A table without physical row storage: exercises the default
-/// ScanBatchedFiltered (filter *after* the generic batched scan) as the
-/// reference for the pushdown overrides.
-class PostFilterTable : public Table {
- public:
-  PostFilterTable(RelDataTypePtr row_type, std::vector<Row> rows)
-      : row_type_(std::move(row_type)), rows_(std::move(rows)) {}
-  RelDataTypePtr GetRowType(const TypeFactory&) const override {
-    return row_type_;
-  }
-  Result<std::vector<Row>> Scan() const override { return rows_; }
-
- private:
-  RelDataTypePtr row_type_;
-  std::vector<Row> rows_;
-};
-
-}  // namespace
-
 TEST_F(BatchParityTest, ScanPredicatePushdownParity) {
   // The same filter over (a) a MemTable scan — predicates pushed into the
   // leaf, rows filtered before materialization — (b) a storage-less table
@@ -708,7 +752,7 @@ TEST_F(BatchParityTest, ScanPredicatePushdownParity) {
       RelNodePtr pushdown =
           make_scan_plan(std::make_shared<MemTable>(row_type, rows));
       RelNodePtr post_filter =
-          make_scan_plan(std::make_shared<PostFilterTable>(row_type, rows));
+          make_scan_plan(std::make_shared<testing::ScanOnlyTable>(row_type, rows));
       RelNodePtr values_plan = EnumerableFilter::Create(
           EnumerableValues::Create(row_type, rows), cond);
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "geo/geometry.h"
-#include "linq/enumerable.h"
 #include "rex/rex_builder.h"
 #include "rex/rex_interpreter.h"
 #include "rex/rex_simplifier.h"
@@ -283,62 +282,6 @@ TEST(GeoTest, Distance) {
   EXPECT_DOUBLE_EQ(geo::Distance(*a, *b), 5.0);
   auto line = geo::Geometry::MakeLineString({{0, 2}, {10, 2}});
   EXPECT_DOUBLE_EQ(geo::Distance(*a, *line), 2.0);
-}
-
-// ---------------------------------- linq -----------------------------------
-
-TEST(LinqTest, PipelineComposition) {
-  auto numbers = linq::Enumerable<int>::Range(1, 100, [](int64_t i) {
-    return static_cast<int>(i);
-  });
-  auto result = numbers.Where([](const int& x) { return x % 3 == 0; })
-                    .Select<int>([](const int& x) { return x * 2; })
-                    .Take(5)
-                    .ToVector();
-  EXPECT_EQ(result, (std::vector<int>{6, 12, 18, 24, 30}));
-}
-
-TEST(LinqTest, LazyEvaluation) {
-  int evaluations = 0;
-  auto pipeline =
-      linq::Enumerable<int>::Range(0, 1000, [&](int64_t i) {
-        ++evaluations;
-        return static_cast<int>(i);
-      }).Take(3);
-  EXPECT_EQ(evaluations, 0);  // nothing pulled yet
-  EXPECT_EQ(pipeline.Count(), 3u);
-  EXPECT_EQ(evaluations, 3);  // only what Take needed
-}
-
-TEST(LinqTest, GroupByAndJoin) {
-  auto values = linq::Enumerable<int>::FromVector({1, 2, 3, 4, 5, 6});
-  auto grouped = values.GroupBy<int, std::pair<int, size_t>>(
-      [](const int& x) { return x % 2; },
-      [](const int& key, const std::vector<int>& group) {
-        return std::make_pair(key, group.size());
-      });
-  auto result = grouped.ToVector();
-  ASSERT_EQ(result.size(), 2u);
-  EXPECT_EQ(result[0].second, 3u);
-
-  auto left = linq::Enumerable<int>::FromVector({1, 2, 3});
-  auto right = linq::Enumerable<int>::FromVector({2, 3, 4});
-  auto joined = left.Join<int, int, int>(
-      right, [](const int& x) { return x; }, [](const int& y) { return y; },
-      [](const int& x, const int& y) { return x + y; });
-  EXPECT_EQ(joined.ToVector(), (std::vector<int>{4, 6}));
-}
-
-TEST(LinqTest, OrderByAndDistinct) {
-  auto values = linq::Enumerable<int>::FromVector({3, 1, 2, 3, 1});
-  auto sorted = values.OrderBy([](const int& a, const int& b) {
-    return a - b;
-  });
-  EXPECT_EQ(sorted.ToVector(), (std::vector<int>{1, 1, 2, 3, 3}));
-  auto distinct = values.Distinct([](const int& a, const int& b) {
-    return a - b;
-  });
-  EXPECT_EQ(distinct.Count(), 3u);
 }
 
 // -------------------------------- rel-to-sql --------------------------------

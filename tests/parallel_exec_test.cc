@@ -250,22 +250,6 @@ void ExpectThreadSweepParity(
   }
 }
 
-/// A table that exposes only Scan(): no columnar decomposition and no scan
-/// units, so parallel fragments over it decline and run serially.
-class ScanOnlyTable : public Table {
- public:
-  ScanOnlyTable(RelDataTypePtr row_type, std::vector<Row> rows)
-      : row_type_(std::move(row_type)), rows_(std::move(rows)) {}
-  RelDataTypePtr GetRowType(const TypeFactory&) const override {
-    return row_type_;
-  }
-  Result<std::vector<Row>> Scan() const override { return rows_; }
-
- private:
-  RelDataTypePtr row_type_;
-  std::vector<Row> rows_;
-};
-
 class ParallelSweepTest : public ::testing::Test {
  protected:
   RelNodePtr ScanLeaf(size_t n) {
@@ -510,7 +494,7 @@ TEST_F(ParallelSweepTest, DiskTableAggregateAndJoin) {
 // thread count.
 TEST_F(ParallelSweepTest, ScanOnlyTableRunsSerially) {
   RelNodePtr scan = ScanOf(
-      std::make_shared<ScanOnlyTable>(SweepRowType(tf_), SweepRows(5000)));
+      std::make_shared<testing::ScanOnlyTable>(SweepRowType(tf_), SweepRows(5000)));
   ExpectThreadSweepParity(scan, "scan-only scan", {4}, {7, 1024});
   ExpectThreadSweepParity(AggregateOf(scan, {1, 2}), "scan-only agg", {4},
                           {7, 1024});

@@ -1,9 +1,10 @@
 // Tests of the ANALYZE statistics pipeline (schema/analyze.h), the
 // histogram-backed selectivity estimator (schema/table_stats.h), the
 // stats-backed metadata provider (metadata/table_stats_provider.h), the
-// unified ScanSpec scan surface (Table::OpenScan decorators), and the
-// DiskTable side: stats catalog persistence across reopen and cost-based
-// access-path selection under AccessPath::kAuto.
+// unified ScanSpec scan surface (MemTable's and the default
+// Table::OpenScan, with their decorators), and the DiskTable side: stats
+// catalog persistence across reopen and cost-based access-path selection
+// under AccessPath::kAuto.
 //
 // Distribution tests use seeded generators, so the asserted accuracy
 // bounds are deterministic, not flaky tolerances.
@@ -17,6 +18,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metadata/metadata.h"
@@ -26,6 +28,7 @@
 #include "schema/table.h"
 #include "schema/table_stats.h"
 #include "storage/disk_table.h"
+#include "test_schema.h"
 #include "type/rel_data_type.h"
 #include "type/value.h"
 
@@ -283,8 +286,17 @@ TEST(StatsAnalyzeTest, SampledAnalyzeScalesEstimates) {
 }
 
 // ---------------------------------------------------------------------------
-// ScanSpec decorators through the default Table::OpenScan
+// ScanSpec decorators through MemTable::OpenScan and the default
+// Table::OpenScan
 // ---------------------------------------------------------------------------
+
+/// The same rows behind MemTable's OpenScan and the default one, named.
+std::vector<std::pair<std::string, TablePtr>> BothScanPaths(
+    const TypeFactory& tf, const std::vector<Row>& rows) {
+  return {{"MemTable", std::make_shared<MemTable>(StatsRowType(tf), rows)},
+          {"Scan() only",
+           std::make_shared<testing::ScanOnlyTable>(StatsRowType(tf), rows)}};
+}
 
 TEST(ScanSpecTest, ProjectionAndPredicates) {
   const int64_t kRows = 1000;
@@ -294,20 +306,22 @@ TEST(ScanSpecTest, ProjectionAndPredicates) {
     rows.push_back({Value::Int(i), Value::Double(i * 0.5),
                     Value::String("c" + std::to_string(i % 3))});
   }
-  MemTable table(StatsRowType(tf), std::move(rows));
-
-  ScanSpec spec;
-  spec.batch_size = 128;
-  spec.predicates = {Pred(ScanPredicate::Kind::kLessThan, 0, Value::Int(100))};
-  spec.projection = {2, 0};
-  auto puller = table.OpenScan(spec);
-  ASSERT_OK(puller.status());
-  std::vector<Row> got = Drain(*puller);
-  ASSERT_EQ(got.size(), 100u);
-  for (const Row& row : got) {
-    ASSERT_EQ(row.size(), 2u);  // projected down to {cat, id}
-    EXPECT_TRUE(row[0].is_string());
-    EXPECT_LT(row[1].AsInt(), 100);
+  for (const auto& [name, table] : BothScanPaths(tf, rows)) {
+    SCOPED_TRACE(name);
+    ScanSpec spec;
+    spec.batch_size = 128;
+    spec.predicates = {
+        Pred(ScanPredicate::Kind::kLessThan, 0, Value::Int(100))};
+    spec.projection = {2, 0};
+    auto puller = table->OpenScan(spec);
+    ASSERT_OK(puller.status());
+    std::vector<Row> got = Drain(*puller);
+    ASSERT_EQ(got.size(), 100u);
+    for (const Row& row : got) {
+      ASSERT_EQ(row.size(), 2u);  // projected down to {cat, id}
+      EXPECT_TRUE(row[0].is_string());
+      EXPECT_LT(row[1].AsInt(), 100);
+    }
   }
 }
 
@@ -318,49 +332,53 @@ TEST(ScanSpecTest, SamplingIsDeterministicAndBounded) {
   for (int64_t i = 0; i < kRows; ++i) {
     rows.push_back({Value::Int(i), Value::Double(0.0), Value::Null()});
   }
-  MemTable table(StatsRowType(tf), std::move(rows));
+  for (const auto& [name, table] : BothScanPaths(tf, rows)) {
+    SCOPED_TRACE(name);
+    ScanSpec spec;
+    spec.sample_fraction = 0.5;
+    auto a = table->OpenScan(spec);
+    ASSERT_OK(a.status());
+    std::vector<Row> first = Drain(*a);
+    EXPECT_NEAR(static_cast<double>(first.size()), 5000.0, 500.0);
 
-  ScanSpec spec;
-  spec.sample_fraction = 0.5;
-  auto a = table.OpenScan(spec);
-  ASSERT_OK(a.status());
-  std::vector<Row> first = Drain(*a);
-  EXPECT_NEAR(static_cast<double>(first.size()), 5000.0, 500.0);
-
-  // Same seed -> identical sample; different seed -> (almost surely) not.
-  auto b = table.OpenScan(spec);
-  ASSERT_OK(b.status());
-  std::vector<Row> second = Drain(*b);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i][0].AsInt(), second[i][0].AsInt());
-  }
-
-  spec.sample_seed = 0xBADC0FFEEull;
-  auto c = table.OpenScan(spec);
-  ASSERT_OK(c.status());
-  std::vector<Row> third = Drain(*c);
-  bool identical = third.size() == first.size();
-  if (identical) {
+    // Same seed -> identical sample; different seed -> (almost surely) not.
+    auto b = table->OpenScan(spec);
+    ASSERT_OK(b.status());
+    std::vector<Row> second = Drain(*b);
+    ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i) {
-      if (first[i][0].AsInt() != third[i][0].AsInt()) {
-        identical = false;
-        break;
+      EXPECT_EQ(first[i][0].AsInt(), second[i][0].AsInt());
+    }
+
+    spec.sample_seed = 0xBADC0FFEEull;
+    auto c = table->OpenScan(spec);
+    ASSERT_OK(c.status());
+    std::vector<Row> third = Drain(*c);
+    bool identical = third.size() == first.size();
+    if (identical) {
+      for (size_t i = 0; i < first.size(); ++i) {
+        if (first[i][0].AsInt() != third[i][0].AsInt()) {
+          identical = false;
+          break;
+        }
       }
     }
+    EXPECT_FALSE(identical);
   }
-  EXPECT_FALSE(identical);
 }
 
 TEST(ScanSpecTest, UnitRangeRequiresPagedSurface) {
   TypeFactory tf;
-  MemTable table(StatsRowType(tf),
-                 {{Value::Int(1), Value::Null(), Value::Null()}});
-  ScanSpec spec;
-  spec.unit_begin = 0;
-  spec.unit_end = 1;
-  auto puller = table.OpenScan(spec);
-  EXPECT_FALSE(puller.ok());  // MemTable exposes no scan units
+  for (const auto& [name, table] :
+       BothScanPaths(tf, {{Value::Int(1), Value::Null(), Value::Null()}})) {
+    SCOPED_TRACE(name);
+    ScanSpec spec;
+    spec.unit_begin = 0;
+    spec.unit_end = 1;
+    auto puller = table->OpenScan(spec);
+    ASSERT_FALSE(puller.ok());  // neither table exposes scan units
+    EXPECT_EQ(puller.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -656,7 +674,9 @@ TEST_F(DiskStatsTest, UnitRangedOpenScanTilesTheTable) {
   ScanSpec bad;
   bad.unit_begin = units + 1;
   bad.unit_end = units + 2;
-  EXPECT_FALSE(t.OpenScan(bad).ok());
+  auto out_of_range = t.OpenScan(bad);
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -475,7 +475,9 @@ TEST_F(StorageTest, DiskTableScanMatchesInsertedRows) {
   ASSERT_OK(scanned.status());
   ExpectSameRows(*scanned, rows);
 
-  auto puller = (*table)->ScanBatched(333);
+  ScanSpec spec;
+  spec.batch_size = 333;
+  auto puller = (*table)->OpenScan(spec);
   ASSERT_OK(puller.status());
   ExpectSameRows(Drain(*puller), rows);
   EXPECT_EQ((*table)->buffer_pool().pinned_frames(), 0u);
@@ -559,7 +561,10 @@ TEST_F(StorageTest, DiskTableIndexScanMatchesHeapScan) {
   ScanPredicate residual;
   residual.kind = ScanPredicate::Kind::kIsNotNull;
   residual.column = 2;
-  auto both = t.ScanBatchedFiltered(512, {lo, hi, residual});
+  ScanSpec conjunction;
+  conjunction.batch_size = 512;
+  conjunction.predicates = {lo, hi, residual};
+  auto both = t.OpenScan(conjunction);
   ASSERT_OK(both.status());
   auto got = Drain(*both);
   EXPECT_TRUE(t.last_scan_used_index());
@@ -590,13 +595,24 @@ TEST_F(StorageTest, DiskTableScanUnitsTileTheTable) {
   ASSERT_GT(units, 1u);
   std::vector<Row> concatenated;
   for (size_t u = 0; u < units; ++u) {
-    auto unit_rows = (*table)->ScanUnitRows(u);
-    ASSERT_OK(unit_rows.status());
-    EXPECT_FALSE(unit_rows->empty());
-    for (Row& row : *unit_rows) concatenated.push_back(std::move(row));
+    ScanSpec spec;
+    spec.unit_begin = u;
+    spec.unit_end = u + 1;
+    auto puller = (*table)->OpenScan(spec);
+    ASSERT_OK(puller.status());
+    std::vector<Row> unit_rows = Drain(*puller);
+    EXPECT_FALSE(unit_rows.empty());
+    for (Row& row : unit_rows) concatenated.push_back(std::move(row));
   }
   ExpectSameRows(concatenated, rows);
-  EXPECT_FALSE((*table)->ScanUnitRows(units).ok());
+
+  // A unit range starting past the tiling is an error.
+  ScanSpec past_end;
+  past_end.unit_begin = units + 1;
+  past_end.unit_end = units + 2;
+  auto bad = (*table)->OpenScan(past_end);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(StorageTest, DiskTablePersistsAcrossReopen) {
@@ -625,7 +641,10 @@ TEST_F(StorageTest, DiskTablePersistsAcrossReopen) {
   pred.kind = ScanPredicate::Kind::kEquals;
   pred.column = 0;
   pred.literal = Value::Int(1234);
-  auto hit = t.ScanBatchedFiltered(64, {pred});
+  ScanSpec point;
+  point.batch_size = 64;
+  point.predicates = {pred};
+  auto hit = t.OpenScan(point);
   ASSERT_OK(hit.status());
   auto got = Drain(*hit);
   EXPECT_TRUE(t.last_scan_used_index());

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "schema/schema.h"
@@ -97,6 +98,25 @@ inline SchemaPtr MakeTestSchema() {
   }
   return schema;
 }
+
+/// A table that implements only Scan() — the paper's minimal adapter
+/// contract: no columnar decomposition, no scan units, and the default
+/// Table::OpenScan (filter after the full Scan() copy). The reference for
+/// the tables that override OpenScan, and the shape the parallel executor
+/// declines.
+class ScanOnlyTable : public Table {
+ public:
+  ScanOnlyTable(RelDataTypePtr row_type, std::vector<Row> rows)
+      : row_type_(std::move(row_type)), rows_(std::move(rows)) {}
+  RelDataTypePtr GetRowType(const TypeFactory&) const override {
+    return row_type_;
+  }
+  Result<std::vector<Row>> Scan() const override { return rows_; }
+
+ private:
+  RelDataTypePtr row_type_;
+  std::vector<Row> rows_;
+};
 
 }  // namespace calcite::testing
 
