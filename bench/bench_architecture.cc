@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <random>
 
+#include "adapters/enumerable/enumerable_rels.h"
 #include "adapters/enumerable/enumerable_rules.h"
 #include "bench_common.h"
 #include "plan/hep_planner.h"
 #include "plan/volcano_planner.h"
+#include "rex/rex_builder.h"
 #include "rules/core_rules.h"
 #include "sql/parser.h"
 #include "sql/sql_to_rel.h"
@@ -160,10 +162,11 @@ BENCHMARK(BM_FilterPushdownSweep)->Arg(1)->Arg(64)->Arg(1024)->Arg(4096)
 // same scan -> filter -> project -> aggregate pipeline as F1b plus a
 // join-heavy plan, executed at batch_size 1024 with 1 / 2 / 4 / 8 worker
 // threads. num_threads=1 is the serial engine (no scheduler, no exchange);
-// the larger settings run the fragment as morsel-parallel workers feeding
-// a partitioned aggregate / partitioned hash join. The counter reports
-// source rows per second; expect near-linear scaling up to the physical
-// core count and no benefit beyond it.
+// the larger settings run the aggregate's fragment as morsel-parallel
+// workers feeding a partitioned aggregate, and the join's probe-side
+// pipeline as morsel-parallel workers whose batches the serial hash join
+// consumes. The counter reports source rows per second; expect scaling up
+// to the physical core count only in the parallel fragments.
 void BM_ParallelSweep_Aggregate(benchmark::State& state) {
   constexpr int kRows = 100000;
   SchemaPtr schema = bench::MakeSalesSchema(kRows, 50);
@@ -215,6 +218,71 @@ void BM_ParallelSweep_Join(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSweep_Join)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Experiment F1c': the hash join operator alone. A 120k-row probe table
+// joins a build table of arg0 rows (4k: a dimension; 60k: half the probe)
+// on a unique build key, so every probe row matches exactly once; a
+// COUNT(*) above the join consumes its output without boxing it. Serial,
+// batch_size 1024. The counter reports probe rows per second.
+void BM_HashJoinBuildProbe(benchmark::State& state) {
+  constexpr int64_t kProbeRows = 120000;
+  const int64_t build_rows = state.range(0);
+  auto& tf = bench::Tf();
+  auto int_t = tf.CreateSqlType(SqlTypeName::kInteger);
+  auto dbl_t = tf.CreateSqlType(SqlTypeName::kDouble);
+  auto str_t = tf.CreateSqlType(SqlTypeName::kVarchar, 16);
+  auto scan_of = [&](std::vector<std::string> names,
+                     std::vector<RelDataTypePtr> types, std::vector<Row> rows) {
+    auto table = std::make_shared<MemTable>(
+        tf.CreateStructType(std::move(names), std::move(types)),
+        std::move(rows));
+    auto logical =
+        LogicalTableScan::Create(table, {"t"}, Convention::Enumerable(), tf);
+    return EnumerableTableScan::Create(
+        *static_cast<const TableScan*>(logical.get()));
+  };
+  std::vector<Row> probe_rows;
+  for (int64_t i = 0; i < kProbeRows; ++i) {
+    probe_rows.push_back({Value::Int(i), Value::Int((i * 7919) % build_rows),
+                          Value::Double(static_cast<double>(i % 100))});
+  }
+  std::vector<Row> build_table;
+  for (int64_t i = 0; i < build_rows; ++i) {
+    build_table.push_back({Value::Int(i), Value::Double(i * 0.25),
+                           Value::String("b" + std::to_string(i % 97))});
+  }
+  RelNodePtr probe = scan_of({"id", "k", "x"}, {int_t, int_t, dbl_t},
+                             std::move(probe_rows));
+  RelNodePtr build = scan_of({"k", "v", "s"}, {int_t, dbl_t, str_t},
+                             std::move(build_table));
+  RexBuilder rex;
+  RexNodePtr equi = rex.MakeEquals(rex.MakeInputRef(probe->row_type(), 1),
+                                   rex.MakeInputRef(3, int_t));
+  auto join_type = DeriveJoinRowType(probe->row_type(), build->row_type(),
+                                     JoinType::kInner, tf);
+  RelNodePtr join = EnumerableHashJoin::Create(probe, build, equi,
+                                               JoinType::kInner, join_type);
+  AggregateCall count;
+  count.kind = AggKind::kCountStar;
+  count.name = "c";
+  RelNodePtr plan = EnumerableAggregate::Create(
+      join, {}, {count}, DeriveAggregateRowType(join_type, {}, {count}, tf));
+  ExecOptions opts;
+  opts.batch_size = 1024;
+  int64_t rows_processed = 0;
+  for (auto _ : state) {
+    auto rows = plan->Execute(opts);
+    if (!rows.ok() || rows.value()[0][0].AsInt() != kProbeRows) {
+      state.SkipWithError("wrong join result");
+      break;
+    }
+    rows_processed += kProbeRows;
+  }
+  state.counters["rows_per_sec"] = benchmark::Counter(
+      static_cast<double>(rows_processed), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_HashJoinBuildProbe)->Arg(4000)->Arg(60000)
+    ->Unit(benchmark::kMillisecond);
 
 // Experiment F1d: B-tree index-range scan vs full heap scan over an
 // out-of-core DiskTable (src/storage/) at three selectivities. 200k rows

@@ -149,8 +149,8 @@ REX_FUZZ_ITERS=5 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 echo "=== bench smoke ==="
 # Quick benchmarks exercise the batched execution engine end-to-end
 # (parse -> plan -> vectorized pipeline) and the morsel-driven parallel
-# executor (threaded scan/aggregate/join fragments) without turning CI
-# into a perf run.
+# executor (threaded scan/aggregate fragments, joins over them) without
+# turning CI into a perf run.
 if [[ -x "$BUILD_DIR/bench_architecture" ]]; then
   "$BUILD_DIR/bench_architecture" \
     --benchmark_filter='BM_BatchSizeSweep|BM_FilterPushdownSweep|BM_Stage5_Execute|BM_ParallelSweep|BM_IndexScanVsFullScan|BM_CostBasedAccessPath' \

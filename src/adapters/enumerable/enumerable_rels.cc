@@ -11,6 +11,7 @@
 #include "adapters/enumerable/columnar_agg.h"
 #include "exec/arena.h"
 #include "exec/column_batch.h"
+#include "exec/key_table.h"
 #include "exec/parallel/parallel_exec.h"
 #include "metadata/metadata.h"
 #include "rex/rex_columnar.h"
@@ -22,14 +23,16 @@ namespace calcite {
 
 // The operators below execute as vectorized pull pipelines. With
 // ExecOptions::enable_columnar on (the default) Filter, Project, Aggregate,
-// Sort and the blocking set ops run on columns whatever their input is:
-// LiftToColumns hands them their input as ColumnBatches — parallel,
-// natively columnar, or decoded from row batches. Sort and the set ops keep
-// those batches, compare and hash typed cells, and box only the rows they
-// emit; otherwise rows are boxed only where a row consumer (window, join
-// emit, QueryResult) reads them. With it off, every operator runs its plain
-// per-row reference path (RexInterpreter::Eval, HashAggState, stable_sort
-// with CompareRows, CombineSetOp), the oracle the parity suites diff
+// Sort, the blocking set ops and the hash join run on columns whatever
+// their input is: LiftToColumns hands them their input as ColumnBatches —
+// parallel, natively columnar, or decoded from row batches. Sort, the set
+// ops and the join's build side keep those batches; aggregates, set ops
+// and joins resolve typed key cells in one KeyTable, and the join gathers
+// its output columns from (probe, build) row pairs. Rows are boxed only
+// where a row consumer (window, nested-loop join, QueryResult) reads them.
+// With it off, every operator runs its plain per-row reference path
+// (RexInterpreter::Eval, HashAggState, stable_sort with CompareRows,
+// CombineSetOp, a Row-keyed hash join), the oracle the parity suites diff
 // against. Each operator implements only ExecuteBatched (plus
 // TryExecuteColumnar where it produces columns); RelNode::Execute drains
 // that same pipeline. `batch_size = 1` reproduces row-at-a-time behaviour
@@ -68,7 +71,7 @@ size_t NormalizedBatchSize(const ExecOptions& opts) {
 }
 
 /// Bridges a columnar pipeline back to dense RowBatches (the conversion
-/// boundary for row-path consumers: window, join emit, QueryResult).
+/// boundary for row-path consumers: window, nested-loop join, QueryResult).
 RowBatchPuller ColumnarToRowPuller(RelNodePtr self, ColumnBatchPuller pull) {
   return RowBatchPuller([self, pull]() -> Result<RowBatch> {
     auto batch = pull();
@@ -92,12 +95,17 @@ ColumnBatchPuller RowToColumnarPuller(RowBatchPuller pull,
 }
 
 /// Hands `node`'s output to a columnar consumer (Filter, Project,
-/// Aggregate, Sort, set ops). At num_threads > 1 a fragment the morsel
-/// executor accepts still runs in parallel; otherwise a natively columnar
-/// producer streams its batches; anything else has its row batches decoded.
+/// Aggregate, Sort, set ops, hash join). At num_threads > 1 a fragment the
+/// morsel executor accepts still runs in parallel (a pipeline's batches
+/// arrive unboxed, an aggregate's rows are decoded); otherwise a natively
+/// columnar producer streams its batches; anything else has its row batches
+/// decoded.
 Result<ColumnBatchPuller> LiftToColumns(const RelNode& node,
                                         const ExecOptions& opts) {
   if (opts.num_threads > 1) {
+    if (auto columns = TryExecuteParallelColumns(node, opts)) {
+      return std::move(*columns);
+    }
     if (auto parallel = TryExecuteParallel(node, opts)) {
       if (!parallel->ok()) return parallel->status();
       return RowToColumnarPuller(std::move(*parallel).value(),
@@ -114,35 +122,10 @@ Result<ColumnBatchPuller> LiftToColumns(const RelNode& node,
 
 }  // namespace
 
-std::optional<Row> JoinSideKey(const Row& row,
-                               const std::vector<std::pair<int, int>>& keys,
-                               bool left_side) {
-  Row key;
-  key.reserve(keys.size());
-  for (const auto& [l, r] : keys) {
-    const Value& v = row[static_cast<size_t>(left_side ? l : r)];
-    if (v.IsNull()) return std::nullopt;
-    key.push_back(v);
-  }
-  return key;
-}
-
 Row ConcatRows(const Row& left, const Row& right) {
   Row out;
   out.reserve(left.size() + right.size());
   out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
-  return out;
-}
-
-Row PadNullRight(const Row& left, size_t right_width) {
-  Row out = left;
-  out.resize(left.size() + right_width);
-  return out;
-}
-
-Row PadNullLeft(size_t left_width, const Row& right) {
-  Row out(left_width);
   out.insert(out.end(), right.begin(), right.end());
   return out;
 }
@@ -451,6 +434,127 @@ std::optional<Result<ColumnBatchPuller>> EnumerableProject::TryExecuteColumnar(
       }));
 }
 
+// ------------------------- kept columnar input ---------------------------
+
+namespace {
+
+/// Copies the active rows of `in` densely into `arena` (string bytes
+/// included) and boxed columns into a fresh pool, so the result holds no
+/// reference to `in`'s storage.
+ColumnBatch CompactBatch(const ColumnBatch& in, const ArenaPtr& arena) {
+  const size_t n = in.ActiveCount();
+  ColumnBatch out;
+  out.num_rows = n;
+  out.arena = arena;
+  out.cols.resize(in.cols.size());
+  for (size_t c = 0; c < in.cols.size(); ++c) {
+    const ColumnVector& src = in.cols[c];
+    ColumnVector& dst = out.cols[c];
+    dst.type = src.type;
+    if (src.type == PhysType::kValue) {
+      auto vals = std::make_shared<std::vector<Value>>();
+      vals->reserve(n);
+      for (size_t k = 0; k < n; ++k) {
+        vals->push_back(src.boxed[in.ActiveIndex(k)]);
+      }
+      dst.boxed = vals->data();
+      out.boxed_pool.push_back(std::move(vals));
+      continue;
+    }
+    if (src.nulls != nullptr) {
+      uint8_t* nulls = arena->AllocateArray<uint8_t>(n);
+      for (size_t k = 0; k < n; ++k) nulls[k] = src.nulls[in.ActiveIndex(k)];
+      dst.nulls = nulls;
+    }
+    switch (src.type) {
+      case PhysType::kInt64: {
+        int64_t* d = arena->AllocateArray<int64_t>(n);
+        for (size_t k = 0; k < n; ++k) d[k] = src.i64[in.ActiveIndex(k)];
+        dst.i64 = d;
+        break;
+      }
+      case PhysType::kDouble: {
+        double* d = arena->AllocateArray<double>(n);
+        for (size_t k = 0; k < n; ++k) d[k] = src.f64[in.ActiveIndex(k)];
+        dst.f64 = d;
+        break;
+      }
+      case PhysType::kBool: {
+        uint8_t* d = arena->AllocateArray<uint8_t>(n);
+        for (size_t k = 0; k < n; ++k) d[k] = src.b8[in.ActiveIndex(k)];
+        dst.b8 = d;
+        break;
+      }
+      case PhysType::kString: {
+        StringRef* d = arena->AllocateArray<StringRef>(n);
+        size_t total = 0;
+        for (size_t k = 0; k < n; ++k) total += src.str[in.ActiveIndex(k)].size;
+        char* bytes = arena->AllocateArray<char>(total);
+        for (size_t k = 0; k < n; ++k) {
+          const StringRef s = src.str[in.ActiveIndex(k)];
+          if (s.size > 0) std::memcpy(bytes, s.data, s.size);
+          d[k] = StringRef{bytes, s.size};
+          bytes += s.size;
+        }
+        dst.str = d;
+        break;
+      }
+      case PhysType::kValue:
+        break;
+    }
+  }
+  return out;
+}
+
+/// The input of a blocking columnar operator, kept as the batches it
+/// arrived in (zero-copy views keep their pins) and addressed by a dense
+/// position over their active rows. Rows are boxed only when emitted.
+struct KeptBatches {
+  std::vector<ColumnBatch> batches;
+  std::vector<size_t> starts;  // position of each batch's first active row
+  size_t size = 0;
+  // Storage of compacted batches. Small chunks: a top-N over a selective
+  // filter keeps a few rows, and a default-sized chunk per operator would
+  // cost more than the rows it holds.
+  ArenaPtr arena = std::make_shared<Arena>(size_t{1} << 14);
+
+  /// Keeps `batch`. One whose columns were written into its producer's
+  /// pooled arena is compacted into this one instead: holding it would pin
+  /// a whole arena chunk per batch (and keep the pool allocating fresh ones)
+  /// however few rows it carries. Views of table or decoded storage own no
+  /// arena data and are kept as they are.
+  void Add(ColumnBatch batch) {
+    starts.push_back(size);
+    size += batch.ActiveCount();
+    if (batch.arena != nullptr && batch.arena->bytes_used() > 0) {
+      batches.push_back(CompactBatch(batch, arena));
+    } else {
+      batches.push_back(std::move(batch));
+    }
+  }
+
+  /// Boxes the rows at positions order[*pos, end), at most `batch_size` of
+  /// them, advancing *pos.
+  RowBatch Emit(const std::vector<uint32_t>& order, size_t* pos, size_t end,
+                size_t batch_size) const {
+    RowBatch out;
+    const size_t n = std::min(batch_size, end - *pos);
+    out.reserve(n);
+    for (size_t k = *pos; k < *pos + n; ++k) {
+      const size_t p = order[k];
+      const size_t b = static_cast<size_t>(
+          std::upper_bound(starts.begin(), starts.end(), p) - starts.begin() -
+          1);
+      const ColumnBatch& batch = batches[b];
+      out.push_back(batch.GatherRow(batch.ActiveIndex(p - starts[b])));
+    }
+    *pos += n;
+    return out;
+  }
+};
+
+}  // namespace
+
 // -------------------------------- HashJoin --------------------------------
 
 RelNodePtr EnumerableHashJoin::Create(RelNodePtr left, RelNodePtr right,
@@ -471,9 +575,455 @@ RelNodePtr EnumerableHashJoin::Copy(RelTraitSet traits,
 
 namespace {
 
-/// Shared runtime state of a streaming join (hash or nested-loop): the
-/// build side is materialized on first pull; probe batches then flow
-/// through one at a time. The hash table stays empty for nested loops.
+/// The join key of `row` under one side of the equi-key list, or nullopt
+/// if any key column is NULL (NULL keys never match).
+std::optional<Row> JoinSideKey(const Row& row,
+                               const std::vector<std::pair<int, int>>& keys,
+                               bool left_side) {
+  Row key;
+  key.reserve(keys.size());
+  for (const auto& [l, r] : keys) {
+    const Value& v = row[static_cast<size_t>(left_side ? l : r)];
+    if (v.IsNull()) return std::nullopt;
+    key.push_back(v);
+  }
+  return key;
+}
+
+Row PadNullRight(const Row& left, size_t right_width) {
+  Row out = left;
+  out.resize(left.size() + right_width);
+  return out;
+}
+
+Row PadNullLeft(size_t left_width, const Row& right) {
+  Row out(left_width);
+  out.insert(out.end(), right.begin(), right.end());
+  return out;
+}
+
+/// True for the join types that emit the concatenated row per match
+/// (SEMI/ANTI decide emission per left row instead).
+bool JoinEmitsCombinedRows(JoinType join_type) {
+  return join_type != JoinType::kSemi && join_type != JoinType::kAnti;
+}
+
+/// True for the join types whose probe rows are decided once all their
+/// matches ran: LEFT/FULL pad an unmatched row, SEMI keeps a matched one,
+/// ANTI an unmatched one.
+bool JoinDecidesPerLeftRow(JoinType join_type) {
+  return join_type != JoinType::kInner && join_type != JoinType::kRight;
+}
+
+/// True for the join types that emit unmatched build rows at the end.
+bool JoinEmitsUnmatchedRight(JoinType join_type) {
+  return join_type == JoinType::kRight || join_type == JoinType::kFull;
+}
+
+/// Emission decided once per probed left row, after its matches ran.
+void JoinEmitPerLeftRow(JoinType join_type, bool matched, Row&& lrow,
+                        size_t right_width, RowBatch* out) {
+  switch (join_type) {
+    case JoinType::kLeft:
+    case JoinType::kFull:
+      if (!matched) out->push_back(PadNullRight(lrow, right_width));
+      return;
+    case JoinType::kSemi:
+      if (matched) out->push_back(std::move(lrow));
+      return;
+    case JoinType::kAnti:
+      if (!matched) out->push_back(std::move(lrow));
+      return;
+    default:
+      return;
+  }
+}
+
+/// True when every residual (non-equi) join conjunct passes on `combined`.
+Result<bool> ResidualPasses(const std::vector<RexNodePtr>& remaining,
+                            const Row& combined) {
+  for (const RexNodePtr& pred : remaining) {
+    auto pass = RexInterpreter::EvalPredicate(pred, combined);
+    if (!pass.ok() || !pass.value()) return pass;
+  }
+  return true;
+}
+
+// The columnar hash join. The build (right) side keeps its batches, and
+// its key columns resolve to KeyTable ids; the rows of each id are kept in
+// CSR order (insertion order within a key). A probe batch's key columns are
+// hashed and looked up in one Find pass, and its matches expand into a list
+// of (probe row, build row) pairs — at most batch_size per output batch —
+// from which only the output columns are gathered. The output order is the
+// row reference's: probe order, build insertion order within a key, then
+// the unmatched build rows.
+
+/// Item marker: the probe row's chain of candidate pairs is complete, so a
+/// per-row decision (LEFT/FULL pad, SEMI keep, ANTI keep) can be taken.
+constexpr uint32_t kRowEnd = kNullRow - 1;
+
+struct ColumnarJoinState {
+  // Plan constants.
+  JoinType join_type = JoinType::kInner;
+  std::vector<int> left_keys;
+  std::vector<int> right_keys;
+  std::vector<RexNodePtr> remaining;
+  std::vector<FusedExpr> residual;  // `remaining`, fused
+  size_t batch_size = 1;
+  size_t left_width = 0;
+  std::vector<PhysType> left_types;  // of NULL left cells in the tail
+
+  // Build side. Build rows are numbered in arrival order.
+  ColumnBatchPuller right_pull;  // dropped once drained
+  bool built = false;
+  KeyTable keys{1, /*null_keys_match=*/false};
+  std::shared_ptr<KeptBatches> build;  // pinned by every output batch
+  std::vector<uint32_t> batch_of;  // build row -> kept batch
+  std::vector<uint32_t> row_of;    // build row -> physical row in it
+  std::vector<std::vector<ColumnVector>> build_cols;  // [column][batch]
+  std::vector<PhysType> right_types;  // of the columns of an empty build
+  std::vector<uint32_t> first;   // rows of key id: chain[first[id], first[id+1])
+  std::vector<uint32_t> chain;
+  std::vector<uint8_t> matched;  // RIGHT/FULL: build row had a passing pair
+
+  // Probe side: the current batch and the cursor into its pairs.
+  ColumnBatchPuller left_pull;
+  bool probe_done = false;
+  ColumnBatch probe;
+  const std::vector<uint32_t>* ids = nullptr;  // key id per active row
+  size_t k = 0;  // active row whose chain is being expanded
+  size_t j = 0;  // next candidate of that chain
+  bool row_matched = false;  // row k already had a passing pair
+  size_t tail_pos = 0;       // next build row of the unmatched tail
+
+  // Per-chunk scratch.
+  std::vector<uint32_t> item_probe, item_build;  // candidates and row ends
+  std::vector<uint8_t> pass;
+  std::vector<uint32_t> out_probe, out_build;
+  std::vector<uint32_t> scatter;  // build row per physical probe row
+  std::vector<uint32_t> gather_batch, gather_row;  // located build rows
+  ArenaPool pool;
+};
+
+/// Drains the build side: keeps its batches, resolves their keys (NULL
+/// keys get none and never match) and lays out the CSR chains.
+Status BuildJoinSide(ColumnarJoinState* st) {
+  st->build = std::make_shared<KeptBatches>();
+  KeptBatches& kept = *st->build;
+  std::vector<uint32_t> ids;
+  for (;;) {
+    CALCITE_ASSIGN_OR_RETURN(ColumnBatch batch, st->right_pull());
+    if (batch.AtEnd()) break;
+    const std::vector<uint32_t>& batch_ids =
+        st->keys.Resolve(batch, st->right_keys);
+    ids.insert(ids.end(), batch_ids.begin(), batch_ids.end());
+    kept.Add(std::move(batch));
+    const ColumnBatch& added = kept.batches.back();
+    const uint32_t b = static_cast<uint32_t>(kept.batches.size() - 1);
+    for (size_t k = 0; k < added.ActiveCount(); ++k) {
+      st->batch_of.push_back(b);
+      st->row_of.push_back(static_cast<uint32_t>(added.ActiveIndex(k)));
+    }
+  }
+  st->right_pull = nullptr;  // releases a parallel input's workers
+  if (ids.size() >= kRowEnd) {
+    return Status::RuntimeError("hash join build side exceeds 2^32 rows");
+  }
+  st->build_cols.resize(st->right_types.size());
+  for (size_t c = 0; c < st->build_cols.size(); ++c) {
+    for (const ColumnBatch& batch : kept.batches) {
+      st->build_cols[c].push_back(batch.cols[c]);
+    }
+    if (kept.batches.empty()) {
+      st->build_cols[c].emplace_back();
+      st->build_cols[c][0].type = st->right_types[c];
+    }
+  }
+  st->first.assign(st->keys.size() + 1, 0);
+  for (uint32_t id : ids) {
+    if (id != KeyTable::kNoId) ++st->first[id + 1];
+  }
+  for (size_t id = 0; id < st->keys.size(); ++id) {
+    st->first[id + 1] += st->first[id];
+  }
+  st->chain.resize(st->first.back());
+  std::vector<uint32_t> fill(st->first.begin(), st->first.end() - 1);
+  for (size_t p = 0; p < ids.size(); ++p) {
+    if (ids[p] != KeyTable::kNoId) {
+      st->chain[fill[ids[p]]++] = static_cast<uint32_t>(p);
+    }
+  }
+  if (JoinEmitsUnmatchedRight(st->join_type)) {
+    st->matched.assign(ids.size(), 0);
+  }
+  st->built = true;
+  return Status::OK();
+}
+
+/// Appends the build columns at build rows build_rows[0..n) (NULL where
+/// kNullRow) to `out`, which then pins the build side.
+void AppendBuildColumns(ColumnarJoinState* st, const uint32_t* build_rows,
+                        size_t n, ColumnBatch* out) {
+  const bool one_batch = st->build->batches.size() <= 1;
+  st->gather_batch.resize(n);
+  st->gather_row.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t p = build_rows[k];
+    st->gather_batch[k] = p == kNullRow ? 0 : st->batch_of[p];
+    st->gather_row[k] = p == kNullRow ? kNullRow : st->row_of[p];
+  }
+  for (const std::vector<ColumnVector>& srcs : st->build_cols) {
+    AppendGatheredColumn(srcs.data(), srcs.size(),
+                         one_batch ? nullptr : st->gather_batch.data(),
+                         st->gather_row.data(), n, out);
+  }
+  out->pins.push_back(st->build);
+}
+
+/// A dense batch of `n` joined rows: left cells from `probe` at probe_rows
+/// (or `left_types` NULLs where kNullRow), right cells from the build side
+/// at build_rows (NULL where kNullRow).
+ColumnBatch GatherJoined(ColumnarJoinState* st, const ColumnBatch* probe,
+                         const uint32_t* probe_rows,
+                         const uint32_t* build_rows, size_t n) {
+  ColumnBatch out;
+  out.num_rows = n;
+  out.arena = st->pool.Acquire();
+  out.cols.reserve(st->left_width + st->build_cols.size());
+  for (size_t c = 0; c < st->left_width; ++c) {
+    ColumnVector nulls;
+    nulls.type = st->left_types[c];
+    AppendGatheredColumn(probe != nullptr ? &probe->cols[c] : &nulls, 1,
+                         nullptr, probe_rows, n, &out);
+  }
+  AppendBuildColumns(st, build_rows, n, &out);
+  if (probe != nullptr) out.ShareStorage(*probe);
+  return out;
+}
+
+/// Boxes build row `p`.
+Row BuildRow(const ColumnarJoinState& st, uint32_t p) {
+  return st.build->batches[st.batch_of[p]].GatherRow(st.row_of[p]);
+}
+
+/// Expands the current probe batch from the cursor into at most batch_size
+/// items — candidate pairs and, for the join types that decide per probe
+/// row, one row-end marker per row — each of which yields at most one
+/// output row.
+void NextItems(ColumnarJoinState* st) {
+  st->item_probe.clear();
+  st->item_build.clear();
+  const size_t active = st->probe.ActiveCount();
+  const bool per_row = JoinDecidesPerLeftRow(st->join_type);
+  // Without a residual the first candidate decides a SEMI/ANTI row.
+  const bool first_only =
+      st->residual.empty() &&
+      (st->join_type == JoinType::kSemi || st->join_type == JoinType::kAnti);
+  // A SEMI row whose pair passed in an earlier chunk needs no more pairs.
+  bool skip_rest = st->join_type == JoinType::kSemi && st->row_matched;
+  while (st->k < active && st->item_probe.size() < st->batch_size) {
+    const uint32_t row = static_cast<uint32_t>(st->probe.ActiveIndex(st->k));
+    const uint32_t id = (*st->ids)[st->k];
+    size_t len = 0;
+    if (id != KeyTable::kNoId && !skip_rest) {
+      len = st->first[id + 1] - st->first[id];
+      if (first_only) len = std::min<size_t>(len, 1);
+    }
+    if (st->j < len) {
+      st->item_probe.push_back(row);
+      st->item_build.push_back(st->chain[st->first[id] + st->j++]);
+      continue;
+    }
+    if (per_row) {
+      st->item_probe.push_back(row);
+      st->item_build.push_back(kRowEnd);
+    }
+    ++st->k;
+    st->j = 0;
+    skip_rest = false;
+  }
+}
+
+/// Evaluates the residual conjuncts over the current items' candidate pairs
+/// into st->pass. A SEMI join's row stops at its first passing pair in the
+/// reference; the batch evaluation may also reach later pairs, so when it
+/// fails the pairs are re-run in order, per pair and stopping each row at
+/// its first pass, which raises exactly the errors the reference raises.
+Status EvalResidual(ColumnarJoinState* st) {
+  const size_t n = st->item_probe.size();
+  st->pass.assign(n, 1);
+  if (st->residual.empty()) return Status::OK();
+  std::vector<uint32_t> pairs;  // item index of each candidate pair
+  for (size_t t = 0; t < n; ++t) {
+    if (st->item_build[t] != kRowEnd) pairs.push_back(static_cast<uint32_t>(t));
+  }
+  if (pairs.empty()) return Status::OK();
+  std::vector<uint32_t> probe_rows(pairs.size());
+  std::vector<uint32_t> build_rows(pairs.size());
+  for (size_t s = 0; s < pairs.size(); ++s) {
+    probe_rows[s] = st->item_probe[pairs[s]];
+    build_rows[s] = st->item_build[pairs[s]];
+  }
+  ColumnBatch cand = GatherJoined(st, &st->probe, probe_rows.data(),
+                                 build_rows.data(), pairs.size());
+  cand.has_sel = true;
+  cand.sel.resize(pairs.size());
+  for (size_t s = 0; s < pairs.size(); ++s) {
+    cand.sel[s] = static_cast<uint32_t>(s);
+  }
+  ArenaPtr scratch = st->pool.Acquire();
+  Status status = Status::OK();
+  for (FusedExpr& pred : st->residual) {
+    if (cand.sel.empty()) break;
+    status = pred.NarrowSelection(cand, scratch, &cand.sel);
+    if (!status.ok()) break;
+  }
+  if (status.ok()) {
+    for (uint32_t t : pairs) st->pass[t] = 0;
+    for (uint32_t s : cand.sel) st->pass[pairs[s]] = 1;
+    return Status::OK();
+  }
+  if (st->join_type != JoinType::kSemi) return status;
+  bool matched = st->row_matched;
+  for (size_t t = 0; t < n; ++t) {
+    if (st->item_build[t] == kRowEnd) {
+      matched = false;
+      continue;
+    }
+    st->pass[t] = 0;
+    if (matched) continue;
+    const Row combined = ConcatRows(st->probe.GatherRow(st->item_probe[t]),
+                                    BuildRow(*st, st->item_build[t]));
+    CALCITE_ASSIGN_OR_RETURN(bool pass,
+                             ResidualPasses(st->remaining, combined));
+    if (pass) {
+      st->pass[t] = 1;
+      matched = true;
+    }
+  }
+  return Status::OK();
+}
+
+/// The output of the current items: applies the join type to the items'
+/// pairs (after the residual) and gathers the emitted rows. An empty batch
+/// means these items emitted nothing.
+Result<ColumnBatch> EmitItems(ColumnarJoinState* st) {
+  CALCITE_RETURN_IF_ERROR(EvalResidual(st));
+  const JoinType jt = st->join_type;
+  st->out_probe.clear();
+  st->out_build.clear();
+  bool matched = st->row_matched;
+  for (size_t t = 0; t < st->item_probe.size(); ++t) {
+    const uint32_t row = st->item_probe[t];
+    const uint32_t p = st->item_build[t];
+    if (p == kRowEnd) {
+      if (jt == JoinType::kSemi ? matched : !matched) {
+        st->out_probe.push_back(row);
+        st->out_build.push_back(kNullRow);
+      }
+      matched = false;
+      continue;
+    }
+    if (st->pass[t] == 0) continue;
+    matched = true;
+    if (!st->matched.empty()) st->matched[p] = 1;
+    if (JoinEmitsCombinedRows(jt)) {
+      st->out_probe.push_back(row);
+      st->out_build.push_back(p);
+    }
+  }
+  st->row_matched = matched;
+  const size_t n = st->out_probe.size();
+  if (n == 0) return ColumnBatch{};
+
+  const ColumnBatch& probe = st->probe;
+  const bool ascending =
+      std::adjacent_find(st->out_probe.begin(), st->out_probe.end(),
+                         std::greater_equal<uint32_t>()) ==
+      st->out_probe.end();
+  if (!JoinEmitsCombinedRows(jt)) {
+    // SEMI/ANTI: the probe batch itself, narrowed by a selection.
+    ColumnBatch out = probe;
+    out.sel = st->out_probe;
+    out.has_sel = true;
+    return out;
+  }
+  const size_t right_width = st->build_cols.size();
+  if (ascending &&
+      right_width * probe.num_rows <= (st->left_width + right_width) * n) {
+    // Each probe row emits at most once: its columns are aliased and the
+    // build columns are gathered to the probe's physical row positions.
+    st->scatter.assign(probe.num_rows, kNullRow);
+    for (size_t t = 0; t < n; ++t) {
+      st->scatter[st->out_probe[t]] = st->out_build[t];
+    }
+    ColumnBatch out;
+    out.num_rows = probe.num_rows;
+    out.arena = st->pool.Acquire();
+    out.cols = probe.cols;
+    AppendBuildColumns(st, st->scatter.data(), probe.num_rows, &out);
+    out.ShareStorage(probe);
+    if (n < probe.num_rows) {
+      out.sel = st->out_probe;
+      out.has_sel = true;
+    }
+    return out;
+  }
+  return GatherJoined(st, &probe, st->out_probe.data(), st->out_build.data(),
+                      n);
+}
+
+/// The next batch of unmatched build rows, NULL-extended on the left
+/// (RIGHT/FULL); empty once they are exhausted.
+ColumnBatch EmitUnmatchedTail(ColumnarJoinState* st) {
+  st->out_build.clear();
+  const size_t rows = st->batch_of.size();
+  while (st->tail_pos < rows && st->out_build.size() < st->batch_size) {
+    const size_t p = st->tail_pos++;
+    if (st->matched[p] == 0) st->out_build.push_back(static_cast<uint32_t>(p));
+  }
+  const size_t n = st->out_build.size();
+  if (n == 0) return ColumnBatch{};
+  st->out_probe.assign(n, kNullRow);
+  return GatherJoined(st, nullptr, st->out_probe.data(), st->out_build.data(),
+                      n);
+}
+
+/// One pull of the columnar join.
+Result<ColumnBatch> PullJoined(ColumnarJoinState* st) {
+  if (!st->built) CALCITE_RETURN_IF_ERROR(BuildJoinSide(st));
+  for (;;) {
+    if (st->ids != nullptr && st->k < st->probe.ActiveCount()) {
+      NextItems(st);
+      CALCITE_ASSIGN_OR_RETURN(ColumnBatch out, EmitItems(st));
+      if (!out.AtEnd()) return out;
+      continue;
+    }
+    if (st->probe_done) break;
+    CALCITE_ASSIGN_OR_RETURN(ColumnBatch batch, st->left_pull());
+    if (batch.AtEnd()) {
+      st->probe_done = true;
+      st->ids = nullptr;
+      st->probe = ColumnBatch{};
+      continue;
+    }
+    st->probe = std::move(batch);
+    for (size_t c = 0; c < st->left_width; ++c) {
+      st->left_types[c] = st->probe.cols[c].type;
+    }
+    st->ids = &st->keys.Find(st->probe, st->left_keys);
+    st->k = 0;
+    st->j = 0;
+    st->row_matched = false;
+  }
+  if (JoinEmitsUnmatchedRight(st->join_type)) return EmitUnmatchedTail(st);
+  return ColumnBatch{};
+}
+
+/// State of the row reference join (hash or nested-loop), used with
+/// enable_columnar off: the build side is boxed into rows on first pull;
+/// probe batches then flow through one at a time. The hash table stays
+/// empty for nested loops.
 struct JoinExecState {
   bool built = false;
   std::vector<Row> right_data;
@@ -519,8 +1069,9 @@ Status DrainRightSide(const RowBatchPuller& right_pull, JoinExecState* state) {
   return Status::OK();
 }
 
-/// Build phase of the hash join: drains the right side and hashes it on its
-/// key columns (rows with a NULL key never match and stay unhashed).
+/// Build phase of the reference hash join: drains the right side and
+/// hashes it on its key columns (rows with a NULL key never match and stay
+/// unhashed).
 Status BuildHashSide(const RowBatchPuller& right_pull,
                      const std::vector<std::pair<int, int>>& keys,
                      JoinExecState* state) {
@@ -533,65 +1084,12 @@ Status BuildHashSide(const RowBatchPuller& right_pull,
   return Status::OK();
 }
 
-/// True when every residual (non-equi) join conjunct passes on `combined`.
-Result<bool> ResidualPasses(const std::vector<RexNodePtr>& remaining,
-                            const Row& combined) {
-  for (const RexNodePtr& pred : remaining) {
-    auto pass = RexInterpreter::EvalPredicate(pred, combined);
-    if (!pass.ok() || !pass.value()) return pass;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool JoinEmitsCombinedRows(JoinType join_type) {
-  switch (join_type) {
-    case JoinType::kInner:
-    case JoinType::kLeft:
-    case JoinType::kRight:
-    case JoinType::kFull:
-      return true;
-    case JoinType::kSemi:
-    case JoinType::kAnti:
-      return false;
-  }
-  return false;
-}
-
-bool JoinEmitsLeftRow(JoinType join_type, bool matched) {
-  switch (join_type) {
-    case JoinType::kLeft:
-    case JoinType::kFull:
-    case JoinType::kAnti:
-      return !matched;
-    case JoinType::kSemi:
-      return matched;
-    default:
-      return false;  // inner/right need no per-left-row emission
-  }
-}
-
-void JoinEmitPerLeftRow(JoinType join_type, bool matched, Row&& lrow,
-                        size_t right_width, RowBatch* out) {
-  if (!JoinEmitsLeftRow(join_type, matched)) return;
-  if (join_type == JoinType::kLeft || join_type == JoinType::kFull) {
-    out->push_back(PadNullRight(lrow, right_width));
-  } else {
-    out->push_back(std::move(lrow));
-  }
-}
-
-namespace {
-
 /// The next batch of NULL-padded unmatched build rows (RIGHT/FULL OUTER),
 /// empty when exhausted or not applicable to the join type.
 RowBatch EmitUnmatchedRight(JoinType join_type, JoinExecState* state,
                             size_t left_width, size_t batch_size) {
   RowBatch out;
-  if (join_type != JoinType::kRight && join_type != JoinType::kFull) {
-    return out;
-  }
+  if (!JoinEmitsUnmatchedRight(join_type)) return out;
   while (state->right_emit_pos < state->right_data.size() &&
          out.size() < batch_size) {
     size_t i = state->right_emit_pos++;
@@ -604,11 +1102,55 @@ RowBatch EmitUnmatchedRight(JoinType join_type, JoinExecState* state,
 
 }  // namespace
 
+std::optional<Result<ColumnBatchPuller>> EnumerableHashJoin::TryExecuteColumnar(
+    const ExecOptions& opts) const {
+  if (!opts.enable_columnar) return std::nullopt;
+  auto st = std::make_shared<ColumnarJoinState>();
+  std::vector<std::pair<int, int>> keys;
+  if (!AnalyzeEquiKeys(&keys, &st->remaining)) {
+    return Result<ColumnBatchPuller>(Status::PlanError(
+        "EnumerableHashJoin requires at least one equi-join key"));
+  }
+  for (const auto& [l, r] : keys) {
+    st->left_keys.push_back(l);
+    st->right_keys.push_back(r);
+  }
+  st->keys = KeyTable(keys.size(), /*null_keys_match=*/false);
+  for (const RexNodePtr& pred : st->remaining) {
+    st->residual.emplace_back(pred, opts.enable_fusion);
+  }
+  st->join_type = join_type_;
+  st->batch_size = NormalizedBatchSize(opts);
+  const RelDataType& left_type = *input(0)->row_type();
+  st->left_width = left_type.fields().size();
+  for (const RelDataTypeField& field : left_type.fields()) {
+    st->left_types.push_back(PhysTypeForRel(*field.type));
+  }
+  for (const RelDataTypeField& field : input(1)->row_type()->fields()) {
+    st->right_types.push_back(PhysTypeForRel(*field.type));
+  }
+  auto right = LiftToColumns(*input(1), opts);
+  if (!right.ok()) return Result<ColumnBatchPuller>(right.status());
+  st->right_pull = std::move(right).value();
+  auto left = LiftToColumns(*input(0), opts);
+  if (!left.ok()) return Result<ColumnBatchPuller>(left.status());
+  st->left_pull = std::move(left).value();
+  RelNodePtr self = shared_from_this();  // pins the row types and residual
+  return Result<ColumnBatchPuller>(
+      ColumnBatchPuller([self, st]() -> Result<ColumnBatch> {
+        return PullJoined(st.get());
+      }));
+}
+
 Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
     const ExecOptions& opts) const {
-  if (auto parallel = TryExecuteParallel(*this, opts)) {
-    return std::move(*parallel);
+  if (auto columnar = TryExecuteColumnar(opts)) {
+    if (!columnar->ok()) return columnar->status();
+    return ColumnarToRowPuller(shared_from_this(),
+                               std::move(*columnar).value());
   }
+  // Reference path: boxed build rows in a Row-keyed hash table, probed by
+  // boxed left rows; residuals run per combined row.
   auto keys = std::make_shared<std::vector<std::pair<int, int>>>();
   auto remaining = std::make_shared<std::vector<RexNodePtr>>();
   if (!AnalyzeEquiKeys(keys.get(), remaining.get())) {
@@ -617,6 +1159,8 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
   }
   auto right = input(1)->ExecuteBatched(opts);
   if (!right.ok()) return right.status();
+  auto left = input(0)->ExecuteBatched(opts);
+  if (!left.ok()) return left.status();
 
   RelNodePtr self = shared_from_this();
   const JoinType join_type = join_type_;
@@ -625,94 +1169,6 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
   const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<JoinExecState>();
   RowBatchPuller right_pull = std::move(right).value();
-
-  // Columnar probe: when the probe side runs columnar, the join key is read
-  // straight off the raw columns and the full left row is boxed lazily —
-  // only probe rows that actually emit output pay the row gather.
-  if (auto left_columnar = input(0)->TryExecuteColumnar(opts)) {
-    if (!left_columnar->ok()) return left_columnar->status();
-    ColumnBatchPuller left_pull = std::move(*left_columnar).value();
-    return RowBatchPuller([self, keys, remaining, state, left_pull,
-                           right_pull, join_type, left_width, right_width,
-                           batch_size]() -> Result<RowBatch> {
-      if (!state->built) {
-        CALCITE_RETURN_IF_ERROR(BuildHashSide(right_pull, *keys, state.get()));
-      }
-      if (!state->pending.empty()) {
-        return FlushPending(state.get(), batch_size);
-      }
-
-      while (!state->left_done) {
-        auto batch = left_pull();
-        if (!batch.ok()) return batch.status();
-        ColumnBatch cols = std::move(batch).value();
-        if (cols.AtEnd()) {
-          state->left_done = true;
-          break;
-        }
-        RowBatch& out = state->pending;
-        const size_t active = cols.ActiveCount();
-        Row probe_key;  // reused across the batch
-        for (size_t k = 0; k < active; ++k) {
-          const size_t i = cols.ActiveIndex(k);
-          probe_key.clear();
-          bool null_key = false;
-          for (const auto& [l, r] : *keys) {
-            (void)r;
-            const ColumnVector& c = cols.cols[static_cast<size_t>(l)];
-            if (c.IsNullAt(i)) {
-              null_key = true;  // NULL keys never match
-              break;
-            }
-            probe_key.push_back(c.GetValue(i));
-          }
-          bool matched = false;
-          Row lrow;
-          bool have_lrow = false;
-          auto lrow_ref = [&]() -> Row& {
-            if (!have_lrow) {
-              lrow = cols.GatherRow(i);
-              have_lrow = true;
-            }
-            return lrow;
-          };
-          if (!null_key) {
-            auto it = state->table.find(probe_key);
-            if (it != state->table.end()) {
-              for (size_t ri : it->second) {
-                Row combined = ConcatRows(lrow_ref(), state->right_data[ri]);
-                auto pass = ResidualPasses(*remaining, combined);
-                if (!pass.ok()) return pass.status();
-                if (!pass.value()) continue;
-                matched = true;
-                state->right_matched[ri] = true;
-                if (JoinEmitsCombinedRows(join_type)) {
-                  out.push_back(std::move(combined));
-                }
-                if (join_type == JoinType::kSemi) break;
-              }
-            }
-          }
-          if (JoinEmitsLeftRow(join_type, matched)) {
-            JoinEmitPerLeftRow(join_type, matched, std::move(lrow_ref()),
-                               right_width, &out);
-          }
-        }
-        if (!out.empty()) return FlushPending(state.get(), batch_size);
-      }
-
-      RowBatch out =
-          EmitUnmatchedRight(join_type, state.get(), left_width, batch_size);
-      if (!out.empty()) return out;
-      return RowBatch{};
-    });
-  }
-
-  // Row probe over plain row batches: probe inputs that offer no columns
-  // (joins, aggregates, sorts — lifting those only to box them again costs
-  // more than it saves) and the reference path.
-  auto left = input(0)->ExecuteBatched(opts);
-  if (!left.ok()) return left.status();
   RowBatchPuller left_pull = std::move(left).value();
 
   return RowBatchPuller([self, keys, remaining, state, left_pull, right_pull,
@@ -1009,121 +1465,6 @@ struct SortState {
   std::vector<Row> data;
   size_t pos = 0;
   size_t end = 0;
-};
-
-/// Copies the active rows of `in` densely into `arena` (string bytes
-/// included) and boxed columns into a fresh pool, so the result holds no
-/// reference to `in`'s storage.
-ColumnBatch CompactBatch(const ColumnBatch& in, const ArenaPtr& arena) {
-  const size_t n = in.ActiveCount();
-  ColumnBatch out;
-  out.num_rows = n;
-  out.arena = arena;
-  out.cols.resize(in.cols.size());
-  for (size_t c = 0; c < in.cols.size(); ++c) {
-    const ColumnVector& src = in.cols[c];
-    ColumnVector& dst = out.cols[c];
-    dst.type = src.type;
-    if (src.type == PhysType::kValue) {
-      auto vals = std::make_shared<std::vector<Value>>();
-      vals->reserve(n);
-      for (size_t k = 0; k < n; ++k) {
-        vals->push_back(src.boxed[in.ActiveIndex(k)]);
-      }
-      dst.boxed = vals->data();
-      out.boxed_pool.push_back(std::move(vals));
-      continue;
-    }
-    if (src.nulls != nullptr) {
-      uint8_t* nulls = arena->AllocateArray<uint8_t>(n);
-      for (size_t k = 0; k < n; ++k) nulls[k] = src.nulls[in.ActiveIndex(k)];
-      dst.nulls = nulls;
-    }
-    switch (src.type) {
-      case PhysType::kInt64: {
-        int64_t* d = arena->AllocateArray<int64_t>(n);
-        for (size_t k = 0; k < n; ++k) d[k] = src.i64[in.ActiveIndex(k)];
-        dst.i64 = d;
-        break;
-      }
-      case PhysType::kDouble: {
-        double* d = arena->AllocateArray<double>(n);
-        for (size_t k = 0; k < n; ++k) d[k] = src.f64[in.ActiveIndex(k)];
-        dst.f64 = d;
-        break;
-      }
-      case PhysType::kBool: {
-        uint8_t* d = arena->AllocateArray<uint8_t>(n);
-        for (size_t k = 0; k < n; ++k) d[k] = src.b8[in.ActiveIndex(k)];
-        dst.b8 = d;
-        break;
-      }
-      case PhysType::kString: {
-        StringRef* d = arena->AllocateArray<StringRef>(n);
-        size_t total = 0;
-        for (size_t k = 0; k < n; ++k) total += src.str[in.ActiveIndex(k)].size;
-        char* bytes = arena->AllocateArray<char>(total);
-        for (size_t k = 0; k < n; ++k) {
-          const StringRef s = src.str[in.ActiveIndex(k)];
-          if (s.size > 0) std::memcpy(bytes, s.data, s.size);
-          d[k] = StringRef{bytes, s.size};
-          bytes += s.size;
-        }
-        dst.str = d;
-        break;
-      }
-      case PhysType::kValue:
-        break;
-    }
-  }
-  return out;
-}
-
-/// The input of a blocking columnar operator, kept as the batches it
-/// arrived in (zero-copy views keep their pins) and addressed by a dense
-/// position over their active rows. Rows are boxed only when emitted.
-struct KeptBatches {
-  std::vector<ColumnBatch> batches;
-  std::vector<size_t> starts;  // position of each batch's first active row
-  size_t size = 0;
-  // Storage of compacted batches. Small chunks: a top-N over a selective
-  // filter keeps a few rows, and a default-sized chunk per operator would
-  // cost more than the rows it holds.
-  ArenaPtr arena = std::make_shared<Arena>(size_t{1} << 14);
-
-  /// Keeps `batch`. One whose columns were written into its producer's
-  /// pooled arena is compacted into this one instead: holding it would pin
-  /// a whole arena chunk per batch (and keep the pool allocating fresh ones)
-  /// however few rows it carries. Views of table or decoded storage own no
-  /// arena data and are kept as they are.
-  void Add(ColumnBatch batch) {
-    starts.push_back(size);
-    size += batch.ActiveCount();
-    if (batch.arena != nullptr && batch.arena->bytes_used() > 0) {
-      batches.push_back(CompactBatch(batch, arena));
-    } else {
-      batches.push_back(std::move(batch));
-    }
-  }
-
-  /// Boxes the rows at positions order[*pos, end), at most `batch_size` of
-  /// them, advancing *pos.
-  RowBatch Emit(const std::vector<uint32_t>& order, size_t* pos, size_t end,
-                size_t batch_size) const {
-    RowBatch out;
-    const size_t n = std::min(batch_size, end - *pos);
-    out.reserve(n);
-    for (size_t k = *pos; k < *pos + n; ++k) {
-      const size_t p = order[k];
-      const size_t b = static_cast<size_t>(
-          std::upper_bound(starts.begin(), starts.end(), p) - starts.begin() -
-          1);
-      const ColumnBatch& batch = batches[b];
-      out.push_back(batch.GatherRow(batch.ActiveIndex(p - starts[b])));
-    }
-    *pos += n;
-    return out;
-  }
 };
 
 /// One sort key pulled out of every kept batch into a single array indexed

@@ -85,11 +85,15 @@ class EnumerableProject final : public Project {
 /// Hash join over the equi-key part of the condition; any residual
 /// non-equi conjuncts are evaluated on each matched pair. "The
 /// EnumerableJoin operator implements joins by collecting rows from its
-/// child nodes and joining on the desired attributes" (§5). The probe runs
-/// columnar (keys read off the columns, left rows boxed only when they
-/// emit) when the probe input offers columns — a Filter, Project or
-/// columnar scan — and otherwise over plain row batches, which is also the
-/// reference path.
+/// child nodes and joining on the desired attributes" (§5). With
+/// enable_columnar on it never boxes a row: the build (right) side is kept
+/// as one dense ColumnBatch whose keys resolve to KeyTable ids, probe
+/// batches look their key columns up in one pass, and the output is
+/// gathered column by column from the matched (probe, build) pairs — outer
+/// NULL extension as null bytemaps, SEMI/ANTI as a selection over the probe
+/// batch, residuals through FusedExpr. Off, it boxes both sides into a
+/// Row-keyed hash table (the reference). Both emit rows in the same order:
+/// probe order, build order within a key, then unmatched build rows.
 class EnumerableHashJoin final : public Join {
  public:
   static RelNodePtr Create(RelNodePtr left, RelNodePtr right,
@@ -101,12 +105,16 @@ class EnumerableHashJoin final : public Join {
                   std::vector<RelNodePtr> inputs) const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
+  /// Columnar join over LiftToColumns's batches of both inputs. Returns a
+  /// puller whenever enable_columnar is on.
+  std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
+      const ExecOptions& opts) const override;
 
  private:
   using Join::Join;
 };
 
-/// Fallback join for arbitrary (non-equi) conditions.
+/// Join for conditions without an equi-key part.
 class EnumerableNestedLoopJoin final : public Join {
  public:
   static RelNodePtr Create(RelNodePtr left, RelNodePtr right,
@@ -232,29 +240,8 @@ class EnumerableInterpreter final : public Converter {
 };
 
 /// Builds the concatenated row of a join result (left fields then right
-/// fields), padding the missing side with NULLs for outer joins.
+/// fields).
 Row ConcatRows(const Row& left, const Row& right);
-Row PadNullRight(const Row& left, size_t right_width);
-Row PadNullLeft(size_t left_width, const Row& right);
-
-/// Join runtime helpers shared by the serial joins and the parallel
-/// partitioned hash join.
-///
-/// The join key of `row` under one side of the equi-key list, or nullopt
-/// if any key column is NULL (NULL keys never match).
-std::optional<Row> JoinSideKey(const Row& row,
-                               const std::vector<std::pair<int, int>>& keys,
-                               bool left_side);
-/// True for the join types that emit the concatenated row per match
-/// (SEMI/ANTI decide emission per left row instead).
-bool JoinEmitsCombinedRows(JoinType join_type);
-/// True when a probed left row emits on its own once its matches ran:
-/// LEFT/FULL pad an unmatched row, SEMI keeps a matched one, ANTI an
-/// unmatched one. Columnar probes ask this before gathering the row.
-bool JoinEmitsLeftRow(JoinType join_type, bool matched);
-/// Emission decided once per probed left row, after its matches ran.
-void JoinEmitPerLeftRow(JoinType join_type, bool matched, Row&& lrow,
-                        size_t right_width, RowBatch* out);
 
 }  // namespace calcite
 

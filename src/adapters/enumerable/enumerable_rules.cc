@@ -96,15 +96,19 @@ class EnumerableJoinRule final : public ConverterRule {
     if (left == nullptr || right == nullptr) return;
     std::vector<std::pair<int, int>> keys;
     std::vector<RexNodePtr> remaining;
+    // As in Calcite's EnumerableJoinRule, a condition with an equi-key part
+    // always becomes a hash join; only the rest run as nested loops. (A
+    // nested loop against a side estimated at one row can look cheaper, but
+    // it evaluates the whole condition on every boxed pair.)
     if (join.AnalyzeEquiKeys(&keys, &remaining)) {
       call->TransformTo(EnumerableHashJoin::Create(
-          left, right, join.condition(), join.join_type(), join.row_type()));
+          std::move(left), std::move(right), join.condition(),
+          join.join_type(), join.row_type()));
+    } else {
+      call->TransformTo(EnumerableNestedLoopJoin::Create(
+          std::move(left), std::move(right), join.condition(),
+          join.join_type(), join.row_type()));
     }
-    // The nested-loop alternative is always legal; the cost model discards
-    // it when a hash join is available and cheaper.
-    call->TransformTo(EnumerableNestedLoopJoin::Create(
-        std::move(left), std::move(right), join.condition(), join.join_type(),
-        join.row_type()));
   }
 };
 

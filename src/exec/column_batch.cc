@@ -1,6 +1,7 @@
 #include "exec/column_batch.h"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <utility>
 
@@ -609,13 +610,6 @@ uint64_t HashValue64(const Value& v) {
   return v.Hash();  // composite: only ever meets other boxed cells
 }
 
-uint64_t HashRowKey64(const Row& key) {
-  if (key.size() == 1) return HashValue64(key[0]);
-  uint64_t h = kKeyHashSeed;
-  for (const Value& v : key) h = FoldKeyHash(h, HashValue64(v));
-  return h;
-}
-
 void HashColumn(const ColumnVector& col, const uint32_t* sel, size_t n,
                 uint64_t* out) {
   switch (col.type) {
@@ -663,6 +657,145 @@ void HashColumn(const ColumnVector& col, const uint32_t* sel, size_t n,
       }
     }
   }
+}
+
+namespace {
+
+// `col` shifted forward by `base` rows (pointer-advance view; the result
+// must not outlive `col`'s storage).
+ColumnVector ShiftColumn(const ColumnVector& col, size_t base) {
+  ColumnVector v = col;
+  if (v.i64 != nullptr) v.i64 += base;
+  if (v.f64 != nullptr) v.f64 += base;
+  if (v.b8 != nullptr) v.b8 += base;
+  if (v.str != nullptr) v.str += base;
+  if (v.boxed != nullptr) v.boxed += base;
+  if (v.nulls != nullptr) v.nulls += base;
+  return v;
+}
+
+}  // namespace
+
+void HashKeyColumns(const ColumnBatch& batch, const std::vector<int>& cols,
+                    const uint32_t* sel, size_t base, size_t n, uint64_t* out,
+                    std::vector<uint64_t>* scratch) {
+  auto hash_column = [&](int c, uint64_t* dst) {
+    const ColumnVector& col = batch.cols[static_cast<size_t>(c)];
+    if (sel != nullptr || base == 0) {
+      HashColumn(col, sel, n, dst);
+    } else {
+      HashColumn(ShiftColumn(col, base), nullptr, n, dst);
+    }
+  };
+  if (cols.size() == 1) {
+    hash_column(cols[0], out);
+    return;
+  }
+  std::fill(out, out + n, kKeyHashSeed);
+  scratch->resize(n);
+  for (int c : cols) {
+    hash_column(c, scratch->data());
+    for (size_t j = 0; j < n; ++j) out[j] = FoldKeyHash(out[j], (*scratch)[j]);
+  }
+}
+
+namespace {
+
+/// The typed data pointer of `col` for T.
+template <typename T>
+const T* TypedData(const ColumnVector& col);
+template <>
+const int64_t* TypedData(const ColumnVector& col) { return col.i64; }
+template <>
+const double* TypedData(const ColumnVector& col) { return col.f64; }
+template <>
+const uint8_t* TypedData(const ColumnVector& col) { return col.b8; }
+template <>
+const StringRef* TypedData(const ColumnVector& col) { return col.str; }
+
+/// dst[k] = cell rows[k] of srcs[src_of[k]], or T{} where rows[k] is
+/// kNullRow.
+template <typename T>
+T* GatherCells(const ColumnVector* srcs, const uint32_t* src_of,
+               const uint32_t* rows, size_t n, bool has_null_rows,
+               Arena* arena) {
+  T* dst = arena->AllocateArray<T>(n);
+  if (src_of == nullptr) {
+    const T* src = TypedData<T>(srcs[0]);
+    if (has_null_rows) {
+      for (size_t k = 0; k < n; ++k) {
+        dst[k] = rows[k] == kNullRow ? T{} : src[rows[k]];
+      }
+    } else {
+      for (size_t k = 0; k < n; ++k) dst[k] = src[rows[k]];
+    }
+    return dst;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    dst[k] = rows[k] == kNullRow ? T{}
+                                 : TypedData<T>(srcs[src_of[k]])[rows[k]];
+  }
+  return dst;
+}
+
+}  // namespace
+
+void AppendGatheredColumn(const ColumnVector* srcs, size_t num_srcs,
+                          const uint32_t* src_of, const uint32_t* rows,
+                          size_t n, ColumnBatch* out) {
+  ColumnVector dst;
+  dst.type = srcs[0].type;
+  bool has_src_nulls = false;
+  for (size_t b = 0; b < num_srcs; ++b) {
+    if (srcs[b].type != dst.type) dst.type = PhysType::kValue;
+    has_src_nulls |= srcs[b].nulls != nullptr;
+  }
+  auto src = [&](size_t k) -> const ColumnVector& {
+    return srcs[src_of != nullptr ? src_of[k] : 0];
+  };
+  if (dst.type == PhysType::kValue) {
+    auto vals = std::make_shared<std::vector<Value>>(n);
+    for (size_t k = 0; k < n; ++k) {
+      if (rows[k] != kNullRow) (*vals)[k] = src(k).GetValue(rows[k]);
+    }
+    dst.boxed = vals->data();
+    out->boxed_pool.push_back(std::move(vals));
+    out->cols.push_back(dst);
+    return;
+  }
+  Arena* arena = out->arena.get();
+  const bool has_null_rows =
+      std::find(rows, rows + n, kNullRow) != rows + n;
+  if (has_null_rows || has_src_nulls) {
+    uint8_t* nulls = arena->AllocateArray<uint8_t>(n);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t r = rows[k];
+      const uint8_t* src_nulls = r == kNullRow ? nullptr : src(k).nulls;
+      nulls[k] = r == kNullRow ? 1 : (src_nulls != nullptr ? src_nulls[r] : 0);
+    }
+    dst.nulls = nulls;
+  }
+  switch (dst.type) {
+    case PhysType::kInt64:
+      dst.i64 = GatherCells<int64_t>(srcs, src_of, rows, n, has_null_rows,
+                                     arena);
+      break;
+    case PhysType::kDouble:
+      dst.f64 = GatherCells<double>(srcs, src_of, rows, n, has_null_rows,
+                                    arena);
+      break;
+    case PhysType::kBool:
+      dst.b8 = GatherCells<uint8_t>(srcs, src_of, rows, n, has_null_rows,
+                                    arena);
+      break;
+    case PhysType::kString:
+      dst.str = GatherCells<StringRef>(srcs, src_of, rows, n, has_null_rows,
+                                       arena);
+      break;
+    case PhysType::kValue:
+      break;
+  }
+  out->cols.push_back(dst);
 }
 
 }  // namespace calcite

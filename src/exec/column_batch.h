@@ -207,13 +207,10 @@ void NarrowByFusedRange(const FusedScanRange& range, const ColumnBatch& batch,
 /// back to Value::Hash (only ever compared against other boxed cells).
 uint64_t HashValue64(const Value& v);
 
-/// Hash of a join/group key row. A single-column key hashes exactly as
-/// HashValue64 of its one cell — the contract that lets typed column fast
-/// paths and boxed per-row paths probe the same table — and wider keys fold
-/// the per-cell hashes FNV-style, starting from kKeyHashSeed.
-uint64_t HashRowKey64(const Row& key);
-
-/// HashRowKey64's fold step, shared with column-at-a-time key hashers.
+/// Hash of a key tuple: a single-column key hashes exactly as HashValue64
+/// of its one cell — the contract that lets typed column fast paths and
+/// boxed paths probe the same table — and wider keys fold the per-cell
+/// hashes FNV-style with FoldKeyHash, starting from kKeyHashSeed.
 inline constexpr uint64_t kKeyHashSeed = 0xcbf29ce484222325ULL;
 inline uint64_t FoldKeyHash(uint64_t h, uint64_t cell_hash) {
   return (h ^ cell_hash) * 0x100000001b3ULL;
@@ -227,6 +224,15 @@ inline uint64_t FoldKeyHash(uint64_t h, uint64_t cell_hash) {
 void HashColumn(const ColumnVector& col, const uint32_t* sel, size_t n,
                 uint64_t* out);
 
+/// The key-tuple hash (see kKeyHashSeed) of columns `cols` of `batch`, for
+/// the rows sel[0..n) — or rows base..base+n-1 when `sel` is null — into
+/// out[0..n), hashed column-at-a-time: a single-column key is one
+/// HashColumn pass, wider keys fold one pass per column (`scratch` holds
+/// the per-cell hashes).
+void HashKeyColumns(const ColumnBatch& batch, const std::vector<int>& cols,
+                    const uint32_t* sel, size_t base, size_t n, uint64_t* out,
+                    std::vector<uint64_t>* scratch);
+
 /// Columnar leaf scan: yields zero-copy view batches of at most `batch_size`
 /// rows over `columns`, applying `predicates` on raw column storage and
 /// attaching the surviving selection to each batch (batches where nothing
@@ -239,6 +245,22 @@ ColumnBatchPuller ScanTableColumns(TableColumnsPtr columns, size_t batch_size,
                                    ScanPredicateList predicates,
                                    std::shared_ptr<const void> pin,
                                    bool fuse_ranges = true);
+
+/// Row index meaning "a NULL cell" in AppendGatheredColumn's index list.
+inline constexpr uint32_t kNullRow = 0xffffffffu;
+
+/// Appends to `out` the column whose cell k is row rows[k] of column
+/// srcs[src_of[k]] (srcs[0] when `src_of` is null), or NULL where rows[k]
+/// is kNullRow, for k in [0, n): the gather step of the hash join's output.
+/// Typed cells and the null bytemap are allocated from `out->arena`, boxed
+/// cells from a new `out->boxed_pool` entry; string cells keep pointing
+/// into the sources' storage, which `out` must keep alive (pins). Sources
+/// of different physical types gather into boxed Values. A source is read
+/// only at rows other than kNullRow, so a NULL-only column needs just
+/// srcs[0].type.
+void AppendGatheredColumn(const ColumnVector* srcs, size_t num_srcs,
+                          const uint32_t* src_of, const uint32_t* rows,
+                          size_t n, ColumnBatch* out);
 
 /// Boxes the *active* rows of `batch` into a compact RowBatch (the
 /// column-to-row conversion boundary used by unconverted consumers).

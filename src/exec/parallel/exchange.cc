@@ -10,10 +10,9 @@ namespace {
 /// then releases the start closure (which may hold the only other scheduler
 /// reference), and finally the scheduler itself, whose destructor joins the
 /// workers.
-template <typename BatchT>
 struct GatherState {
   std::shared_ptr<QueryCancelState> cancel;
-  std::shared_ptr<BasicExchangeQueue<BatchT>> queue;
+  std::shared_ptr<ColumnExchangeQueue> queue;
   std::function<std::shared_ptr<TaskScheduler>()> start;
   std::shared_ptr<TaskScheduler> scheduler;  // set by start() on first pull
   bool started = false;
@@ -29,63 +28,35 @@ struct GatherState {
   }
 };
 
-/// Shared gather loop; `to_rows` adapts the exchange's batch type to the
-/// dense RowBatches of the single-threaded pull protocol.
-template <typename BatchT, typename ToRows>
-RowBatchPuller MakeGatherPullerImpl(
+}  // namespace
+
+ColumnBatchPuller MakeColumnarGatherPuller(
     std::shared_ptr<QueryCancelState> cancel,
-    std::shared_ptr<BasicExchangeQueue<BatchT>> queue,
-    std::function<std::shared_ptr<TaskScheduler>()> start, ToRows to_rows) {
-  auto state = std::make_shared<GatherState<BatchT>>();
+    std::shared_ptr<ColumnExchangeQueue> queue,
+    std::function<std::shared_ptr<TaskScheduler>()> start) {
+  auto state = std::make_shared<GatherState>();
   state->cancel = std::move(cancel);
   state->queue = std::move(queue);
   state->start = std::move(start);
-  return [state, to_rows]() -> Result<RowBatch> {
-    if (state->finished) return RowBatch{};
+  return [state]() -> Result<ColumnBatch> {
+    if (state->finished) return ColumnBatch{};
     if (!state->started) {
       state->started = true;
       state->scheduler = state->start();
       state->start = nullptr;
     }
+    // Producers never push batches without live rows, so only
+    // end-of-stream or cancellation yields nothing.
     auto batch = state->queue->Pop();
-    if (batch.has_value()) {
-      RowBatch rows = to_rows(std::move(*batch));
-      // Producers never push batches without live rows, so an empty
-      // conversion only happens at end-of-stream.
-      if (!rows.empty()) return rows;
-    }
-    // End of stream or cancellation: wait for the workers to wind down so
-    // the error (if any) is final, then report it exactly once.
+    if (batch.has_value()) return std::move(*batch);
+    // Wait for the workers to wind down so the error (if any) is final,
+    // then report it exactly once.
     state->finished = true;
     if (state->scheduler != nullptr) state->scheduler->WaitIdle();
     Status status = state->cancel->status();
     if (!status.ok()) return status;
-    return RowBatch{};
+    return ColumnBatch{};
   };
-}
-
-}  // namespace
-
-RowBatchPuller MakeGatherPuller(
-    std::shared_ptr<QueryCancelState> cancel,
-    std::shared_ptr<ExchangeQueue> queue,
-    std::function<std::shared_ptr<TaskScheduler>()> start) {
-  return MakeGatherPullerImpl<RowBatch>(
-      std::move(cancel), std::move(queue), std::move(start),
-      [](RowBatch batch) { return batch; });
-}
-
-RowBatchPuller MakeColumnarGatherPuller(
-    std::shared_ptr<QueryCancelState> cancel,
-    std::shared_ptr<ColumnExchangeQueue> queue,
-    std::function<std::shared_ptr<TaskScheduler>()> start) {
-  return MakeGatherPullerImpl<ColumnBatch>(
-      std::move(cancel), std::move(queue), std::move(start),
-      [](ColumnBatch batch) {
-        RowBatch rows;
-        ColumnsToRows(batch, &rows);
-        return rows;
-      });
 }
 
 }  // namespace calcite

@@ -21,11 +21,10 @@ namespace calcite {
 /// producer fleet cannot materialize an unbounded result ahead of a slow
 /// consumer.
 ///
-/// The batch type is a template parameter because the exchange ships
-/// whatever the fragment's workers produce: ColumnBatches from pipeline
-/// workers — which move only column pointers and shared storage owners
-/// through the queue (zero-copy; cells are first materialized on the
-/// consumer side) — or the dense RowBatches a hash-join probe emits.
+/// Parallel fragments ship ColumnBatches (ColumnExchangeQueue), which move
+/// only column pointers and shared storage owners through the queue; the
+/// batch type is a template parameter so the queue's protocol can be
+/// exercised on its own with plain RowBatches (ExchangeQueue).
 template <typename BatchT>
 class BasicExchangeQueue {
  public:
@@ -100,30 +99,24 @@ class BasicExchangeQueue {
   std::condition_variable not_full_cv_;
 };
 
-/// The row exchange (join output) and the columnar exchange, which ships
-/// (columns, selection) pairs without touching cell data.
+/// The columnar exchange, which ships (columns, selection) pairs without
+/// touching cell data, and its row form.
 using ExchangeQueue = BasicExchangeQueue<RowBatch>;
 using ColumnExchangeQueue = BasicExchangeQueue<ColumnBatch>;
 
 /// The gather operator: wraps a parallel fragment — its cancel state,
-/// exchange queue, and worker fleet — as an ordinary RowBatchPuller.
-/// `start` is invoked on the first pull (lazy, matching the pipeline
-/// discipline that an enumeration never pulled costs nothing — no threads
-/// are spawned before then) and must return the TaskScheduler it submitted
-/// exactly `num_producers` worker tasks to, or nullptr if it cancelled the
-/// fragment instead. If the puller is destroyed before end-of-stream, the
-/// fragment is cancelled and its workers joined, so no worker outlives the
-/// pipeline.
-RowBatchPuller MakeGatherPuller(
-    std::shared_ptr<QueryCancelState> cancel,
-    std::shared_ptr<ExchangeQueue> queue,
-    std::function<std::shared_ptr<TaskScheduler>()> start);
-
-/// Columnar gather: identical protocol over a ColumnExchangeQueue. The
-/// popped batches' surviving rows are boxed into dense RowBatches here, on
-/// the consumer thread — the one row materialization point of a columnar
-/// parallel fragment.
-RowBatchPuller MakeColumnarGatherPuller(
+/// columnar exchange queue, and worker fleet — as an ordinary
+/// single-consumer ColumnBatchPuller that hands the workers' batches on
+/// unboxed (columnar consumers read them as they are; row consumers box
+/// them). A popped batch owns its storage — arenas and table pins — so it
+/// stays valid after the workers exit. `start` is invoked on the first pull
+/// (lazy, matching the pipeline discipline that an enumeration never pulled
+/// costs nothing — no threads are spawned before then) and must return the
+/// TaskScheduler it submitted exactly `num_producers` worker tasks to, or
+/// nullptr if it cancelled the fragment instead. If the puller is destroyed
+/// before end-of-stream, the fragment is cancelled and its workers joined,
+/// so no worker outlives the pipeline.
+ColumnBatchPuller MakeColumnarGatherPuller(
     std::shared_ptr<QueryCancelState> cancel,
     std::shared_ptr<ColumnExchangeQueue> queue,
     std::function<std::shared_ptr<TaskScheduler>()> start);

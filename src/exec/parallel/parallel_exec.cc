@@ -1,24 +1,20 @@
 #include "exec/parallel/parallel_exec.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "adapters/enumerable/columnar_agg.h"
-#include "adapters/enumerable/enumerable_rels.h"
 #include "exec/arena.h"
 #include "exec/column_batch.h"
 #include "exec/parallel/exchange.h"
 #include "exec/parallel/morsel.h"
 #include "exec/parallel/task_scheduler.h"
-#include "exec/simd.h"
 #include "rel/core.h"
 #include "rex/rex_fuse.h"
-#include "rex/rex_interpreter.h"
 
 namespace calcite {
 
@@ -183,7 +179,7 @@ Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
 
 /// The one per-worker reader of every parallel fragment: claims morsels,
 /// turns each into leaf ColumnBatches of at most batch_size rows, and runs
-/// the stage chain on them. Pipeline, aggregate and probe workers differ
+/// the stage chain on them. Pipeline and aggregate workers differ
 /// only in what they do with the batches Next() hands out.
 class MorselReader {
  public:
@@ -195,6 +191,10 @@ class MorselReader {
         cancel_(cancel),
         batch_size_(opts.batch_size),
         stages_(BuildFusedStages(src_->stages, opts.enable_fusion)) {}
+
+  /// Start of the first (lowest) morsel this reader claimed; SIZE_MAX
+  /// before its first claim.
+  size_t first_morsel() const { return first_morsel_; }
 
   /// The next batch with at least one live row. nullopt once the morsels
   /// run dry or the fragment is cancelled — a failure is recorded in the
@@ -235,6 +235,7 @@ class MorselReader {
       }
       std::optional<Morsel> morsel = morsels_->Next();
       if (!morsel.has_value()) return ColumnBatch{};
+      first_morsel_ = std::min(first_morsel_, morsel->begin);
       if (src_->columns != nullptr) {
         pos_ = morsel->begin;
         end_ = morsel->end;
@@ -257,6 +258,7 @@ class MorselReader {
   const size_t batch_size_;
   std::vector<FusedStage> stages_;
   ArenaPool scratch_pool_;
+  size_t first_morsel_ = SIZE_MAX;
   size_t pos_ = 0;  // row range of the claimed morsel (columnar leaf)
   size_t end_ = 0;
   RowBatchPuller unit_scan_;  // scan of the claimed unit (paged leaf)
@@ -267,8 +269,8 @@ class MorselReader {
 // ---------------------------------------------------------------------------
 
 /// Workers push their batches through the exchange without materializing a
-/// single row; the gather boxes survivors on the consumer thread.
-Result<RowBatchPuller> ExecutePipelineParallel(
+/// single row, and the gather hands them on as they are.
+Result<ColumnBatchPuller> ExecutePipelineParallel(
     std::shared_ptr<const FragmentSource> src, const ExecOptions& opts) {
   const size_t threads = opts.num_threads;
   auto cancel = std::make_shared<QueryCancelState>();
@@ -317,29 +319,39 @@ Result<RowBatchPuller> ExecuteAggregateParallel(
       // workers' writes before the merge reads the locals.
       const size_t threads = opts.num_threads;
       QueryCancelState cancel;
-      std::vector<std::unique_ptr<ColumnarAggBuilder>> locals;
+      // Each worker's builder with the first morsel it claimed.
+      std::vector<std::pair<size_t, std::unique_ptr<ColumnarAggBuilder>>>
+          locals;
       for (size_t t = 0; t < threads; ++t) {
-        locals.push_back(std::make_unique<ColumnarAggBuilder>(
-            node->group_keys(), node->agg_calls()));
+        locals.emplace_back(SIZE_MAX, std::make_unique<ColumnarAggBuilder>(
+                                          node->group_keys(),
+                                          node->agg_calls()));
       }
       {
         MorselSource morsels(src->morsel_count, src->morsel_size);
         TaskScheduler scheduler(threads);
         for (size_t t = 0; t < threads; ++t) {
-          ColumnarAggBuilder* local = locals[t].get();
+          auto* local = &locals[t];
           scheduler.Submit([&src, &morsels, &cancel, &opts, local]() {
             MorselReader reader(src, &morsels, &cancel, opts);
             while (auto batch = reader.Next()) {
-              Status status = local->Feed(*batch);
+              Status status = local->second->Feed(*batch);
               if (!status.ok()) cancel.Cancel(std::move(status));
             }
+            local->first = reader.first_morsel();
           });
         }
         scheduler.WaitIdle();
       }
       CALCITE_RETURN_IF_ERROR(cancel.status());
+      // Merging from the worker that began with the lowest morsel first
+      // gives each group the key cells of the first row a serial scan would
+      // see whenever that row lies in a worker's first morsel (Int(2) and
+      // Double(2.0) group together, but the group keeps one of them).
+      std::sort(locals.begin(), locals.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
       for (const auto& local : locals) {
-        CALCITE_RETURN_IF_ERROR(merged->MergeFrom(*local));
+        CALCITE_RETURN_IF_ERROR(merged->MergeFrom(*local.second));
       }
       *built = true;
     }
@@ -347,369 +359,37 @@ Result<RowBatchPuller> ExecuteAggregateParallel(
   });
 }
 
-// ---------------------------------------------------------------------------
-// Partitioned hash join
-// ---------------------------------------------------------------------------
-
-/// Hashes a block of extracted build-side join keys at once (HashRowKey64
-/// semantics). All-single-int64 blocks gather the raw keys into a scratch
-/// column and hash in SIMD lanes; everything else hashes per row.
-void HashKeyBlock(const std::vector<Row>& keys, std::vector<uint64_t>* out,
-                  std::vector<int64_t>* i64_scratch) {
-  const size_t n = keys.size();
-  out->resize(n);
-  bool single_int = n >= 8;
-  for (size_t j = 0; single_int && j < n; ++j) {
-    single_int = keys[j].size() == 1 && keys[j][0].is_int();
-  }
-  if (single_int) {
-    i64_scratch->resize(n);
-    for (size_t j = 0; j < n; ++j) (*i64_scratch)[j] = keys[j][0].AsInt();
-    simd::HashI64(i64_scratch->data(), n, out->data());
-    return;
-  }
-  for (size_t j = 0; j < n; ++j) (*out)[j] = HashRowKey64(keys[j]);
-}
-
-/// Probe-side counterpart of HashKeyBlock: HashRowKey64 of every live row's
-/// left join key, computed column-at-a-time off the key columns (HashColumn
-/// agrees with HashValue64 cell by cell, NULLs included).
-void HashKeyColumns(const ColumnBatch& batch,
-                    const std::vector<std::pair<int, int>>& keys,
-                    std::vector<uint64_t>* out,
-                    std::vector<uint64_t>* cell_scratch) {
-  const size_t n = batch.ActiveCount();
-  const uint32_t* sel = batch.has_sel ? batch.sel.data() : nullptr;
-  out->resize(n);
-  if (keys.size() == 1) {
-    HashColumn(batch.cols[static_cast<size_t>(keys[0].first)], sel, n,
-               out->data());
-    return;
-  }
-  out->assign(n, kKeyHashSeed);
-  cell_scratch->resize(n);
-  for (const auto& key : keys) {
-    HashColumn(batch.cols[static_cast<size_t>(key.first)], sel, n,
-               cell_scratch->data());
-    for (size_t j = 0; j < n; ++j) {
-      (*out)[j] = FoldKeyHash((*out)[j], (*cell_scratch)[j]);
-    }
-  }
-}
-
-/// One partition of the build-side table: build entries in insertion order
-/// plus a hash index over them. The index is keyed by the full 64-bit key
-/// hash (precomputed in blocks on both build and probe side); probes verify
-/// candidates with Row equality, so the hash only routes.
-struct BuildPartition {
-  std::vector<std::pair<Row, size_t>> entries;  // (key, build row index)
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index;
-};
-
-/// Shared read-only state of a parallel join probe: the drained build side,
-/// the per-partition hash tables (each written by exactly one build task,
-/// read by every probe worker), and the matched flags outer joins need.
-struct ParallelJoinShared {
-  std::shared_ptr<const FragmentSource> probe;
-  RelNodePtr self;        // pins condition / row types
-  RelNodePtr build_node;  // right input, drained serially
-  std::vector<std::pair<int, int>> keys;
-  std::vector<RexNodePtr> remaining;
-  JoinType join_type;
-  size_t left_width = 0;
-  size_t right_width = 0;
-  size_t partitions = 0;
-  std::vector<Row> right_data;
-  std::vector<BuildPartition> tables;
-  /// Matched flags are racy-by-design across probe workers: only ever set
-  /// to true, read after the workers have been joined.
-  std::unique_ptr<std::atomic<bool>[]> right_matched;
-};
-
-/// Drains the build side through its own (possibly itself parallel) batch
-/// pipeline and builds the partitioned hash table: one classify pass over
-/// morsels of the build rows, then one insert task per partition — no two
-/// tasks ever touch the same partition, so the build is lock-free.
-Status BuildPartitionedTable(ParallelJoinShared* shared,
-                             TaskScheduler* scheduler,
-                             const ExecOptions& opts) {
-  auto build = shared->build_node->ExecuteBatched(opts);
-  if (!build.ok()) return build.status();
-  const RowBatchPuller& pull = build.value();
-  for (;;) {
-    auto batch = pull();
-    if (!batch.ok()) return batch.status();
-    if (batch.value().empty()) break;
-    for (Row& row : batch.value()) {
-      shared->right_data.push_back(std::move(row));
-    }
-  }
-
-  const size_t threads = opts.num_threads;
-  const size_t partitions = shared->partitions;
-  // Classify pass: workers claim morsels of the build rows and bucket
-  // (key, row index) pairs by key partition, so the insert pass moves the
-  // already-built keys instead of recomputing them. NULL keys never match
-  // and are skipped — for RIGHT/FULL they surface through the unmatched
-  // tail.
-  struct KeyedIndex {
-    Row key;
-    size_t row;
-    uint64_t hash;
-  };
-  std::vector<std::vector<std::vector<KeyedIndex>>> buckets(
-      threads, std::vector<std::vector<KeyedIndex>>(partitions));
-  {
-    MorselSource morsels(shared->right_data.size(),
-                         PickMorselSize(shared->right_data.size(), threads));
-    for (size_t t = 0; t < threads; ++t) {
-      std::vector<std::vector<KeyedIndex>>* mine = &buckets[t];
-      ParallelJoinShared* sh = shared;
-      scheduler->Submit([sh, mine, &morsels, partitions]() {
-        std::vector<Row> keys;
-        std::vector<size_t> rows;
-        std::vector<uint64_t> hashes;
-        std::vector<int64_t> scratch;
-        while (auto morsel = morsels.Next()) {
-          // Extract the morsel's keys, then hash them in one block.
-          keys.clear();
-          rows.clear();
-          for (size_t i = morsel->begin; i < morsel->end; ++i) {
-            auto key = JoinSideKey(sh->right_data[i], sh->keys,
-                                   /*left_side=*/false);
-            if (!key.has_value()) continue;
-            keys.push_back(std::move(*key));
-            rows.push_back(i);
-          }
-          HashKeyBlock(keys, &hashes, &scratch);
-          for (size_t j = 0; j < keys.size(); ++j) {
-            (*mine)[hashes[j] % partitions].push_back(
-                KeyedIndex{std::move(keys[j]), rows[j], hashes[j]});
-          }
-        }
-      });
-    }
-    scheduler->WaitIdle();
-  }
-  // Insert pass: partition p is owned by exactly one task. Inserts reuse
-  // the hashes the classify pass computed.
-  shared->tables.resize(partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    ParallelJoinShared* sh = shared;
-    std::vector<std::vector<std::vector<KeyedIndex>>>* all = &buckets;
-    scheduler->Submit([sh, all, p]() {
-      BuildPartition& part = sh->tables[p];
-      for (auto& worker_buckets : *all) {
-        for (KeyedIndex& entry : worker_buckets[p]) {
-          const uint32_t eid = static_cast<uint32_t>(part.entries.size());
-          part.index[entry.hash].push_back(eid);
-          part.entries.emplace_back(std::move(entry.key), entry.row);
-        }
-      }
-    });
-  }
-  scheduler->WaitIdle();
-
-  shared->right_matched =
-      std::make_unique<std::atomic<bool>[]>(shared->right_data.size());
-  for (size_t i = 0; i < shared->right_data.size(); ++i) {
-    shared->right_matched[i].store(false, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-/// Probe worker: reads left batches off the fragment's morsel reader,
-/// hashes their key columns, probes the read-only partition tables, and
-/// emits per the join type. Like the serial columnar probe, a key is boxed
-/// only on a hash hit and a left row is gathered only when it emits.
-void RunProbeWorker(const ParallelJoinShared& shared, MorselReader* reader,
-                    QueryCancelState* cancel, ExchangeQueue* queue,
-                    size_t batch_size) {
-  RowBatch out;
-  std::vector<uint64_t> hashes;
-  std::vector<uint64_t> cell_scratch;
-  Row key(shared.keys.size());
-  // Hands accumulated output to the exchange in <= batch_size chunks.
-  auto flush = [&]() -> bool {
-    size_t pos = 0;
-    while (pos < out.size()) {
-      size_t n = std::min(batch_size, out.size() - pos);
-      auto first = out.begin() + static_cast<ptrdiff_t>(pos);
-      RowBatch chunk(std::make_move_iterator(first),
-                     std::make_move_iterator(first + static_cast<ptrdiff_t>(n)));
-      pos += n;
-      if (!queue->Push(std::move(chunk))) return false;
-    }
-    out.clear();
-    return true;
-  };
-  // Probes one live left row; false once the fragment failed.
-  auto probe_row = [&](const ColumnBatch& cols, size_t k) -> bool {
-    const size_t i = cols.ActiveIndex(k);
-    bool matched = false;
-    Row lrow;
-    bool have_lrow = false;
-    auto lrow_ref = [&]() -> Row& {
-      if (!have_lrow) {
-        lrow = cols.GatherRow(i);
-        have_lrow = true;
-      }
-      return lrow;
-    };
-    bool null_key = false;  // NULL keys never match
-    for (const auto& lr : shared.keys) {
-      null_key |= cols.cols[static_cast<size_t>(lr.first)].IsNullAt(i);
-    }
-    const uint64_t h = hashes[k];
-    const BuildPartition& part = shared.tables[h % shared.partitions];
-    auto it = null_key ? part.index.end() : part.index.find(h);
-    if (it != part.index.end()) {
-      for (size_t c = 0; c < shared.keys.size(); ++c) {
-        key[c] = cols.cols[static_cast<size_t>(shared.keys[c].first)]
-                     .GetValue(i);
-      }
-      for (uint32_t eid : it->second) {
-        if (!(part.entries[eid].first == key)) continue;  // collision
-        const size_t ri = part.entries[eid].second;
-        Row combined = ConcatRows(lrow_ref(), shared.right_data[ri]);
-        bool pass = true;
-        for (const RexNodePtr& pred : shared.remaining) {
-          auto result = RexInterpreter::EvalPredicate(pred, combined);
-          if (!result.ok()) {
-            cancel->Cancel(result.status());
-            return false;
-          }
-          if (!result.value()) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        matched = true;
-        shared.right_matched[ri].store(true, std::memory_order_relaxed);
-        if (JoinEmitsCombinedRows(shared.join_type)) {
-          out.push_back(std::move(combined));
-        }
-        if (shared.join_type == JoinType::kSemi) break;
-      }
-    }
-    if (JoinEmitsLeftRow(shared.join_type, matched)) {
-      JoinEmitPerLeftRow(shared.join_type, matched, std::move(lrow_ref()),
-                         shared.right_width, &out);
-    }
-    return true;
-  };
-  while (auto batch = reader->Next()) {
-    HashKeyColumns(*batch, shared.keys, &hashes, &cell_scratch);
-    const size_t active = batch->ActiveCount();
-    bool ok = true;
-    for (size_t k = 0; ok && k < active; ++k) ok = probe_row(*batch, k);
-    if (!ok || !flush()) break;
-  }
-}
-
-/// Consumer-side tail of a RIGHT/FULL join: emitted after the gather
-/// reports end-of-stream, i.e. after every probe worker has been joined
-/// (which orders their matched-flag writes before these reads).
-struct JoinTailState {
-  bool in_tail = false;
-  size_t pos = 0;
-};
-
-Result<RowBatchPuller> ExecuteHashJoinParallel(
-    const Join& join, std::vector<std::pair<int, int>> keys,
-    std::vector<RexNodePtr> remaining,
-    std::shared_ptr<const FragmentSource> probe, const ExecOptions& opts) {
-  const size_t threads = opts.num_threads;
-  const size_t batch_size = opts.batch_size;
-  auto shared = std::make_shared<ParallelJoinShared>();
-  shared->probe = std::move(probe);
-  shared->self = join.shared_from_this();
-  shared->build_node = join.input(1);
-  shared->keys = std::move(keys);
-  shared->remaining = std::move(remaining);
-  shared->join_type = join.join_type();
-  shared->left_width = join.input(0)->row_type()->fields().size();
-  shared->right_width = join.input(1)->row_type()->fields().size();
-  shared->partitions = threads;
-
-  auto cancel = std::make_shared<QueryCancelState>();
-  auto queue = std::make_shared<ExchangeQueue>(threads * 2, threads);
-  auto start = [shared, cancel, queue,
-                opts]() -> std::shared_ptr<TaskScheduler> {
-    auto scheduler = std::make_shared<TaskScheduler>(opts.num_threads);
-    Status status = BuildPartitionedTable(shared.get(), scheduler.get(), opts);
-    if (!status.ok()) {
-      cancel->Cancel(std::move(status));
-      queue->Cancel();
-      return scheduler;  // idle; the gather still joins it
-    }
-    auto morsels = std::make_shared<MorselSource>(shared->probe->morsel_count,
-                                                  shared->probe->morsel_size);
-    for (size_t t = 0; t < opts.num_threads; ++t) {
-      scheduler->Submit([shared, cancel, queue, morsels, opts]() {
-        MorselReader reader(shared->probe, morsels.get(), cancel.get(), opts);
-        RunProbeWorker(*shared, &reader, cancel.get(), queue.get(),
-                       opts.batch_size);
-        if (cancel->cancelled()) queue->Cancel();
-        queue->ProducerDone();
-      });
-    }
-    return scheduler;
-  };
-
-  RowBatchPuller gather = MakeGatherPuller(cancel, queue, std::move(start));
-  auto tail = std::make_shared<JoinTailState>();
-  return RowBatchPuller([gather, shared, tail,
-                         batch_size]() -> Result<RowBatch> {
-    if (!tail->in_tail) {
-      auto batch = gather();
-      if (!batch.ok()) return batch;
-      if (!batch.value().empty()) return batch;
-      tail->in_tail = true;
-    }
-    if (shared->join_type == JoinType::kRight ||
-        shared->join_type == JoinType::kFull) {
-      RowBatch out;
-      while (tail->pos < shared->right_data.size() &&
-             out.size() < batch_size) {
-        size_t i = tail->pos++;
-        if (!shared->right_matched[i].load(std::memory_order_relaxed)) {
-          out.push_back(
-              PadNullLeft(shared->left_width, shared->right_data[i]));
-        }
-      }
-      if (!out.empty()) return out;
-    }
-    return RowBatch{};
-  });
-}
-
 }  // namespace
+
+std::optional<Result<ColumnBatchPuller>> TryExecuteParallelColumns(
+    const RelNode& node, const ExecOptions& raw_opts) {
+  ExecOptions opts = raw_opts.Normalized();
+  if (opts.num_threads < 2 || !opts.enable_columnar) return std::nullopt;
+  auto src = RecognizeMorselPipeline(node, opts);
+  if (src == nullptr) return std::nullopt;
+  return ExecutePipelineParallel(std::move(src), opts);
+}
 
 std::optional<Result<RowBatchPuller>> TryExecuteParallel(
     const RelNode& node, const ExecOptions& raw_opts) {
   ExecOptions opts = raw_opts.Normalized();
   if (opts.num_threads < 2 || !opts.enable_columnar) return std::nullopt;
-
-  const auto* agg = dynamic_cast<const Aggregate*>(&node);
-  const auto* join = dynamic_cast<const Join*>(&node);
-  std::vector<std::pair<int, int>> keys;
-  std::vector<RexNodePtr> remaining;
-  if (join != nullptr && !join->AnalyzeEquiKeys(&keys, &remaining)) {
-    return std::nullopt;
+  if (const auto* agg = dynamic_cast<const Aggregate*>(&node)) {
+    auto src = RecognizeMorselPipeline(*agg->input(0), opts);
+    if (src == nullptr) return std::nullopt;
+    return ExecuteAggregateParallel(*agg, std::move(src), opts);
   }
-  const RelNode& pipeline = agg != nullptr    ? *agg->input(0)
-                            : join != nullptr ? *join->input(0)
-                                              : node;
-  auto src = RecognizeMorselPipeline(pipeline, opts);
-  if (src == nullptr) return std::nullopt;
-  if (agg != nullptr) return ExecuteAggregateParallel(*agg, src, opts);
-  if (join != nullptr) {
-    return ExecuteHashJoinParallel(*join, std::move(keys),
-                                   std::move(remaining), src, opts);
-  }
-  return ExecutePipelineParallel(src, opts);
+  auto columns = TryExecuteParallelColumns(node, opts);
+  if (!columns.has_value()) return std::nullopt;
+  if (!columns->ok()) return Result<RowBatchPuller>(columns->status());
+  // A row consumer boxes the gathered batches on the consumer thread.
+  ColumnBatchPuller pull = std::move(*columns).value();
+  return Result<RowBatchPuller>(RowBatchPuller([pull]() -> Result<RowBatch> {
+    CALCITE_ASSIGN_OR_RETURN(ColumnBatch batch, pull());
+    RowBatch rows;
+    ColumnsToRows(batch, &rows);
+    return rows;
+  }));
 }
 
 }  // namespace calcite

@@ -3,17 +3,19 @@
 
 #include <optional>
 
+#include "exec/column_batch.h"
 #include "exec/row_batch.h"
 #include "rel/rel_node.h"
 
 namespace calcite {
 
-/// Entry point of the morsel-driven parallel executor. Called by the
-/// enumerable convention's ExecuteBatched implementations (and by the
-/// columnar operators' input lift) before they build their serial
-/// pipeline: when `opts.num_threads > 1` and the plan fragment
-/// rooted at `node` has a parallel physical path, returns a RowBatchPuller
-/// that runs it on a worker pool and gathers the results back into the
+/// Entry points of the morsel-driven parallel executor. The enumerable
+/// convention's ExecuteBatched implementations call TryExecuteParallel, and
+/// the columnar operators' input lift (LiftToColumns) calls
+/// TryExecuteParallelColumns and then TryExecuteParallel, before they build
+/// their serial pipeline: when `opts.num_threads > 1` and the plan fragment
+/// rooted at `node` has a parallel physical path, they return a puller that
+/// runs it on a worker pool and gathers the results back into the
 /// single-consumer pull protocol. The decision is made before returning:
 /// nullopt means the fragment declined and the caller runs its serial
 /// operators (whose *inputs* may still parallelize recursively). A fragment
@@ -30,16 +32,14 @@ namespace calcite {
 /// kernels as the serial pipelines. Parallel physical paths:
 ///  - Morsel-driven pipelines: (Filter|Project)* over a TableScan leaf.
 ///    Workers exchange their surviving ColumnBatches to the consumer, which
-///    boxes rows once, at the gather.
+///    hands them to a columnar consumer (Filter, Project, Aggregate, Sort,
+///    set ops, both sides of a hash join) unboxed; only a row consumer
+///    boxes them.
 ///  - Partitioned hash aggregate: the same pipeline shape under an
 ///    Aggregate. Workers feed worker-local ColumnarAggBuilders; the consumer
 ///    merges them (accumulator merge, not re-aggregation) and emits the
 ///    merged groups.
-///  - Partitioned hash join: an equi-join whose probe (left) side is such a
-///    pipeline. The build side is drained once, then partitioned and hashed
-///    in parallel (each partition owned by one task — no locks); probe
-///    workers hash the key columns of their batches against the read-only
-///    partition tables and gather a left row only when it emits.
+/// Joins run serially over such parallel inputs.
 ///
 /// Ordering: fragments executed in parallel do not preserve row order —
 /// workers race for morsels and the exchange interleaves their output. SQL
@@ -50,6 +50,12 @@ namespace calcite {
 /// in the fragment's QueryCancelState, every other worker stops at the next
 /// morsel or exchange operation, and the gather puller surfaces that first
 /// Status to the query.
+
+/// Pipeline fragments only, as the gathered ColumnBatches.
+std::optional<Result<ColumnBatchPuller>> TryExecuteParallelColumns(
+    const RelNode& node, const ExecOptions& opts);
+
+/// Pipeline and aggregate fragments, as rows.
 std::optional<Result<RowBatchPuller>> TryExecuteParallel(
     const RelNode& node, const ExecOptions& opts);
 

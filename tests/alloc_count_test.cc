@@ -325,6 +325,67 @@ TEST(AllocCountTest, FusedFilterProjectDrainStaysBatchBounded) {
 }
 
 
+// The columnar hash join keeps its build batches and gathers output columns
+// from (probe, build) pairs: draining an inner join of 100k probe rows
+// against a 2000-row build allocates per batch, never per row. The row
+// reference boxes every probe row and every joined row — the contrast.
+TEST(AllocCountTest, ColumnarHashJoinDrainStaysBatchBounded) {
+  TypeFactory tf;
+  RexBuilder rex;
+  auto int_t = tf.CreateSqlType(SqlTypeName::kInteger);
+  auto dbl_t = tf.CreateSqlType(SqlTypeName::kDouble);
+  auto row_type = tf.CreateStructType({"id", "k", "x"}, {int_t, int_t, dbl_t});
+  auto scan_of = [&](size_t n, size_t modulus) {
+    std::vector<Row> rows;
+    rows.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      rows.push_back({Value::Int(static_cast<int64_t>(i)),
+                      Value::Int(static_cast<int64_t>(i % modulus)),
+                      Value::Double(static_cast<double>(i) * 0.5)});
+    }
+    auto table = std::make_shared<MemTable>(row_type, std::move(rows));
+    auto logical =
+        LogicalTableScan::Create(table, {"t"}, Convention::Enumerable(), tf);
+    return EnumerableTableScan::Create(
+        *static_cast<const TableScan*>(logical.get()));
+  };
+  RelNodePtr probe = scan_of(kRows, 4000);
+  RelNodePtr build = scan_of(2000, 1000);  // keys 0..999, twice each
+  RexNodePtr equi = rex.MakeEquals(rex.MakeInputRef(row_type, 1),
+                                   rex.MakeInputRef(4, int_t));
+  RelNodePtr join = EnumerableHashJoin::Create(
+      probe, build, equi, JoinType::kInner,
+      DeriveJoinRowType(row_type, row_type, JoinType::kInner, tf));
+
+  ExecOptions opts;
+  auto puller = join->TryExecuteColumnar(opts);
+  ASSERT_TRUE(puller.has_value() && puller->ok());
+  size_t out_rows = 0;
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (;;) {
+    auto batch = (puller->value())();
+    ASSERT_TRUE(batch.ok());
+    if (batch.value().AtEnd()) break;
+    out_rows += batch.value().ActiveCount();
+  }
+  g_counting.store(false, std::memory_order_relaxed);
+  const size_t allocs = g_alloc_count.load(std::memory_order_relaxed);
+  // A quarter of the probe rows match, twice each.
+  EXPECT_EQ(out_rows, kRows / 2);
+  // ~98 probe batches and ~50 output batches: a handful of allocations per
+  // batch is bookkeeping; one per row would be 100k.
+  EXPECT_LT(allocs, 3000u) << "columnar hash join allocates per row";
+
+  ExecOptions row_opts;
+  row_opts.enable_columnar = false;
+  auto rows = join->ExecuteBatched(row_opts);
+  ASSERT_TRUE(rows.ok());
+  auto [row_rows, row_allocs] = DrainCounted(rows.value());
+  EXPECT_EQ(row_rows, kRows / 2);
+  EXPECT_GT(row_allocs, kRows);
+}
+
 /// A scan over a MemTable of `n` rows (id INT, x DOUBLE, k INT): id unique,
 /// x cycling over 997 values, k constant (one partition).
 RelNodePtr ScanOfSortRows(const TypeFactory& tf, size_t n) {

@@ -1,8 +1,8 @@
 // Differential tests of the columnar execution path: every operator that
 // was converted to the ColumnBatch currency (scan, filter, project,
-// hash aggregate with DISTINCT calls, sort and top-N, set ops, hash join
-// probe, and the morsel-parallel pipelines) —
-// over columnar leaves and over row producers (joins, aggregates,
+// hash aggregate with DISTINCT calls, sort and top-N, set ops, the hash
+// join in all six types, and the morsel-parallel pipelines) —
+// over columnar leaves and over row producers (aggregates, sorts,
 // DiskTables) whose batches are decoded into columns — must
 // produce byte-identical results with `enable_columnar` on and off, across
 // cardinalities that straddle the batch boundary (0 / 1 / 1023 / 1024 /
@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -95,7 +96,9 @@ std::vector<std::string> Strings(const std::vector<Row>& rows) {
 /// several batch sizes, then that 4-way parallel execution (columnar-only)
 /// produces the same multiset of rows. Every leg scans with `access_path`.
 void ExpectColumnarParity(const RelNodePtr& node, const std::string& label,
-                          AccessPath access_path = AccessPath::kAuto) {
+                          AccessPath access_path = AccessPath::kAuto,
+                          const std::vector<size_t>& batch_sizes = {1, 3, 1023,
+                                                                    1024}) {
   ExecOptions row_opts;
   row_opts.enable_columnar = false;
   row_opts.access_path = access_path;
@@ -103,7 +106,7 @@ void ExpectColumnarParity(const RelNodePtr& node, const std::string& label,
   ASSERT_TRUE(base.ok()) << label << ": " << base.status().ToString();
   std::vector<std::string> want = Strings(base.value());
 
-  for (size_t bs : {size_t{1}, size_t{3}, size_t{1023}, size_t{1024}}) {
+  for (size_t bs : batch_sizes) {
     ExecOptions col_opts;
     col_opts.enable_columnar = true;
     col_opts.batch_size = bs;
@@ -499,6 +502,214 @@ TEST_F(ColumnarParityTest, HashJoinAllTypes) {
   }
 }
 
+/// Join-key layout for the join parity cases: id INT (unique), ki INT?,
+/// kd DOUBLE? (NaN and NULL cells), ks VARCHAR?, km DOUBLE? holding Int and
+/// Double values (a boxed column). `hot` rows at the end all carry key 100
+/// in ki, so one key matches more build rows than a batch holds.
+RelDataTypePtr JoinKeyRowType(const TypeFactory& tf) {
+  auto int_t = tf.CreateSqlType(SqlTypeName::kInteger);
+  auto int_null = tf.CreateSqlType(SqlTypeName::kInteger, -1, true);
+  auto dbl_null = tf.CreateSqlType(SqlTypeName::kDouble, -1, true);
+  auto str_null = tf.CreateSqlType(SqlTypeName::kVarchar, 20, true);
+  return tf.CreateStructType({"id", "ki", "kd", "ks", "km"},
+                             {int_t, int_null, dbl_null, str_null, dbl_null});
+}
+
+/// Every key cell of row i derives from i % modulus, so a probe row
+/// matches about (build rows / build modulus) build rows.
+std::vector<Row> MakeJoinKeyRows(size_t n, size_t modulus, size_t hot) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n + hot; ++i) {
+    const int64_t m = static_cast<int64_t>(i % modulus);
+    Value kd = Value::Double(static_cast<double>(m));
+    if (i % 9 == 4) kd = Value::Double(std::nan(""));
+    if (i % 11 == 3) kd = Value::Null();
+    rows.push_back(
+        {Value::Int(static_cast<int64_t>(i)),
+         i >= n ? Value::Int(100) : (i % 5 == 2 ? Value::Null() : Value::Int(m)),
+         kd,
+         i % 7 == 1 ? Value::Null() : Value::String("s" + std::to_string(m)),
+         i % 2 == 0 ? Value::Int(m) : Value::Double(static_cast<double>(m))});
+  }
+  return rows;
+}
+
+TEST_F(ColumnarParityTest, ColumnarHashJoinMatchesRowReference) {
+  const std::vector<JoinType> join_types = {
+      JoinType::kInner, JoinType::kLeft,  JoinType::kRight,
+      JoinType::kFull,  JoinType::kSemi,  JoinType::kAnti};
+  const std::vector<size_t> batch_sizes = {1, 3, 1023, 1024, 1025};
+  auto scan = [&](size_t n, size_t modulus, size_t hot) {
+    return ScanOf(std::make_shared<MemTable>(
+        JoinKeyRowType(tf_), MakeJoinKeyRows(n, modulus, hot)));
+  };
+  // (left column, right column) key pairs: int, double (NaN, NULL), string,
+  // composite, int against double, and the boxed Int/Double column against
+  // int and double.
+  const std::vector<std::vector<std::pair<int, int>>> key_sets = {
+      {{1, 1}}, {{2, 2}}, {{3, 3}}, {{1, 1}, {3, 3}}, {{1, 2}},
+      {{4, 1}}, {{4, 2}}};
+  // Probe/build sizes: both sides populated (the build with a hot key of
+  // 1100 rows, the probe with one row of it), then an empty build side and
+  // an empty probe side.
+  const std::vector<std::pair<size_t, size_t>> sizes = {
+      {1025, 120}, {40, 0}, {0, 40}};
+  for (const auto& [n, m] : sizes) {
+    RelNodePtr left = scan(n, 53, n > 0 ? 1 : 0);
+    RelNodePtr right = scan(m, 47, m > 0 ? 1100 : 0);
+    const RelDataTypePtr& lt = left->row_type();
+    const RelDataTypePtr& rt = right->row_type();
+    const int lw = static_cast<int>(lt->fields().size());
+    auto right_ref = [&](int i) {
+      return rex_.MakeInputRef(lw + i, rt->fields()[static_cast<size_t>(i)].type);
+    };
+    for (const auto& keys : key_sets) {
+      std::vector<RexNodePtr> conjuncts;
+      for (const auto& [l, r] : keys) {
+        conjuncts.push_back(rex_.MakeEquals(Field(lt, l), right_ref(r)));
+      }
+      RexNodePtr equi = rex_.MakeAnd(conjuncts);
+      // Residual: l.id < r.id + 700.
+      conjuncts.push_back(
+          Call(OpKind::kLessThan,
+               {Field(lt, 0), Call(OpKind::kPlus, {right_ref(0),
+                                                   rex_.MakeIntLiteral(700)})}));
+      RexNodePtr with_residual = rex_.MakeAnd(conjuncts);
+      for (JoinType jt : join_types) {
+        auto row_type = DeriveJoinRowType(lt, rt, jt, tf_);
+        const std::string label = std::string(JoinTypeName(jt)) + " keys=" +
+                                  std::to_string(keys[0].first) + "/" +
+                                  std::to_string(keys[0].second) + "x" +
+                                  std::to_string(keys.size()) +
+                                  " n=" + std::to_string(n) +
+                                  " m=" + std::to_string(m);
+        ExpectColumnarParity(
+            EnumerableHashJoin::Create(left, right, equi, jt, row_type),
+            label, AccessPath::kAuto, batch_sizes);
+        if (keys.size() > 1 || keys[0].first == 1) {
+          ExpectColumnarParity(
+              EnumerableHashJoin::Create(left, right, with_residual, jt,
+                                         row_type),
+              label + " residual", AccessPath::kAuto, batch_sizes);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarParityTest, ColumnarHashJoinResidualErrorsMatchReference) {
+  // Build rows (key 1, id 10) then (key 1, id 5); the residual
+  // 100 / (r.id - 5) > 0 passes on the first pair and divides by zero on
+  // the second. A SEMI join stops at the first passing pair, so it must
+  // not fail; an INNER join evaluates every pair, so it must.
+  auto int_t = tf_.CreateSqlType(SqlTypeName::kInteger);
+  auto kt = tf_.CreateStructType({"id", "k"}, {int_t, int_t});
+  std::vector<Row> probe_rows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    probe_rows.push_back({Value::Int(i), Value::Int(i % 3)});
+  }
+  RelNodePtr left = ScanOf(std::make_shared<MemTable>(kt, probe_rows));
+  RelNodePtr right = ScanOf(std::make_shared<MemTable>(
+      kt, std::vector<Row>{{Value::Int(10), Value::Int(1)},
+                           {Value::Int(5), Value::Int(1)},
+                           {Value::Int(7), Value::Int(2)}}));
+  const RelDataTypePtr& lt = left->row_type();
+  auto rid = rex_.MakeInputRef(2, int_t);
+  RexNodePtr cond = rex_.MakeAnd(
+      {rex_.MakeEquals(Field(lt, 1), rex_.MakeInputRef(3, int_t)),
+       Call(OpKind::kGreaterThan,
+            {Call(OpKind::kDivide,
+                  {rex_.MakeIntLiteral(100),
+                   Call(OpKind::kMinus, {rid, rex_.MakeIntLiteral(5)})}),
+             rex_.MakeIntLiteral(0)})});
+  for (JoinType jt : {JoinType::kSemi, JoinType::kInner}) {
+    RelNodePtr join = EnumerableHashJoin::Create(
+        left, right, cond, jt, DeriveJoinRowType(lt, right->row_type(), jt,
+                                                 tf_));
+    if (jt == JoinType::kSemi) {
+      ExpectColumnarParity(join, "SEMI residual stops at first pass",
+                           AccessPath::kAuto, {1, 3, 1023, 1024, 1025});
+      continue;
+    }
+    for (bool columnar : {false, true}) {
+      for (size_t bs : {size_t{1}, size_t{1024}}) {
+        ExecOptions opts;
+        opts.enable_columnar = columnar;
+        opts.batch_size = bs;
+        auto got = RunPlan(join, opts);
+        ASSERT_FALSE(got.ok()) << "columnar=" << columnar << " bs=" << bs;
+        EXPECT_NE(got.status().message().find("division by zero"),
+                  std::string::npos)
+            << got.status().ToString();
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarParityTest, ColumnarHashJoinOverJoinsAndDiskTables) {
+  char tmpl[] = "/tmp/calcite_colpar_join_XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string dir_path = dir;
+  auto disk = [&](const std::string& name, std::vector<Row> rows) {
+    storage::DiskTableOptions dt_opts;
+    dt_opts.pool_pages = 8;
+    auto table = storage::DiskTable::Create(dir_path + "/" + name + ".db",
+                                            JoinKeyRowType(tf_), 0, dt_opts);
+    EXPECT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_TRUE((*table)->InsertRows(std::move(rows)).ok());
+    return ScanOf(*table);
+  };
+  RelNodePtr a = disk("a", MakeJoinKeyRows(1100, 37, 0));
+  RelNodePtr b = disk("b", MakeJoinKeyRows(60, 41, 0));
+  RelNodePtr c = ScanOf(std::make_shared<MemTable>(
+      JoinKeyRowType(tf_), MakeJoinKeyRows(50, 43, 0)));
+  const std::vector<size_t> batch_sizes = {1, 3, 1023, 1024, 1025};
+  const RelDataTypePtr& at = a->row_type();
+  const int aw = static_cast<int>(at->fields().size());
+  for (JoinType inner_jt : {JoinType::kInner, JoinType::kFull}) {
+    RelNodePtr ab = EnumerableHashJoin::Create(
+        a, b,
+        rex_.MakeEquals(Field(at, 1),
+                        rex_.MakeInputRef(aw + 1, b->row_type()->fields()[1].type)),
+        inner_jt, DeriveJoinRowType(at, b->row_type(), inner_jt, tf_));
+    ExpectColumnarParity(ab, std::string("disk ") + JoinTypeName(inner_jt),
+                         AccessPath::kAuto, batch_sizes);
+    // The join's output probes (and builds) a second join: keyed on the
+    // string column of its build side and on the composite (ki, ks).
+    const RelDataTypePtr& abt = ab->row_type();
+    const int abw = static_cast<int>(abt->fields().size());
+    for (JoinType outer_jt : {JoinType::kInner, JoinType::kLeft,
+                              JoinType::kRight, JoinType::kAnti}) {
+      RexNodePtr cond = rex_.MakeAnd(
+          {rex_.MakeEquals(Field(abt, aw + 3),
+                           rex_.MakeInputRef(abw + 3, c->row_type()->fields()[3].type)),
+           rex_.MakeEquals(Field(abt, 1),
+                           rex_.MakeInputRef(abw + 1, c->row_type()->fields()[1].type))});
+      ExpectColumnarParity(
+          EnumerableHashJoin::Create(
+              ab, c, cond, outer_jt,
+              DeriveJoinRowType(abt, c->row_type(), outer_jt, tf_)),
+          std::string("join over ") + JoinTypeName(inner_jt) + " probe " +
+              JoinTypeName(outer_jt),
+          AccessPath::kAuto, batch_sizes);
+      const RelDataTypePtr& ct = c->row_type();
+      const int cw = static_cast<int>(ct->fields().size());
+      ExpectColumnarParity(
+          EnumerableHashJoin::Create(
+              c, ab,
+              rex_.MakeEquals(Field(ct, 1),
+                              rex_.MakeInputRef(cw + aw + 1, abt->fields()[static_cast<size_t>(aw + 1)].type)),
+              outer_jt, DeriveJoinRowType(ct, abt, outer_jt, tf_)),
+          std::string("join over ") + JoinTypeName(inner_jt) + " build " +
+              JoinTypeName(outer_jt),
+          AccessPath::kAuto, batch_sizes);
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir_path, ec);
+}
+
 TEST_F(ColumnarParityTest, PipelineScanFilterProjectAggregate) {
   // The full converted pipeline in one plan, the hot-path shape the
   // benchmark sweeps measure.
@@ -540,8 +751,9 @@ TEST_F(ColumnarParityTest, PipelineScanFilterProjectAggregate) {
 }
 
 TEST_F(ColumnarParityTest, OperatorsOverJoinAndAggregateOutputs) {
-  // A join's and an aggregate's rows offer no columns: Filter, Project and
-  // Aggregate above them decode each row batch into columns.
+  // Filter, Project and Aggregate over a join (which hands them its
+  // gathered ColumnBatches) and over an aggregate (whose row batches they
+  // decode into columns).
   for (size_t n : {size_t{0}, size_t{1}, size_t{1025}}) {
     RelNodePtr left = Scan(n);
     RelNodePtr right = Scan(97);

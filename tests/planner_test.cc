@@ -184,5 +184,41 @@ TEST_F(PlannerTest, EquivalenceSetsDeduplicate) {
   EXPECT_GT(planner.expr_count(), planner.set_count());
 }
 
+TEST_F(PlannerTest, EquiJoinWithOneRowSidePlansAsHashJoin) {
+  // Against a side estimated at one row, a nested loop's left x right cost
+  // undercuts the hash join's, but an equi-join must still plan as a hash
+  // join: the nested loop evaluates the whole condition on every boxed pair.
+  TypeFactory tf;
+  auto int_t = tf.CreateSqlType(SqlTypeName::kInteger);
+  auto row = tf.CreateStructType({"deptno", "floor"}, {int_t, int_t});
+  auto one = std::make_shared<MemTable>(
+      row, std::vector<Row>{{Value::Int(10), Value::Int(3)}});
+  TableStats stat;
+  stat.row_count = 1;
+  one->set_statistic(stat);
+  schema_->AddTable("one_dept", one);
+
+  RelBuilder b(schema_);
+  b.Scan("emps").Scan("one_dept");
+  b.Join(JoinType::kInner,
+         b.Equals(b.Field(1, "deptno"), b.Field(0, "deptno")));
+  auto plan = b.Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  std::vector<RelOptRulePtr> rules = StandardLogicalRules();
+  for (auto& rule : EnumerableConverterRules()) rules.push_back(rule);
+  VolcanoPlanner planner(rules, &context_);
+  auto optimized =
+      planner.Optimize(plan.value(), RelTraitSet(Convention::Enumerable()));
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  const std::string explain = ExplainPlan(optimized.value());
+  EXPECT_NE(explain.find("EnumerableHashJoin"), std::string::npos) << explain;
+  EXPECT_EQ(explain.find("EnumerableNestedLoopJoin"), std::string::npos)
+      << explain;
+  auto rows = optimized.value()->Execute();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value().size(), 2u);  // Bill and Theodore in dept 10
+}
+
 }  // namespace
 }  // namespace calcite
