@@ -1,20 +1,13 @@
 // Per-kernel microbenchmarks for the columnar hot-path loops: comparison
-// and arithmetic expression kernels (RexColumnar::AppendEvalColumn), leaf
-// predicate narrowing (NarrowByScanPredicate), selection refill after a
-// dense predicate evaluation (RexColumnar::NarrowSelection), and group-id
+// and arithmetic expressions (FusedExpr::AppendEvalColumn), leaf predicate
+// narrowing (NarrowByScanPredicate), selection refill after a fused
+// predicate evaluation (FusedExpr::NarrowSelection), and group-id
 // resolution in the columnar hash aggregate (ColumnarAggBuilder::Feed).
 //
 // Each benchmark drives exactly one kernel over a pre-built zero-copy
 // column slice, so the timings isolate the loop the SIMD work targets.
-// BM_FusedExprSweep additionally diffs the tree-fusing bytecode
-// interpreter (FusedExpr) against the per-node RexColumnar walk on the
-// same multi-node expression, at the interpreter's block size and at the
-// full slice.
-//
-// The file still builds in a `git worktree` of the PR's base commit for
-// the "before" capture (scripts/bench.sh --bin bench_kernels): the fused
-// sweep is gated on __has_include of the fusion header, and everything
-// else uses only base-commit APIs.
+// BM_FusedExprSweep runs multi-node expressions through FusedExpr at the
+// interpreter's block size and at the full slice.
 
 #include <benchmark/benchmark.h>
 
@@ -27,11 +20,7 @@
 #include "exec/arena.h"
 #include "exec/column_batch.h"
 #include "rex/rex_builder.h"
-#include "rex/rex_columnar.h"
-#if __has_include("rex/rex_fuse.h")
 #include "rex/rex_fuse.h"
-#define CALCITE_BENCH_HAS_FUSE 1
-#endif
 #include "type/rel_data_type.h"
 #include "type/value.h"
 
@@ -109,16 +98,18 @@ RexNodePtr Call(const RexBuilder& rex, OpKind op,
 }
 
 /// Times AppendEvalColumn of `expr` over the full slice; one fresh arena
-/// per iteration so kernel output allocation is included on both sides.
+/// per iteration so output allocation is included. The program compiles
+/// once, as in a pipeline.
 void RunEvalBench(benchmark::State& state, const RexNodePtr& expr) {
   const BenchTable& t = Table();
+  FusedExpr fused(expr);
   size_t rows_processed = 0;
   for (auto _ : state) {
     ColumnBatch out;
     out.arena = std::make_shared<Arena>();
     out.ShareStorage(t.batch);
     out.num_rows = t.batch.ActiveCount();
-    Status s = RexColumnar::AppendEvalColumn(expr, t.batch, &out);
+    Status s = fused.AppendEvalColumn(t.batch, &out);
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
     benchmark::DoNotOptimize(out.cols.data());
     rows_processed += kRows;
@@ -186,21 +177,19 @@ BENCHMARK(BM_KernelNarrowPredicate)
     ->Arg(900)
     ->Unit(benchmark::kMicrosecond);
 
-// Dense predicate + selection refill: $1 < $2 is not a scan-shape
-// comparison, so NarrowSelection evaluates it densely and rebuilds the
-// selection from the pass mask (the bitmask -> selection expansion).
+// Fused predicate + selection compaction: $1 < $2 is evaluated block by
+// block and the selection is rebuilt from the pass mask.
 void BM_KernelSelectionRefill(benchmark::State& state) {
   RexBuilder rex;
   const BenchTable& t = Table();
-  RexNodePtr pred =
+  FusedExpr pred(
       Call(rex, OpKind::kLessThan,
-           {rex.MakeInputRef(t.row_type, 1), rex.MakeInputRef(t.row_type, 2)});
+           {rex.MakeInputRef(t.row_type, 1), rex.MakeInputRef(t.row_type, 2)}));
   size_t rows_processed = 0;
   SelectionVector sel;
   for (auto _ : state) {
     sel = t.identity;
-    ArenaPtr scratch = std::make_shared<Arena>();
-    Status s = RexColumnar::NarrowSelection(pred, t.batch, scratch, &sel);
+    Status s = pred.NarrowSelection(t.batch, &sel);
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
     benchmark::DoNotOptimize(sel.data());
     rows_processed += kRows;
@@ -210,33 +199,23 @@ void BM_KernelSelectionRefill(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSelectionRefill)->Unit(benchmark::kMicrosecond);
 
-#ifdef CALCITE_BENCH_HAS_FUSE
-// Fused-vs-per-node sweep over both FusedExpr entry points, each on a
-// 3+-operator tree, at the pipeline batch size (1024: every iteration
-// processes all 64 consecutive 1024-row slices, exactly what a
-// batch-1024 pipeline does — and enough work per measurement to be
-// stable on a shared box) and at the full 64K slice.
+// FusedExpr over both entry points, each on a 3+-operator tree, at the
+// pipeline batch size (1024: every iteration processes all 64 consecutive
+// 1024-row slices, exactly what a batch-1024 pipeline does — and enough
+// work per measurement to be stable on a shared box) and at the full 64K
+// slice.
 //
 // narrow:0 — AppendEvalColumn of the five-operator mixed-type tree
-// (($1 + $2) * $3) + (($1 - $2) * 0.5). The per-node walk materializes
-// one arena column per operator plus one per implicit int64→double
-// widening and one per broadcast literal (seven temporaries total),
-// re-reading each from memory; the fused interpreter runs the whole
-// tree register-to-register in 1024-row blocks (casts convert
-// in-register, the literal folds into an immediate) and writes only the
-// final column. Each batch's output goes to a fresh arena per the
-// RunEvalBench convention, so the per-node temporary allocations fusion
-// eliminates are priced in.
+// (($1 + $2) * $3) + (($1 - $2) * 0.5), run register-to-register in
+// 1024-row blocks (casts convert in-register, the literal folds into an
+// immediate); only the final column is written, to a fresh arena per
+// batch.
 //
 // narrow:1 — NarrowSelection of the three-node range predicate
-// $1 >= 100 AND $1 < 900. The per-node path narrows conjunct by
-// conjunct: two full compare passes over the column, each followed by a
-// selection filter; the fused program folds the pair into a single
-// inrange.i64 interval pass and one filter — half the data traffic,
-// no arena use on either side.
+// $1 >= 100 AND $1 < 900, which fuses into a single inrange.i64 interval
+// pass and one selection compaction.
 //
-// Programs / expression trees are compiled once and reused across
-// batches, as pipelines do.
+// Programs compile once and are reused across batches, as pipelines do.
 void BM_FusedExprSweep(benchmark::State& state) {
   RexBuilder rex;
   const BenchTable& t = Table();
@@ -254,9 +233,8 @@ void BM_FusedExprSweep(benchmark::State& state) {
            {Call(rex, OpKind::kGreaterThanOrEqual,
                  {a, rex.MakeIntLiteral(100)}),
             Call(rex, OpKind::kLessThan, {a, rex.MakeIntLiteral(900)})});
-  const bool fused = state.range(0) != 0;
-  const size_t batch_rows = static_cast<size_t>(state.range(1));
-  const bool narrowing = state.range(2) != 0;
+  const size_t batch_rows = static_cast<size_t>(state.range(0));
+  const bool narrowing = state.range(1) != 0;
   std::vector<ColumnBatch> batches;
   for (size_t base = 0; base < kRows; base += batch_rows) {
     batches.push_back(SliceTableColumns(t.columns, base, batch_rows,
@@ -274,10 +252,7 @@ void BM_FusedExprSweep(benchmark::State& state) {
     for (const ColumnBatch& in : batches) {
       if (narrowing) {
         sel = identity;
-        ArenaPtr scratch = std::make_shared<Arena>();
-        Status s = fused
-                       ? fpred.NarrowSelection(in, scratch, &sel)
-                       : RexColumnar::NarrowSelection(pred, in, scratch, &sel);
+        Status s = fpred.NarrowSelection(in, &sel);
         if (!s.ok()) state.SkipWithError(s.ToString().c_str());
         benchmark::DoNotOptimize(sel.data());
       } else {
@@ -285,8 +260,7 @@ void BM_FusedExprSweep(benchmark::State& state) {
         out.arena = std::make_shared<Arena>();
         out.ShareStorage(in);
         out.num_rows = in.ActiveCount();
-        Status s = fused ? fexpr.AppendEvalColumn(in, &out)
-                         : RexColumnar::AppendEvalColumn(expr, in, &out);
+        Status s = fexpr.AppendEvalColumn(in, &out);
         if (!s.ok()) state.SkipWithError(s.ToString().c_str());
         benchmark::DoNotOptimize(out.cols.data());
       }
@@ -297,17 +271,12 @@ void BM_FusedExprSweep(benchmark::State& state) {
       static_cast<double>(rows_processed), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FusedExprSweep)
-    ->ArgNames({"fused", "batch", "narrow"})
-    ->Args({0, 1024, 0})
-    ->Args({1, 1024, 0})
-    ->Args({0, 65536, 0})
-    ->Args({1, 65536, 0})
-    ->Args({0, 1024, 1})
-    ->Args({1, 1024, 1})
-    ->Args({0, 65536, 1})
-    ->Args({1, 65536, 1})
+    ->ArgNames({"batch", "narrow"})
+    ->Args({1024, 0})
+    ->Args({65536, 0})
+    ->Args({1024, 1})
+    ->Args({65536, 1})
     ->Unit(benchmark::kMicrosecond);
-#endif  // CALCITE_BENCH_HAS_FUSE
 
 // Group-id resolution in the columnar hash aggregate: SUM($1) GROUP BY the
 // key column given by Arg (4 = int64, 5 = double, 6 = string; 64 distinct

@@ -83,7 +83,7 @@ if [[ -n "$SANITIZER" ]]; then
   # (ASan/UBSan catch lane over-reads past the tail; TSan sees the runtime
   # dispatch flag crossing the parallel sweeps), and simd_kernels_test
   # diffs each intrinsic path against its scalar reference. The fused
-  # bytecode interpreter (rex_fuse_test plus the three-way fuzz
+  # bytecode interpreter (rex_fuse_test plus the fused-vs-per-row fuzz
   # differential) runs under both: its register scratch aliases input
   # batch storage block-by-block (ASan catches a stale alias or a
   # CompactSel write-ahead overrun), and the morsel-parallel sweeps build
@@ -104,10 +104,9 @@ if [[ -n "$SANITIZER" ]]; then
 
   if [[ "$SANITIZER" != *thread* ]]; then
     echo "=== fuzz (raised iterations under $SANITIZER) ==="
-    # The three-way fused-vs-per-node-vs-per-row differential gets a
-    # dedicated deep run: 5x the default iteration budget, under the
-    # sanitizer that would catch the out-of-bounds reads a lowering bug
-    # produces.
+    # The fused-vs-per-row differential gets a dedicated deep run: 5x the
+    # default iteration budget, under the sanitizer that would catch the
+    # out-of-bounds reads a lowering bug produces.
     REX_FUZZ_ITERS=5 ctest --test-dir "$BUILD_DIR" --output-on-failure \
       --no-tests=error -R 'rex_kernel_fuzz_test'
   fi
@@ -141,7 +140,7 @@ for example in quickstart federation streaming semistructured_geo \
 done
 
 echo "=== fuzz (raised iterations) ==="
-# Dedicated deep run of the fused-vs-per-node-vs-per-row differential:
+# Dedicated deep run of the fused-vs-per-row differential:
 # 5x the default per-test iteration budget on the fast non-sanitized build.
 REX_FUZZ_ITERS=5 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   --no-tests=error -R 'rex_kernel_fuzz_test'

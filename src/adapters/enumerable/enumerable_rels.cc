@@ -14,7 +14,6 @@
 #include "exec/key_table.h"
 #include "exec/parallel/parallel_exec.h"
 #include "metadata/metadata.h"
-#include "rex/rex_columnar.h"
 #include "rex/rex_fuse.h"
 #include "rex/rex_interpreter.h"
 #include "rex/rex_util.h"
@@ -166,16 +165,7 @@ Result<RowBatchPuller> OpenScanRows(const EnumerableTableScan& scan,
       [table, pull]() -> Result<RowBatch> { return pull(); });
 }
 
-/// A Filter's condition split for leaf pushdown, shared by its columnar and
-/// reference paths: when the input is an enumerable table scan, the simple
-/// `column <op> literal` / NULL-test conjuncts go to `pushed`; `residual`
-/// holds what the filter itself evaluates (the whole condition when nothing
-/// pushes).
-struct FilterPushdown {
-  const EnumerableTableScan* scan = nullptr;
-  ScanPredicateList pushed;
-  std::vector<RexNodePtr> residual;
-};
+}  // namespace
 
 FilterPushdown SplitPushdown(const Filter& filter) {
   FilterPushdown out;
@@ -189,8 +179,6 @@ FilterPushdown SplitPushdown(const Filter& filter) {
   if (out.pushed.empty()) out.residual.assign(1, filter.condition());
   return out;
 }
-
-}  // namespace
 
 Result<RowBatchPuller> EnumerableTableScan::ExecuteBatched(
     const ExecOptions& opts) const {
@@ -211,8 +199,7 @@ EnumerableTableScan::TryExecuteColumnar(const ExecOptions& opts) const {
   // long as the pipeline is pulled.
   return Result<ColumnBatchPuller>(
       ScanTableColumns(std::move(columns), NormalizedBatchSize(opts),
-                       ScanPredicateList{}, shared_from_this(),
-                       opts.enable_fusion));
+                       ScanPredicateList{}, shared_from_this()));
 }
 
 // --------------------------------- Filter ---------------------------------
@@ -292,8 +279,7 @@ std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
   }
   if (columns != nullptr) {
     pull = ScanTableColumns(std::move(columns), NormalizedBatchSize(opts),
-                            std::move(split.pushed), self,
-                            opts.enable_fusion);
+                            std::move(split.pushed), self);
   } else if (!split.pushed.empty()) {
     auto rows = OpenScanRows(*split.scan, std::move(split.pushed), opts);
     if (!rows.ok()) return Result<ColumnBatchPuller>(rows.status());
@@ -304,20 +290,16 @@ std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
     pull = std::move(in).value();
   }
 
-  // Residual conjuncts narrow through FusedExpr: whole-tree bytecode
-  // programs where the predicate lowers (rex/rex_fuse.h), the per-node
-  // kernels otherwise. The puller is single-consumer, matching FusedExpr's
-  // one-producer-thread contract.
+  // Residual conjuncts narrow through FusedExpr (rex/rex_fuse.h). The
+  // puller is single-consumer, matching FusedExpr's one-producer-thread
+  // contract.
   auto conjuncts = std::make_shared<std::vector<FusedExpr>>();
   conjuncts->reserve(split.residual.size());
   for (RexNodePtr& pred : split.residual) {
-    conjuncts->emplace_back(std::move(pred), opts.enable_fusion);
+    conjuncts->emplace_back(std::move(pred));
   }
-  // Scratch arenas for residual predicate evaluation; recycled batch to
-  // batch (nothing the predicate allocates outlives the narrowing).
-  auto pool = std::make_shared<ArenaPool>();
   return Result<ColumnBatchPuller>(ColumnBatchPuller(
-      [self, conjuncts, pull, pool]() -> Result<ColumnBatch> {
+      [self, conjuncts, pull]() -> Result<ColumnBatch> {
         for (;;) {
           auto batch = pull();
           if (!batch.ok()) return batch;
@@ -331,11 +313,9 @@ std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
               }
               cols.has_sel = true;
             }
-            ArenaPtr scratch = pool->Acquire();
             for (FusedExpr& pred : *conjuncts) {
               if (cols.sel.empty()) break;
-              CALCITE_RETURN_IF_ERROR(
-                  pred.NarrowSelection(cols, scratch, &cols.sel));
+              CALCITE_RETURN_IF_ERROR(pred.NarrowSelection(cols, &cols.sel));
             }
           }
           if (cols.ActiveCount() == 0) continue;
@@ -404,14 +384,11 @@ std::optional<Result<ColumnBatchPuller>> EnumerableProject::TryExecuteColumnar(
   if (!in.ok()) return in;
   RelNodePtr self = shared_from_this();  // pins exprs_ for the pipeline
   ColumnBatchPuller pull = std::move(in).value();
-  // Projection exprs evaluate through FusedExpr: whole-tree bytecode where
-  // the expression lowers, per-node kernels otherwise (single-consumer
-  // puller, so one FusedExpr per expression is safe).
+  // Projection exprs evaluate through FusedExpr (single-consumer puller,
+  // so one FusedExpr per expression is safe).
   auto fused = std::make_shared<std::vector<FusedExpr>>();
   fused->reserve(exprs_.size());
-  for (const RexNodePtr& expr : exprs_) {
-    fused->emplace_back(expr, opts.enable_fusion);
-  }
+  for (const RexNodePtr& expr : exprs_) fused->emplace_back(expr);
   // Output columns are bump-allocated; each batch's arena is recycled once
   // the consumer drops the batch.
   auto pool = std::make_shared<ArenaPool>();
@@ -871,11 +848,10 @@ Status EvalResidual(ColumnarJoinState* st) {
   for (size_t s = 0; s < pairs.size(); ++s) {
     cand.sel[s] = static_cast<uint32_t>(s);
   }
-  ArenaPtr scratch = st->pool.Acquire();
   Status status = Status::OK();
   for (FusedExpr& pred : st->residual) {
     if (cand.sel.empty()) break;
-    status = pred.NarrowSelection(cand, scratch, &cand.sel);
+    status = pred.NarrowSelection(cand, &cand.sel);
     if (!status.ok()) break;
   }
   if (status.ok()) {
@@ -1117,7 +1093,7 @@ std::optional<Result<ColumnBatchPuller>> EnumerableHashJoin::TryExecuteColumnar(
   }
   st->keys = KeyTable(keys.size(), /*null_keys_match=*/false);
   for (const RexNodePtr& pred : st->remaining) {
-    st->residual.emplace_back(pred, opts.enable_fusion);
+    st->residual.emplace_back(pred);
   }
   st->join_type = join_type_;
   st->batch_size = NormalizedBatchSize(opts);

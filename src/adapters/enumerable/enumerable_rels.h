@@ -39,8 +39,8 @@ class EnumerableTableScan final : public TableScan {
 /// `column <op> literal` / NULL-test conjuncts run inside the scan
 /// (ScanTableColumns over a columnar decomposition, otherwise
 /// Table::OpenScan) before rows are materialized. With enable_columnar on
-/// the residual narrows each ColumnBatch's selection vector through the
-/// columnar kernels, over whatever input LiftToColumns provides; off, it is
+/// the residual narrows each ColumnBatch's selection vector through
+/// FusedExpr, over whatever input LiftToColumns provides; off, it is
 /// evaluated per row (the reference).
 class EnumerableFilter final : public Filter {
  public:
@@ -59,6 +59,19 @@ class EnumerableFilter final : public Filter {
  private:
   using Filter::Filter;
 };
+
+/// A Filter's condition split for leaf pushdown, shared by its columnar,
+/// reference and morsel-parallel paths: when the input is an enumerable
+/// table scan, the simple `column <op> literal` / NULL-test conjuncts go to
+/// `pushed`; `residual` holds what the filter itself evaluates (the whole
+/// condition when nothing pushes).
+struct FilterPushdown {
+  const EnumerableTableScan* scan = nullptr;
+  ScanPredicateList pushed;
+  std::vector<RexNodePtr> residual;
+};
+
+FilterPushdown SplitPushdown(const Filter& filter);
 
 class EnumerableProject final : public Project {
  public:

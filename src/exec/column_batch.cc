@@ -528,44 +528,46 @@ void NarrowByScanPredicate(const ScanPredicate& pred, const ColumnBatch& batch,
   }
 }
 
+PushedPredicates::PushedPredicates(ScanPredicateList predicates) {
+  FuseScanRanges(std::move(predicates), &ranges_, &rest_);
+}
+
+bool PushedPredicates::Apply(ColumnBatch* batch) const {
+  if (empty()) return true;
+  const size_t count = batch->num_rows;
+  SelectionVector sel(count);
+  for (size_t i = 0; i < count; ++i) sel[i] = static_cast<uint32_t>(i);
+  for (const FusedScanRange& range : ranges_) {
+    if (sel.empty()) break;
+    NarrowByFusedRange(range, *batch, &sel);
+  }
+  for (const ScanPredicate& pred : rest_) {
+    if (sel.empty()) break;
+    NarrowByScanPredicate(pred, *batch, &sel);
+  }
+  if (sel.empty()) return false;
+  if (sel.size() < count) {
+    batch->sel = std::move(sel);
+    batch->has_sel = true;
+  }
+  return true;
+}
+
 ColumnBatchPuller ScanTableColumns(TableColumnsPtr columns, size_t batch_size,
                                    ScanPredicateList predicates,
-                                   std::shared_ptr<const void> pin,
-                                   bool fuse_ranges) {
+                                   std::shared_ptr<const void> pin) {
   if (batch_size == 0) batch_size = 1;
   // Bound pairs fuse once at puller construction, not per batch.
-  auto ranges = std::make_shared<std::vector<FusedScanRange>>();
-  auto preds = std::make_shared<ScanPredicateList>();
-  if (fuse_ranges) {
-    FuseScanRanges(std::move(predicates), ranges.get(), preds.get());
-  } else {
-    *preds = std::move(predicates);
-  }
+  auto preds = std::make_shared<const PushedPredicates>(std::move(predicates));
   size_t pos = 0;
-  return [columns, batch_size, ranges, preds, pin,
+  return [columns, batch_size, preds, pin,
           pos]() mutable -> Result<ColumnBatch> {
     while (pos < columns->num_rows) {
       const size_t count = std::min(batch_size, columns->num_rows - pos);
       ColumnBatch batch = SliceTableColumns(columns, pos, count, pin);
       pos += count;
-      if (!ranges->empty() || !preds->empty()) {
-        SelectionVector sel(count);
-        for (size_t i = 0; i < count; ++i) sel[i] = static_cast<uint32_t>(i);
-        for (const FusedScanRange& range : *ranges) {
-          NarrowByFusedRange(range, batch, &sel);
-          if (sel.empty()) break;
-        }
-        for (const ScanPredicate& pred : *preds) {
-          if (sel.empty()) break;
-          NarrowByScanPredicate(pred, batch, &sel);
-        }
-        if (sel.empty()) continue;  // never yield an empty batch mid-stream
-        if (sel.size() < count) {
-          batch.sel = std::move(sel);
-          batch.has_sel = true;
-        }
-      }
-      return batch;
+      // Never yield an empty batch mid-stream.
+      if (preds->Apply(&batch)) return batch;
     }
     return ColumnBatch{};
   };

@@ -233,18 +233,34 @@ void HashKeyColumns(const ColumnBatch& batch, const std::vector<int>& cols,
                     const uint32_t* sel, size_t base, size_t n, uint64_t* out,
                     std::vector<uint64_t>* scratch);
 
+/// Pushed predicates prepared for a columnar leaf: bound pairs among them
+/// are fused once up front (FuseScanRanges) and applied as single interval
+/// tests, the rest as NarrowByScanPredicate loops on raw column storage.
+class PushedPredicates {
+ public:
+  PushedPredicates() = default;
+  explicit PushedPredicates(ScanPredicateList predicates);
+
+  bool empty() const { return ranges_.empty() && rest_.empty(); }
+
+  /// Narrows a leaf batch without a selection to the rows passing every
+  /// predicate, attaching the selection when some row fails. Returns false
+  /// when no row survives.
+  bool Apply(ColumnBatch* batch) const;
+
+ private:
+  std::vector<FusedScanRange> ranges_;
+  ScanPredicateList rest_;
+};
+
 /// Columnar leaf scan: yields zero-copy view batches of at most `batch_size`
-/// rows over `columns`, applying `predicates` on raw column storage and
-/// attaching the surviving selection to each batch (batches where nothing
-/// survives are skipped, never yielded empty). `pin` keeps the owning table
-/// alive while pulling. When `fuse_ranges` is set (ExecOptions::
-/// enable_fusion at the call sites), bound pairs among the predicates are
-/// fused once up front via FuseScanRanges and applied as single interval
-/// tests.
+/// rows over `columns`, applying `predicates` (as PushedPredicates) on raw
+/// column storage and attaching the surviving selection to each batch
+/// (batches where nothing survives are skipped, never yielded empty). `pin`
+/// keeps the owning table alive while pulling.
 ColumnBatchPuller ScanTableColumns(TableColumnsPtr columns, size_t batch_size,
                                    ScanPredicateList predicates,
-                                   std::shared_ptr<const void> pin,
-                                   bool fuse_ranges = true);
+                                   std::shared_ptr<const void> pin);
 
 /// Row index meaning "a NULL cell" in AppendGatheredColumn's index list.
 inline constexpr uint32_t kNullRow = 0xffffffffu;

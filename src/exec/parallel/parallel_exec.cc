@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "adapters/enumerable/columnar_agg.h"
+#include "adapters/enumerable/enumerable_rels.h"
 #include "exec/arena.h"
 #include "exec/column_batch.h"
 #include "exec/parallel/exchange.h"
@@ -24,11 +25,12 @@ namespace {
 // Fragment recognition
 // ---------------------------------------------------------------------------
 
-/// One transform stage of a morsel pipeline: exactly one of {filter,
-/// project} is set. Stages reference expression trees owned by the pinned
-/// plan nodes, so a FragmentSource keeps those nodes alive.
+/// One transform stage of a morsel pipeline: a projection when `project`
+/// is set, else a filter with the conjuncts `filter`. Stages reference
+/// expression trees owned by the pinned plan nodes, so a FragmentSource
+/// keeps those nodes alive.
 struct PipelineStage {
-  RexNodePtr filter;
+  std::vector<RexNodePtr> filter;
   const std::vector<RexNodePtr>* project = nullptr;
 };
 
@@ -41,11 +43,17 @@ struct PipelineStage {
 ///  - paged (`columns` null): a morsel is one scan unit of the table (for a
 ///    disk table, a run of heap pages), read by a unit-ranged OpenScan and
 ///    decoded through RowsToColumns.
+/// A Filter directly over the scan is split as the serial filter splits it
+/// (SplitPushdown): its simple conjuncts are `pushed` into the leaf — the
+/// unit-ranged OpenScan's ScanSpec, or `leaf_filter` over each columnar
+/// slice — and only the residual stays a stage.
 struct FragmentSource {
   std::vector<RelNodePtr> pinned;  // fragment nodes (keep exprs alive)
   TablePtr table;
   RelDataTypePtr row_type;         // leaf row type (decodes paged units)
   std::vector<PipelineStage> stages;  // applied bottom-up
+  ScanPredicateList pushed;
+  PushedPredicates leaf_filter;  // `pushed`, for the columnar leaf
   TableColumnsPtr columns;
   size_t morsel_count = 0;  // rows of `columns`, or scan units when paged
   size_t morsel_size = 1;
@@ -61,8 +69,9 @@ size_t PickMorselSize(size_t total_rows, size_t num_threads) {
 /// Matches the fragment shape the morsel executor can run — a chain of
 /// enumerable Filter/Project nodes over an enumerable TableScan — and
 /// resolves its leaf storage. Returns null (the fragment stays serial) for
-/// any other shape, for stream scans, and for tables with neither a
-/// columnar decomposition nor scan units. Converters (EnumerableInterpreter)
+/// any other shape, for stream scans, for tables with neither a columnar
+/// decomposition nor scan units, and for tables that fit in one morsel
+/// (one worker would get all the work). Converters (EnumerableInterpreter)
 /// and every other operator stop the chain — fragments never cross a
 /// calling-convention boundary.
 std::shared_ptr<const FragmentSource> RecognizeMorselPipeline(
@@ -70,13 +79,15 @@ std::shared_ptr<const FragmentSource> RecognizeMorselPipeline(
   auto out = std::make_shared<FragmentSource>();
   const RelNode* cur = &root;
   std::vector<PipelineStage> top_down;
+  const Filter* scan_filter = nullptr;  // the Filter right above the scan
   for (;;) {
     if (cur->convention() != Convention::Enumerable()) return nullptr;
     out->pinned.push_back(cur->shared_from_this());
     if (const auto* filter = dynamic_cast<const Filter*>(cur)) {
       PipelineStage stage;
-      stage.filter = filter->condition();
+      stage.filter = {filter->condition()};
       top_down.push_back(std::move(stage));
+      scan_filter = filter;
       cur = filter->input(0).get();
       continue;
     }
@@ -84,6 +95,7 @@ std::shared_ptr<const FragmentSource> RecognizeMorselPipeline(
       PipelineStage stage;
       stage.project = &project->exprs();
       top_down.push_back(std::move(stage));
+      scan_filter = nullptr;
       cur = project->input(0).get();
       continue;
     }
@@ -96,6 +108,14 @@ std::shared_ptr<const FragmentSource> RecognizeMorselPipeline(
     out->row_type = scan->row_type();
     break;
   }
+  if (scan_filter != nullptr) {
+    FilterPushdown split = SplitPushdown(*scan_filter);
+    if (!split.pushed.empty()) {
+      out->pushed = std::move(split.pushed);
+      top_down.back().filter = std::move(split.residual);
+      if (top_down.back().filter.empty()) top_down.pop_back();
+    }
+  }
   out->stages.assign(top_down.rbegin(), top_down.rend());
 
   TypeFactory type_factory;
@@ -103,56 +123,54 @@ std::shared_ptr<const FragmentSource> RecognizeMorselPipeline(
   if (out->columns != nullptr) {
     out->morsel_count = out->columns->num_rows;
     out->morsel_size = PickMorselSize(out->morsel_count, opts.num_threads);
+    if (out->morsel_count <= out->morsel_size) return nullptr;
+    out->leaf_filter = PushedPredicates(out->pushed);
   } else {
     out->morsel_count = out->table->ScanUnitCount();
-    if (out->morsel_count == 0) return nullptr;
+    if (out->morsel_count <= 1) return nullptr;
   }
   return out;
 }
 
-/// Worker-local fused view of one pipeline stage: a FusedExpr per filter
-/// predicate / projection expression. FusedExpr caches a compiled bytecode
-/// program and register scratch and is not thread-safe (same contract as
-/// ArenaPool), so every worker builds its own list next to its scratch
-/// pool instead of sharing the RexNode-level stages directly.
+/// Worker-local view of one pipeline stage: a FusedExpr per filter
+/// conjunct / projection expression. FusedExpr caches a compiled bytecode
+/// program and register scratch and is not thread-safe, so every worker
+/// builds its own list instead of sharing the RexNode-level stages
+/// directly.
 struct FusedStage {
-  std::unique_ptr<FusedExpr> filter;
-  std::vector<FusedExpr> project;
+  bool is_filter = false;
+  std::vector<FusedExpr> exprs;
 };
 
 std::vector<FusedStage> BuildFusedStages(
-    const std::vector<PipelineStage>& stages, bool enable_fusion) {
+    const std::vector<PipelineStage>& stages) {
   std::vector<FusedStage> out;
   out.reserve(stages.size());
   for (const PipelineStage& stage : stages) {
     FusedStage fused;
-    if (stage.filter != nullptr) {
-      fused.filter = std::make_unique<FusedExpr>(stage.filter, enable_fusion);
-    } else {
-      fused.project.reserve(stage.project->size());
-      for (const RexNodePtr& expr : *stage.project) {
-        fused.project.emplace_back(expr, enable_fusion);
-      }
-    }
+    fused.is_filter = stage.project == nullptr;
+    const std::vector<RexNodePtr>& exprs =
+        fused.is_filter ? stage.filter : *stage.project;
+    fused.exprs.reserve(exprs.size());
+    for (const RexNodePtr& expr : exprs) fused.exprs.emplace_back(expr);
     out.push_back(std::move(fused));
   }
   return out;
 }
 
-/// Runs the fragment's stage chain over one batch — the same columnar
-/// kernels as the serial pipelines, whichever worker thread runs it: filter
-/// stages narrow the batch's selection (fused bytecode where the predicate
-/// lowers), project stages rebuild the batch densely (selection consumed on
-/// write). `scratch_pool` recycles filter-scratch arenas; it and `stages`
-/// are worker-local, so acquire/release and the fused interpreter state
-/// stay on one thread. Project outputs get a *fresh* arena each time: those
-/// batches may cross the exchange to the consumer thread, and an arena must
-/// never be recycled by one thread while another still reads it.
+/// Runs the fragment's stage chain over one batch — the same FusedExpr
+/// evaluation as the serial pipelines, whichever worker thread runs it:
+/// filter stages narrow the batch's selection conjunct by conjunct,
+/// project stages rebuild the batch densely (selection consumed on write).
+/// `stages` is worker-local, so the fused interpreter state stays on one
+/// thread. Project outputs get a *fresh* arena each time: those batches may
+/// cross the exchange to the consumer thread, and an arena must never be
+/// recycled by one thread while another still reads it.
 Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
-                           ArenaPool* scratch_pool, ColumnBatch* batch) {
+                           ColumnBatch* batch) {
   for (FusedStage& stage : *stages) {
     if (batch->ActiveCount() == 0) return Status::OK();
-    if (stage.filter != nullptr) {
+    if (stage.is_filter) {
       if (!batch->has_sel) {
         batch->sel.resize(batch->num_rows);
         for (size_t i = 0; i < batch->num_rows; ++i) {
@@ -160,15 +178,16 @@ Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
         }
         batch->has_sel = true;
       }
-      ArenaPtr scratch = scratch_pool->Acquire();
-      CALCITE_RETURN_IF_ERROR(
-          stage.filter->NarrowSelection(*batch, scratch, &batch->sel));
+      for (FusedExpr& pred : stage.exprs) {
+        if (batch->sel.empty()) break;
+        CALCITE_RETURN_IF_ERROR(pred.NarrowSelection(*batch, &batch->sel));
+      }
     } else {
       ColumnBatch out;
       out.arena = std::make_shared<Arena>();
       out.num_rows = batch->ActiveCount();
       out.ShareStorage(*batch);
-      for (FusedExpr& expr : stage.project) {
+      for (FusedExpr& expr : stage.exprs) {
         CALCITE_RETURN_IF_ERROR(expr.AppendEvalColumn(*batch, &out));
       }
       *batch = std::move(out);
@@ -190,7 +209,7 @@ class MorselReader {
         morsels_(morsels),
         cancel_(cancel),
         batch_size_(opts.batch_size),
-        stages_(BuildFusedStages(src_->stages, opts.enable_fusion)) {}
+        stages_(BuildFusedStages(src_->stages)) {}
 
   /// Start of the first (lowest) morsel this reader claimed; SIZE_MAX
   /// before its first claim.
@@ -208,7 +227,7 @@ class MorselReader {
       }
       ColumnBatch batch = std::move(leaf).value();
       if (batch.AtEnd()) break;
-      Status status = ApplyStagesColumnar(&stages_, &scratch_pool_, &batch);
+      Status status = ApplyStagesColumnar(&stages_, &batch);
       if (!status.ok()) {
         cancel_->Cancel(std::move(status));
         break;
@@ -219,14 +238,16 @@ class MorselReader {
   }
 
  private:
-  /// The next unfiltered leaf batch; AtEnd() once no morsel is left.
+  /// The next leaf batch with a row passing the pushed predicates; AtEnd()
+  /// once no morsel is left.
   Result<ColumnBatch> NextLeafBatch() {
     for (;;) {
       if (pos_ < end_) {
         const size_t n = std::min(batch_size_, end_ - pos_);
         ColumnBatch batch = SliceTableColumns(src_->columns, pos_, n, src_);
         pos_ += n;
-        return batch;
+        if (src_->leaf_filter.Apply(&batch)) return batch;
+        continue;
       }
       if (unit_scan_) {
         CALCITE_ASSIGN_OR_RETURN(RowBatch rows, unit_scan_());
@@ -245,6 +266,7 @@ class MorselReader {
         // never holds more than the unit it claimed.
         ScanSpec spec;
         spec.batch_size = batch_size_;
+        spec.predicates = src_->pushed;
         spec.unit_begin = morsel->begin;
         spec.unit_end = morsel->end;
         CALCITE_ASSIGN_OR_RETURN(unit_scan_, src_->table->OpenScan(spec));
@@ -257,7 +279,6 @@ class MorselReader {
   QueryCancelState* cancel_;
   const size_t batch_size_;
   std::vector<FusedStage> stages_;
-  ArenaPool scratch_pool_;
   size_t first_morsel_ = SIZE_MAX;
   size_t pos_ = 0;  // row range of the claimed morsel (columnar leaf)
   size_t end_ = 0;
@@ -367,6 +388,11 @@ std::optional<Result<ColumnBatchPuller>> TryExecuteParallelColumns(
   if (opts.num_threads < 2 || !opts.enable_columnar) return std::nullopt;
   auto src = RecognizeMorselPipeline(node, opts);
   if (src == nullptr) return std::nullopt;
+  // Zero-copy slices of an in-memory table with nothing to evaluate would
+  // only cross the exchange.
+  if (src->columns != nullptr && src->stages.empty() && src->pushed.empty()) {
+    return std::nullopt;
+  }
   return ExecutePipelineParallel(std::move(src), opts);
 }
 

@@ -21,15 +21,21 @@ namespace calcite {
 /// operators (whose *inputs* may still parallelize recursively). A fragment
 /// declines when num_threads is 1, when `opts.enable_columnar` is off (the
 /// serial per-row reference engine), when its shape is not
-/// parallelizable, or when its leaf table has neither a columnar
-/// decomposition nor scan units (Values leaves, Scan()-only tables).
+/// parallelizable, when its leaf table has neither a columnar
+/// decomposition nor scan units (Values leaves, Scan()-only tables), when
+/// the table fits in one morsel, or — for TryExecuteParallelColumns — when
+/// it is a bare in-memory scan, whose zero-copy slices would only cross
+/// the exchange.
 ///
 /// Every worker is columnar: one per-worker morsel reader claims a morsel,
 /// turns it into ColumnBatches — zero-copy slices of the table's
 /// MaterializedColumns, or, for paged tables such as DiskTable, one
 /// unit-ranged OpenScan per scan unit decoded through RowsToColumns — and
-/// runs the fragment's filter/project chain on them with the same columnar
-/// kernels as the serial pipelines. Parallel physical paths:
+/// runs the fragment's filter/project chain on them through FusedExpr, as
+/// the serial pipelines do. A Filter right above the scan is split like the
+/// serial one (SplitPushdown): its simple conjuncts narrow the leaf
+/// batches (or ride the unit-ranged OpenScan) and only the residual is a
+/// stage. Parallel physical paths:
 ///  - Morsel-driven pipelines: (Filter|Project)* over a TableScan leaf.
 ///    Workers exchange their surviving ColumnBatches to the consumer, which
 ///    hands them to a columnar consumer (Filter, Project, Aggregate, Sort,

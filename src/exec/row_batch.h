@@ -68,15 +68,11 @@ struct ExecOptions {
   /// execute queries both ways.
   bool enable_columnar = true;
 
-  /// When true (the default), columnar expression evaluation lowers whole
-  /// RexNode trees into flat register-allocated bytecode programs
-  /// (rex/rex_fuse.h) executed block-at-a-time against the SIMD kernels,
-  /// instead of materializing one arena temporary per operator node. Trees
-  /// the fuser cannot lower (strings, non-literal divisors, unsupported
-  /// operators) silently fall back to the per-node path, so this flag never
-  /// changes results — the differential fuzz and parity suites run both
-  /// ways to prove it. It also gates range-fusion of pushed scan
-  /// predicates ($0 >= a AND $0 < b -> one interval test).
+  /// Ignored: no code reads it. Columnar expression evaluation always runs
+  /// through FusedExpr (rex/rex_fuse.h) and pushed scan predicates always
+  /// fuse their range pairs. The field stays declared only because the SQL
+  /// benchmark's reference configuration (sqlbench/main.cc) still assigns
+  /// it, next to enable_columnar = false.
   bool enable_fusion = true;
 
   /// Access-path hint handed to every leaf scan (via ScanSpec). kAuto is
@@ -128,8 +124,8 @@ struct ExecOptions {
 using RowBatchPuller = std::function<Result<RowBatch>()>;
 
 /// Indexes of the live rows of a ColumnBatch, strictly ascending: filters
-/// narrow it (FusedExpr / RexColumnar::NarrowSelection, leaf pushdown)
-/// instead of compacting, so downstream operators iterate only the selected
+/// narrow it (FusedExpr::NarrowSelection, leaf pushdown) instead of
+/// compacting, so downstream operators iterate only the selected
 /// indexes and survivors are never moved.
 using SelectionVector = std::vector<uint32_t>;
 

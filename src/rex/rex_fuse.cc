@@ -7,7 +7,8 @@
 #include <optional>
 
 #include "rex/operator.h"
-#include "rex/rex_columnar.h"
+#include "rex/rex_interpreter.h"
+#include "rex/rex_util.h"
 
 namespace calcite {
 namespace {
@@ -30,6 +31,28 @@ std::optional<simd::Cmp> CmpOf(OpKind op) {
     case OpKind::kGreaterThanOrEqual: return simd::Cmp::kGe;
     default: return std::nullopt;
   }
+}
+
+/// Whether a three-way comparison result `c` passes `cmp`.
+bool CmpPasses(simd::Cmp cmp, int c) {
+  switch (cmp) {
+    case simd::Cmp::kEq: return c == 0;
+    case simd::Cmp::kNe: return c != 0;
+    case simd::Cmp::kLt: return c < 0;
+    case simd::Cmp::kLe: return c <= 0;
+    case simd::Cmp::kGt: return c > 0;
+    case simd::Cmp::kGe: return c >= 0;
+  }
+  return false;
+}
+
+/// A literal the compare peephole folds into the instruction: non-NULL
+/// numeric, string or bool.
+const RexLiteral* FoldableLiteral(const RexNodePtr& node) {
+  const RexLiteral* lit = AsLiteral(node);
+  if (lit == nullptr || lit->value().IsNull()) return nullptr;
+  const Value& v = lit->value();
+  return v.is_numeric() || v.is_string() || v.is_bool() ? lit : nullptr;
 }
 
 std::optional<simd::Arith> ArithOf(OpKind op) {
@@ -106,6 +129,7 @@ class Lowerer {
 
   bool failed() const { return failed_; }
   std::vector<FuseInstr> TakeInstrs() { return std::move(instrs_); }
+  std::vector<std::string> TakeStrings() { return std::move(strings_); }
   int num_registers() const { return next_reg_; }
 
  private:
@@ -151,10 +175,20 @@ class Lowerer {
     return Operand{dst, PhysType::kDouble};
   }
 
+  /// Index of string constant `s` in the program's pool.
+  int64_t AddString(const std::string& s) {
+    strings_.push_back(s);
+    return static_cast<int64_t>(strings_.size() - 1);
+  }
+
   std::optional<Operand> LowerInputRef(const RexInputRef& ref);
   std::optional<Operand> LowerLiteral(const RexLiteral& lit,
                                       const RelDataTypePtr& type);
   std::optional<Operand> LowerArith(const RexCall& call);
+  /// Lowers both operands of a numeric binary call — widening an int64
+  /// side when the other is double — and emits `proto` over them.
+  std::optional<Operand> LowerBinary(const RexCall& call,
+                                     const FuseInstr& proto);
   std::optional<Operand> LowerDivMod(const RexCall& call);
   std::optional<Operand> LowerCompare(const RexCall& call);
   std::optional<Operand> LowerAndOr(const RexCall& call);
@@ -163,8 +197,10 @@ class Lowerer {
 
   const std::vector<PhysType>& input_phys_;
   std::vector<FuseInstr> instrs_;
+  std::vector<std::string> strings_;
   std::vector<uint8_t> free_regs_;
   int next_reg_ = 0;
+  int logic_depth_ = 0;  // AND/OR operators above the node being lowered
   bool failed_ = false;
 };
 
@@ -174,7 +210,7 @@ std::optional<Operand> Lowerer::LowerInputRef(const RexInputRef& ref) {
     return Fail();
   }
   PhysType phys = input_phys_[ref.index()];
-  if (!NumericPhys(phys) && phys != PhysType::kBool) return Fail();
+  if (phys == PhysType::kValue) return Fail();
   uint8_t dst = AllocReg();
   FuseInstr& in = Emit(FuseOp::kLoadCol, dst);
   in.vtype = phys;
@@ -187,7 +223,7 @@ std::optional<Operand> Lowerer::LowerLiteral(const RexLiteral& lit,
   const Value& v = lit.value();
   if (v.IsNull()) {
     PhysType phys = PhysTypeForRel(*type);
-    if (!NumericPhys(phys) && phys != PhysType::kBool) return Fail();
+    if (phys == PhysType::kValue) return Fail();
     uint8_t dst = AllocReg();
     FuseInstr& in = Emit(FuseOp::kLoadNull, dst);
     in.vtype = phys;
@@ -211,6 +247,12 @@ std::optional<Operand> Lowerer::LowerLiteral(const RexLiteral& lit,
     in.vtype = PhysType::kBool;
     in.imm_i64 = v.AsBool() ? 1 : 0;
     return Operand{dst, PhysType::kBool};
+  }
+  if (v.is_string()) {
+    FuseInstr& in = Emit(FuseOp::kLoadLitStr, dst);
+    in.vtype = PhysType::kString;
+    in.imm_i64 = AddString(v.AsString());
+    return Operand{dst, PhysType::kString};
   }
   FreeReg(dst);
   return Fail();
@@ -256,6 +298,14 @@ std::optional<Operand> Lowerer::LowerArith(const RexCall& call) {
     }
     return Operand{dst, in.vtype};
   }
+  FuseInstr proto;
+  proto.op = FuseOp::kArith;
+  proto.arith = arith;
+  return LowerBinary(call, proto);
+}
+
+std::optional<Operand> Lowerer::LowerBinary(const RexCall& call,
+                                            const FuseInstr& proto) {
   std::optional<Operand> a = Lower(call.operand(0));
   if (!a) return std::nullopt;
   std::optional<Operand> b = Lower(call.operand(1));
@@ -270,22 +320,36 @@ std::optional<Operand> Lowerer::LowerArith(const RexCall& call) {
   FreeReg(a->reg);
   FreeReg(b->reg);
   uint8_t dst = AllocReg();
-  FuseInstr& in = Emit(FuseOp::kArith, dst);
+  FuseInstr& in = Emit(proto.op, dst);
+  in = proto;
+  in.dst = dst;
   in.a = a->reg;
   in.b = b->reg;
-  in.arith = arith;
   in.vtype = integral ? PhysType::kInt64 : PhysType::kDouble;
   return Operand{dst, in.vtype};
 }
 
 std::optional<Operand> Lowerer::LowerDivMod(const RexCall& call) {
-  // Totality rule: division and modulus fuse only when the divisor is a
-  // direct literal that can never raise — NULL (the result is then all
-  // NULL without evaluating anything) or a non-zero numeric. Everything
-  // else could divide by zero at runtime and must stay on the per-node
-  // path, which owns error semantics.
+  const bool is_mod = call.op() == OpKind::kMod;
+  // A direct literal divisor that can never raise — NULL (the result is
+  // then all NULL without evaluating anything) or a non-zero numeric —
+  // lowers to a total instruction. Any other divisor may be zero, and the
+  // instruction then raises. AND and OR evaluate all their operands blind,
+  // so below one it would raise on rows the per-row oracle short-circuits:
+  // such trees do not fuse.
   const RexLiteral* lit = AsLiteral(call.operand(1));
-  if (lit == nullptr) return Fail();
+  const bool total =
+      lit != nullptr &&
+      (lit->value().IsNull() ||
+       (lit->value().is_int() && lit->value().AsInt() != 0) ||
+       (lit->value().is_double() && lit->value().AsDouble() != 0.0));
+  if (!total) {
+    if (logic_depth_ > 0) return Fail();
+    FuseInstr proto;
+    proto.op = FuseOp::kDivMod;
+    proto.is_mod = is_mod;
+    return LowerBinary(call, proto);
+  }
   std::optional<Operand> a = Lower(call.operand(0));
   if (!a) return std::nullopt;
   if (!NumericPhys(a->phys)) return Fail();
@@ -300,17 +364,13 @@ std::optional<Operand> Lowerer::LowerDivMod(const RexCall& call) {
     in.vtype = integral ? PhysType::kInt64 : PhysType::kDouble;
     return Operand{dst, in.vtype};
   }
-  if (!lit->value().is_numeric()) return Fail();
-  const bool zero = lit->value().is_int() ? lit->value().AsInt() == 0
-                                          : lit->value().AsDouble() == 0.0;
-  if (zero) return Fail();
   const bool integral = a->phys == PhysType::kInt64 && lit->value().is_int();
   if (!integral && a->phys == PhysType::kInt64) a = EmitWiden(*a);
   FreeReg(a->reg);
   uint8_t dst = AllocReg();
   FuseInstr& in = Emit(FuseOp::kDivModLit, dst);
   in.a = a->reg;
-  in.is_mod = call.op() == OpKind::kMod;
+  in.is_mod = is_mod;
   if (integral) {
     in.vtype = PhysType::kInt64;
     in.imm_i64 = lit->value().AsInt();
@@ -322,56 +382,59 @@ std::optional<Operand> Lowerer::LowerDivMod(const RexCall& call) {
 }
 
 std::optional<Operand> Lowerer::LowerCompare(const RexCall& call) {
-  simd::Cmp cmp = *CmpOf(call.op());
-  // Literal peephole, mirroring the per-node CompareLitDense fast path:
-  // one direct non-NULL numeric literal side folds into the kernel, a
-  // literal on the left flipping the comparison.
-  const RexLiteral* lit = AsLiteral(call.operand(1));
+  OpKind op = call.op();
+  // Literal peephole: one direct non-NULL literal side folds into the
+  // instruction, a literal on the left flipping the comparison.
+  const RexLiteral* lit = FoldableLiteral(call.operand(1));
   const RexNodePtr* other = &call.operand(0);
-  if (lit == nullptr || lit->value().IsNull() || !lit->value().is_numeric()) {
-    lit = AsLiteral(call.operand(0));
+  if (lit == nullptr && !call.operand(1)->is_literal()) {
+    lit = FoldableLiteral(call.operand(0));
     other = &call.operand(1);
-    if (lit != nullptr && !lit->value().IsNull() &&
-        lit->value().is_numeric() && !call.operand(1)->is_literal()) {
-      cmp = *CmpOf(ReverseComparison(call.op()));
-    } else {
-      lit = nullptr;
-      other = nullptr;
-    }
+    op = ReverseComparison(op);
   }
   if (lit != nullptr) {
     std::optional<Operand> a = Lower(*other);
     if (!a) return std::nullopt;
-    if (!NumericPhys(a->phys)) return Fail();
-    const bool integral = a->phys == PhysType::kInt64 && lit->value().is_int();
-    if (!integral && a->phys == PhysType::kInt64) a = EmitWiden(*a);
+    const Value& v = lit->value();
+    PhysType lane = a->phys;
+    if (NumericPhys(a->phys) && v.is_numeric()) {
+      lane = a->phys == PhysType::kInt64 && v.is_int() ? PhysType::kInt64
+                                                      : PhysType::kDouble;
+      if (lane == PhysType::kDouble && a->phys == PhysType::kInt64) {
+        a = EmitWiden(*a);
+      }
+    } else if (!(a->phys == PhysType::kString && v.is_string()) &&
+               !(a->phys == PhysType::kBool && v.is_bool())) {
+      return Fail();
+    }
     FreeReg(a->reg);
     uint8_t dst = AllocReg();
     FuseInstr& in = Emit(FuseOp::kCmpLit, dst);
     in.a = a->reg;
-    in.cmp = cmp;
+    in.cmp = *CmpOf(op);
     in.vtype = PhysType::kBool;
-    in.is_f64 = !integral;
-    if (integral) {
-      in.imm_i64 = lit->value().AsInt();
-    } else {
-      in.imm_f64 = lit->value().AsDouble();
+    in.lane = lane;
+    switch (lane) {
+      case PhysType::kDouble: in.imm_f64 = v.AsDouble(); break;
+      case PhysType::kString: in.imm_i64 = AddString(v.AsString()); break;
+      case PhysType::kBool: in.imm_i64 = v.AsBool() ? 1 : 0; break;
+      default: in.imm_i64 = v.AsInt(); break;
     }
     return Operand{dst, PhysType::kBool};
   }
-  cmp = *CmpOf(call.op());
   std::optional<Operand> a = Lower(call.operand(0));
   if (!a) return std::nullopt;
   std::optional<Operand> b = Lower(call.operand(1));
   if (!b) return std::nullopt;
-  // Only numeric comparisons fuse; bool-vs-bool (and anything string-y,
-  // which never lowers) stays per-node.
-  if (!NumericPhys(a->phys) || !NumericPhys(b->phys)) return Fail();
-  const bool integral =
-      a->phys == PhysType::kInt64 && b->phys == PhysType::kInt64;
-  if (!integral) {
-    if (a->phys == PhysType::kInt64) a = EmitWiden(*a);
-    if (b->phys == PhysType::kInt64) b = EmitWiden(*b);
+  PhysType lane = a->phys;
+  if (NumericPhys(a->phys) && NumericPhys(b->phys)) {
+    if (a->phys != b->phys) {
+      lane = PhysType::kDouble;
+      if (a->phys == PhysType::kInt64) a = EmitWiden(*a);
+      if (b->phys == PhysType::kInt64) b = EmitWiden(*b);
+    }
+  } else if (a->phys != b->phys) {
+    return Fail();  // incomparable classes (string vs number, ...)
   }
   FreeReg(a->reg);
   FreeReg(b->reg);
@@ -379,9 +442,9 @@ std::optional<Operand> Lowerer::LowerCompare(const RexCall& call) {
   FuseInstr& in = Emit(FuseOp::kCmp, dst);
   in.a = a->reg;
   in.b = b->reg;
-  in.cmp = cmp;
+  in.cmp = *CmpOf(call.op());
   in.vtype = PhysType::kBool;
-  in.is_f64 = !integral;
+  in.lane = lane;
   return Operand{dst, PhysType::kBool};
 }
 
@@ -401,7 +464,7 @@ std::optional<Operand> Lowerer::LowerRangePair(const RangeAtom& lower,
   FuseInstr& in = Emit(FuseOp::kInRange, dst);
   in.a = c.reg;
   in.vtype = PhysType::kBool;
-  in.is_f64 = !integral;
+  in.lane = integral ? PhysType::kInt64 : PhysType::kDouble;
   in.lo_strict = lower.strict;
   in.hi_strict = upper.strict;
   if (integral) {
@@ -444,6 +507,7 @@ std::optional<Operand> Lowerer::LowerAndOr(const RexCall& call) {
   }
 
   std::optional<Operand> acc;
+  ++logic_depth_;
   for (size_t i = 0; i < ops.size(); ++i) {
     if (consumed[i]) continue;
     std::optional<Operand> piece;
@@ -469,6 +533,7 @@ std::optional<Operand> Lowerer::LowerAndOr(const RexCall& call) {
     in.vtype = PhysType::kBool;
     acc = Operand{dst, PhysType::kBool};
   }
+  --logic_depth_;
   return acc;
 }
 
@@ -599,6 +664,16 @@ std::string FmtImm(const FuseInstr& in) {
                                       : FmtF64(in.imm_f64);
 }
 
+/// A compare literal, per operand lane.
+std::string FmtLaneImm(const FuseInstr& in,
+                       const std::vector<std::string>& strings) {
+  switch (in.lane) {
+    case PhysType::kDouble: return FmtF64(in.imm_f64);
+    case PhysType::kString: return "\"" + strings[in.imm_i64] + "\"";
+    default: return std::to_string(in.imm_i64);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -613,6 +688,10 @@ std::shared_ptr<const FuseProgram> FuseProgram::Compile(
   if (!res || lw.failed()) return nullptr;
   std::shared_ptr<FuseProgram> p(new FuseProgram());
   p->instrs_ = lw.TakeInstrs();
+  p->strings_ = lw.TakeStrings();
+  for (const FuseInstr& in : p->instrs_) {
+    if (in.vtype == PhysType::kString) p->reg_width_ = sizeof(StringRef);
+  }
   p->num_registers_ = lw.num_registers();
   p->result_reg_ = res->reg;
   p->result_phys_ = res->phys;
@@ -625,9 +704,8 @@ std::string FuseProgram::Disassemble() const {
     std::string line = "r" + std::to_string(in.dst) + " = ";
     const std::string ra = "r" + std::to_string(in.a);
     const std::string rb = "r" + std::to_string(in.b);
-    // The operand lane suffix: result class for arith, operand width for
-    // the bool-producing compares.
-    const char* lane = in.is_f64 ? "f64" : "i64";
+    // The operand class suffix of the bool-producing compares.
+    const char* lane = PhysName(in.lane);
     switch (in.op) {
       case FuseOp::kLoadCol:
         line += "col $" + std::to_string(in.col) + " " + PhysName(in.vtype);
@@ -640,6 +718,9 @@ std::string FuseProgram::Disassemble() const {
         break;
       case FuseOp::kLoadLitBool:
         line += "lit.bool #" + std::to_string(in.imm_i64);
+        break;
+      case FuseOp::kLoadLitStr:
+        line += "lit.str #\"" + strings_[in.imm_i64] + "\"";
         break;
       case FuseOp::kLoadNull:
         line += std::string("null.") + PhysName(in.vtype);
@@ -656,21 +737,26 @@ std::string FuseProgram::Disassemble() const {
         line += std::string(in.is_mod ? "mod." : "div.") + PhysName(in.vtype) +
                 " " + ra + " #" + FmtImm(in);
         break;
+      case FuseOp::kDivMod:
+        line += std::string(in.is_mod ? "mod." : "div.") + PhysName(in.vtype) +
+                " " + ra + " " + rb;
+        break;
       case FuseOp::kCmp:
         line += std::string(CmpName(in.cmp)) + "." + lane + " " + ra + " " +
                 rb;
         break;
       case FuseOp::kCmpLit:
         line += std::string(CmpName(in.cmp)) + "." + lane + " " + ra + " #" +
-                (in.is_f64 ? FmtF64(in.imm_f64) : std::to_string(in.imm_i64));
+                FmtLaneImm(in, strings_);
         break;
       case FuseOp::kInRange:
         line += std::string("inrange.") + lane + " " + ra + " " +
                 (in.lo_strict ? "(" : "[") +
-                (in.is_f64 ? FmtF64(in.imm_f64) : std::to_string(in.imm_i64)) +
+                (in.lane == PhysType::kDouble ? FmtF64(in.imm_f64)
+                                              : std::to_string(in.imm_i64)) +
                 ", " +
-                (in.is_f64 ? FmtF64(in.imm2_f64)
-                           : std::to_string(in.imm2_i64)) +
+                (in.lane == PhysType::kDouble ? FmtF64(in.imm2_f64)
+                                              : std::to_string(in.imm2_i64)) +
                 (in.hi_strict ? ")" : "]");
         break;
       case FuseOp::kAnd:
@@ -718,7 +804,13 @@ std::string FuseProgram::Disassemble() const {
 
 namespace {
 
-size_t WidthOf(PhysType t) { return t == PhysType::kBool ? 1 : 8; }
+size_t WidthOf(PhysType t) {
+  switch (t) {
+    case PhysType::kBool: return 1;
+    case PhysType::kString: return sizeof(StringRef);
+    default: return 8;
+  }
+}
 
 const uint8_t* ColData(const ColumnVector& c, size_t base) {
   switch (c.type) {
@@ -726,9 +818,62 @@ const uint8_t* ColData(const ColumnVector& c, size_t base) {
       return reinterpret_cast<const uint8_t*>(c.i64 + base);
     case PhysType::kDouble:
       return reinterpret_cast<const uint8_t*>(c.f64 + base);
+    case PhysType::kString:
+      return reinterpret_cast<const uint8_t*>(c.str + base);
     default:
       return c.b8 + base;
   }
+}
+
+/// out[i] = cmp(a[i] vs b[i]) for bool and string lanes, whose three-way
+/// results follow Value::Compare; `b` is null when every row compares
+/// against `lit`. Rows NULL in `nulls` get 0 and are never read.
+template <typename T, typename Cmp3>
+void CmpRows(simd::Cmp cmp, const T* a, const T* b, const T& lit,
+             const uint8_t* nulls, size_t len, uint8_t* out, Cmp3 cmp3) {
+  for (size_t i = 0; i < len; ++i) {
+    out[i] = (nulls == nullptr || nulls[i] == 0) &&
+             CmpPasses(cmp, cmp3(a[i], b != nullptr ? b[i] : lit));
+  }
+}
+
+/// Bool- and string-lane comparisons (numeric lanes run the simd kernels).
+void CmpNonNumeric(const FuseInstr& ins, const std::vector<std::string>& strs,
+                   const uint8_t* a, const uint8_t* b, const uint8_t* nulls,
+                   size_t len, uint8_t* out) {
+  if (ins.lane == PhysType::kBool) {
+    const uint8_t lit = static_cast<uint8_t>(ins.imm_i64);
+    CmpRows(ins.cmp, a, b, lit, nulls, len, out, [](uint8_t x, uint8_t y) {
+      return static_cast<int>(x) - static_cast<int>(y);
+    });
+    return;
+  }
+  StringRef lit;
+  if (b == nullptr) {
+    const std::string& s = strs[ins.imm_i64];
+    lit = StringRef{s.data(), static_cast<uint32_t>(s.size())};
+  }
+  CmpRows(ins.cmp, reinterpret_cast<const StringRef*>(a),
+          reinterpret_cast<const StringRef*>(b), lit, nulls, len, out,
+          [](const StringRef& x, const StringRef& y) {
+            return x.view().compare(y.view());
+          });
+}
+
+/// Division or modulus over non-NULL rows, raising on a zero divisor;
+/// NULL rows keep canonical-zero data.
+template <typename T, typename Op>
+Status DivModRows(const T* x, const T* y, const uint8_t* nulls, size_t len,
+                  T* out, Op op) {
+  for (size_t i = 0; i < len; ++i) {
+    if (nulls != nullptr && nulls[i] != 0) {
+      out[i] = 0;
+      continue;
+    }
+    if (y[i] == 0) return Status::RuntimeError("division by zero");
+    out[i] = op(x[i], y[i]);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -754,13 +899,14 @@ const FuseProgram* FusedExpr::ProgramFor(const ColumnBatch& in) {
 
 void FusedExpr::EnsureScratch() {
   const size_t nregs = static_cast<size_t>(program_->num_registers());
-  constexpr size_t kStride = 8 * kFuseBlockRows + kFuseBlockRows;
-  if (scratch_.size() < nregs * kStride) scratch_.resize(nregs * kStride);
+  const size_t data_bytes = program_->reg_width() * kFuseBlockRows;
+  const size_t stride = data_bytes + kFuseBlockRows;
+  if (scratch_.size() < nregs * stride) scratch_.resize(nregs * stride);
   if (regs_.size() < nregs) regs_.resize(nregs);
   uint8_t* base = scratch_.data();
   for (size_t i = 0; i < nregs; ++i) {
-    regs_[i].slot_data = base + i * kStride;
-    regs_[i].slot_nulls = base + i * kStride + 8 * kFuseBlockRows;
+    regs_[i].slot_data = base + i * stride;
+    regs_[i].slot_nulls = base + i * stride + data_bytes;
   }
 }
 
@@ -795,8 +941,8 @@ void FusedExpr::FoldNulls(Reg* d, const Reg& a, const Reg& b, size_t len) {
   CopyNulls(d, a.nulls != nullptr ? a : b, len);
 }
 
-void FusedExpr::RunBlock(const ColumnBatch& in, size_t base,
-                         const uint32_t* sel, size_t len) {
+Status FusedExpr::RunBlock(const ColumnBatch& in, size_t base,
+                           const uint32_t* sel, size_t len) {
   for (const FuseInstr& ins : program_->instrs()) {
     Reg& d = regs_[ins.dst];
     switch (ins.op) {
@@ -815,6 +961,9 @@ void FusedExpr::RunBlock(const ColumnBatch& in, size_t base,
         } else if (c.type == PhysType::kDouble) {
           double* slot = reinterpret_cast<double*>(d.slot_data);
           for (size_t i = 0; i < len; ++i) slot[i] = c.f64[sel[i]];
+        } else if (c.type == PhysType::kString) {
+          StringRef* slot = reinterpret_cast<StringRef*>(d.slot_data);
+          for (size_t i = 0; i < len; ++i) slot[i] = c.str[sel[i]];
         } else {
           for (size_t i = 0; i < len; ++i) d.slot_data[i] = c.b8[sel[i]];
         }
@@ -851,6 +1000,16 @@ void FusedExpr::RunBlock(const ColumnBatch& in, size_t base,
         d.data_external = false;
         d.nulls = nullptr;
         break;
+      case FuseOp::kLoadLitStr: {
+        const std::string& lit = program_->strings()[ins.imm_i64];
+        const StringRef ref{lit.data(), static_cast<uint32_t>(lit.size())};
+        StringRef* slot = reinterpret_cast<StringRef*>(d.slot_data);
+        for (size_t i = 0; i < len; ++i) slot[i] = ref;
+        d.data = d.slot_data;
+        d.data_external = false;
+        d.nulls = nullptr;
+        break;
+      }
       case FuseOp::kLoadNull:
         std::memset(d.slot_data, 0, WidthOf(ins.vtype) * len);
         std::memset(d.slot_nulls, 1, len);
@@ -926,18 +1085,48 @@ void FusedExpr::RunBlock(const ColumnBatch& in, size_t base,
         d.data_external = false;
         break;
       }
+      case FuseOp::kDivMod: {
+        const Reg& a = regs_[ins.a];
+        const Reg& b = regs_[ins.b];
+        FoldNulls(&d, a, b, len);
+        Status status;
+        if (ins.vtype == PhysType::kInt64) {
+          status = DivModRows(
+              reinterpret_cast<const int64_t*>(a.data),
+              reinterpret_cast<const int64_t*>(b.data), d.nulls, len,
+              reinterpret_cast<int64_t*>(d.slot_data),
+              [mod = ins.is_mod](int64_t x, int64_t y) {
+                return mod ? x % y : x / y;
+              });
+        } else {
+          status = DivModRows(
+              reinterpret_cast<const double*>(a.data),
+              reinterpret_cast<const double*>(b.data), d.nulls, len,
+              reinterpret_cast<double*>(d.slot_data),
+              [mod = ins.is_mod](double x, double y) {
+                return mod ? std::fmod(x, y) : x / y;
+              });
+        }
+        CALCITE_RETURN_IF_ERROR(status);
+        d.data = d.slot_data;
+        d.data_external = false;
+        break;
+      }
       case FuseOp::kCmp: {
         const Reg& a = regs_[ins.a];
         const Reg& b = regs_[ins.b];
         FoldNulls(&d, a, b, len);
-        if (ins.is_f64) {
+        if (ins.lane == PhysType::kDouble) {
           simd::CmpF64(ins.cmp, reinterpret_cast<const double*>(a.data),
                        reinterpret_cast<const double*>(b.data), len,
                        d.slot_data);
-        } else {
+        } else if (ins.lane == PhysType::kInt64) {
           simd::CmpI64(ins.cmp, reinterpret_cast<const int64_t*>(a.data),
                        reinterpret_cast<const int64_t*>(b.data), len,
                        d.slot_data);
+        } else {
+          CmpNonNumeric(ins, program_->strings(), a.data, b.data, d.nulls,
+                        len, d.slot_data);
         }
         if (d.nulls != nullptr) simd::MaskZeroU8(d.slot_data, d.nulls, len);
         d.data = d.slot_data;
@@ -947,12 +1136,15 @@ void FusedExpr::RunBlock(const ColumnBatch& in, size_t base,
       case FuseOp::kCmpLit: {
         const Reg& a = regs_[ins.a];
         CopyNulls(&d, a, len);
-        if (ins.is_f64) {
+        if (ins.lane == PhysType::kDouble) {
           simd::CmpF64Lit(ins.cmp, reinterpret_cast<const double*>(a.data),
                           ins.imm_f64, len, d.slot_data);
-        } else {
+        } else if (ins.lane == PhysType::kInt64) {
           simd::CmpI64Lit(ins.cmp, reinterpret_cast<const int64_t*>(a.data),
                           ins.imm_i64, len, d.slot_data);
+        } else {
+          CmpNonNumeric(ins, program_->strings(), a.data, nullptr, d.nulls,
+                        len, d.slot_data);
         }
         if (d.nulls != nullptr) simd::MaskZeroU8(d.slot_data, d.nulls, len);
         d.data = d.slot_data;
@@ -962,7 +1154,7 @@ void FusedExpr::RunBlock(const ColumnBatch& in, size_t base,
       case FuseOp::kInRange: {
         const Reg& a = regs_[ins.a];
         CopyNulls(&d, a, len);
-        if (ins.is_f64) {
+        if (ins.lane == PhysType::kDouble) {
           simd::InRangeF64(reinterpret_cast<const double*>(a.data),
                            ins.imm_f64, ins.lo_strict, ins.imm2_f64,
                            ins.hi_strict, len, d.slot_data);
@@ -1110,9 +1302,41 @@ void FusedExpr::RunBlock(const ColumnBatch& in, size_t base,
       }
     }
   }
+  return Status::OK();
 }
 
-void FusedExpr::RunDense(const ColumnBatch& in, ColumnBatch* out) {
+namespace {
+
+/// One reused row for the per-row fallbacks, boxing only the columns the
+/// expression references (wide lifted join rows would otherwise box every
+/// cell per row); unreferenced cells stay NULL. References at or beyond
+/// the batch width are skipped, so Eval still reports them out of range.
+class RefGather {
+ public:
+  RefGather(const RexNodePtr& node, const ColumnBatch& batch)
+      : batch_(batch), row_(batch.cols.size()) {
+    for (int ref : RexUtil::InputRefs(node)) {
+      if (ref >= 0 && static_cast<size_t>(ref) < row_.size()) {
+        refs_.push_back(static_cast<size_t>(ref));
+      }
+    }
+  }
+
+  /// The row at physical index `i` (valid until the next call).
+  const Row& At(size_t i) {
+    for (size_t c : refs_) row_[c] = batch_.cols[c].GetValue(i);
+    return row_;
+  }
+
+ private:
+  const ColumnBatch& batch_;
+  std::vector<size_t> refs_;
+  Row row_;
+};
+
+}  // namespace
+
+Status FusedExpr::RunDense(const ColumnBatch& in, ColumnBatch* out) {
   const FuseProgram& p = *program_;
   EnsureScratch();
   const size_t n = in.ActiveCount();
@@ -1138,19 +1362,17 @@ void FusedExpr::RunDense(const ColumnBatch& in, ColumnBatch* out) {
       }
     }
     // Redirect the result register's slot into the output buffer so the
-    // final instruction writes in place. Only for 8-byte results: an
-    // intermediate reusing the register writes register width, which
-    // would overrun a 1-byte-per-row bool region.
+    // final instruction writes in place. Only for 8-byte results in 8-byte
+    // registers: an intermediate reusing the register writes register
+    // width, which would overrun a narrower region.
+    const bool in_place = width == 8 && p.reg_width() == 8;
     uint8_t* saved_slot = res.slot_data;
-    if (width == 8) res.slot_data = data_buf + pos * 8;
-    RunBlock(in, base, g, len);
-    if (width == 8) {
-      if (res.data != res.slot_data) {
-        std::memcpy(data_buf + pos * 8, res.data, len * 8);
-      }
-      res.slot_data = saved_slot;
-    } else {
-      std::memcpy(data_buf + pos, res.data, len);
+    if (in_place) res.slot_data = data_buf + pos * 8;
+    Status status = RunBlock(in, base, g, len);
+    res.slot_data = saved_slot;
+    CALCITE_RETURN_IF_ERROR(status);
+    if (res.data != data_buf + pos * width) {
+      std::memcpy(data_buf + pos * width, res.data, len * width);
     }
     if (res.nulls != nullptr) {
       if (nulls_buf == nullptr) {
@@ -1172,15 +1394,22 @@ void FusedExpr::RunDense(const ColumnBatch& in, ColumnBatch* out) {
     case PhysType::kDouble:
       cv.f64 = reinterpret_cast<const double*>(data_buf);
       break;
+    case PhysType::kString:
+      // Spans point into `in`'s storage (shared by `out`) or at the
+      // program's string constants, which `out` pins.
+      cv.str = reinterpret_cast<const StringRef*>(data_buf);
+      out->pins.push_back(program_);
+      break;
     default:
       cv.b8 = data_buf;
       break;
   }
   cv.nulls = nulls_buf;
   out->cols.push_back(cv);
+  return Status::OK();
 }
 
-void FusedExpr::RunNarrow(const ColumnBatch& batch, SelectionVector* sel) {
+Status FusedExpr::RunNarrow(const ColumnBatch& batch, SelectionVector* sel) {
   const FuseProgram& p = *program_;
   EnsureScratch();
   uint32_t* s = sel->data();
@@ -1197,7 +1426,7 @@ void FusedExpr::RunNarrow(const ColumnBatch& batch, SelectionVector* sel) {
       base = selblk[0];
       g = nullptr;
     }
-    RunBlock(batch, base, g, len);
+    CALCITE_RETURN_IF_ERROR(RunBlock(batch, base, g, len));
     const uint8_t* mask;
     if (res.nulls != nullptr) {
       simd::AndNotMask(res.data, res.nulls, len, res.slot_data);
@@ -1211,51 +1440,72 @@ void FusedExpr::RunNarrow(const ColumnBatch& batch, SelectionVector* sel) {
     pos += len;
   }
   sel->resize(write);
+  return Status::OK();
 }
 
 Status FusedExpr::AppendEvalColumn(const ColumnBatch& in, ColumnBatch* out) {
-  // Plain input refs stay on the per-node path, which aliases the column
-  // zero-copy instead of copying it through a register.
-  if (enable_fusion_ && !node_->is_input_ref()) {
-    if (ProgramFor(in) != nullptr) {
-      RunDense(in, out);
-      return Status::OK();
+  if (const RexInputRef* ref = AsInputRef(node_)) {
+    const size_t idx = static_cast<size_t>(ref->index());
+    if (ref->index() < 0 || idx >= in.cols.size()) {
+      return Status::RuntimeError("input reference $" + std::to_string(idx) +
+                                  " out of range");
     }
+    if (in.has_sel) {
+      AppendGatheredColumn(&in.cols[idx], 1, nullptr, in.sel.data(),
+                           in.sel.size(), out);
+    } else {
+      out->cols.push_back(in.cols[idx]);
+    }
+    return Status::OK();
   }
-  return RexColumnar::AppendEvalColumn(node_, in, out);
+  if (ProgramFor(in) != nullptr) return RunDense(in, out);
+  auto vals = std::make_shared<std::vector<Value>>();
+  const size_t n = in.ActiveCount();
+  vals->reserve(n);
+  RefGather gather(node_, in);
+  for (size_t k = 0; k < n; ++k) {
+    CALCITE_ASSIGN_OR_RETURN(
+        Value v, RexInterpreter::Eval(node_, gather.At(in.ActiveIndex(k))));
+    vals->push_back(std::move(v));
+  }
+  ColumnVector cv;
+  cv.type = PhysType::kValue;
+  cv.boxed = vals->data();
+  out->boxed_pool.push_back(std::move(vals));
+  out->cols.push_back(cv);
+  return Status::OK();
 }
 
 Status FusedExpr::NarrowSelection(const ColumnBatch& batch,
-                                  const ArenaPtr& scratch,
                                   SelectionVector* sel) {
   if (sel->empty()) return Status::OK();
-  if (enable_fusion_) {
-    const FuseProgram* p = ProgramFor(batch);
-    if (p != nullptr && p->result_phys() == PhysType::kBool) {
-      RunNarrow(batch, sel);
-      return Status::OK();
-    }
-    // A conjunction that does not fuse whole still narrows conjunct by
-    // conjunct — fusing each conjunct that lowers — with the per-node
-    // path's progressive early exit (which also preserves its error
-    // suppression: later conjuncts only see surviving rows).
-    const RexCall* call = AsCall(node_);
-    if (call != nullptr && call->op() == OpKind::kAnd) {
-      if (conjuncts_.empty()) {
-        conjuncts_.reserve(call->operands().size());
-        for (const RexNodePtr& op : call->operands()) {
-          conjuncts_.push_back(std::make_unique<FusedExpr>(op));
-        }
-      }
-      for (const std::unique_ptr<FusedExpr>& c : conjuncts_) {
-        Status s = c->NarrowSelection(batch, scratch, sel);
-        if (!s.ok()) return s;
-        if (sel->empty()) break;
-      }
-      return Status::OK();
-    }
+  const FuseProgram* p = ProgramFor(batch);
+  if (p != nullptr && p->result_phys() == PhysType::kBool) {
+    return RunNarrow(batch, sel);
   }
-  return RexColumnar::NarrowSelection(node_, batch, scratch, sel);
+  const RexCall* call = AsCall(node_);
+  if (call != nullptr && call->op() == OpKind::kAnd) {
+    if (conjuncts_.empty()) {
+      conjuncts_.reserve(call->operands().size());
+      for (const RexNodePtr& op : call->operands()) {
+        conjuncts_.push_back(std::make_unique<FusedExpr>(op));
+      }
+    }
+    for (const std::unique_ptr<FusedExpr>& c : conjuncts_) {
+      CALCITE_RETURN_IF_ERROR(c->NarrowSelection(batch, sel));
+      if (sel->empty()) break;
+    }
+    return Status::OK();
+  }
+  size_t out = 0;
+  RefGather gather(node_, batch);
+  for (uint32_t row : *sel) {
+    CALCITE_ASSIGN_OR_RETURN(
+        bool pass, RexInterpreter::EvalPredicate(node_, gather.At(row)));
+    if (pass) (*sel)[out++] = row;
+  }
+  sel->resize(out);
+  return Status::OK();
 }
 
 }  // namespace calcite

@@ -13,36 +13,31 @@
 
 namespace calcite {
 
-/// Tree-fusing bytecode layer over the columnar expression kernels.
-///
-/// RexColumnar runs one SIMD kernel per *node*, materializing an arena
-/// temporary per operator. FuseProgram instead lowers a whole RexNode tree
-/// into a flat register-allocated bytecode program, and FusedExpr executes
-/// it block-at-a-time (kFuseBlockRows rows) against the simd.h primitives:
-/// every intermediate lives in a fixed per-register scratch slot reused
+/// The columnar expression evaluator: lowers a whole RexNode tree into a
+/// flat register-allocated bytecode program and executes it
+/// block-at-a-time (kFuseBlockRows rows) against the simd.h primitives.
+/// Every intermediate lives in a fixed per-register scratch slot reused
 /// across blocks, so a fused evaluation allocates exactly the result column
-/// from the output arena and nothing else, and intermediates stay L1-hot
-/// instead of streaming full-batch temporaries through memory.
+/// from the output arena and nothing else, and intermediates stay L1-hot.
 ///
 /// Register allocation is Sethi-Ullman-shaped: operands are lowered in
 /// post-order, their registers are freed as each operator consumes them,
 /// and destinations come from the free list first — so a program uses at
 /// most (tree depth + 1) registers, not one per node.
 ///
-/// Semantics are bit-identical to the per-node and per-row paths — the
-/// differential fuzz suite diffs all three on every generated tree. Two
-/// rules make that safe:
+/// Semantics are identical to the per-row oracle (RexInterpreter::Eval) —
+/// the differential fuzz suite diffs the two on every generated tree:
 ///
-///  - Totality: every fusible instruction is error-free. Division and
-///    modulus fuse only when the divisor is a non-NULL non-zero numeric
-///    literal; anything that could raise at runtime fails compilation
-///    instead, so executing a program never fails and — since any such
-///    tree is just as error-free under per-node/per-row evaluation —
-///    error behavior cannot diverge between the paths.
+///  - Errors: the only instruction that can fail is kDivMod (a divisor
+///    that is not a non-zero literal). It raises `division by zero` for an
+///    evaluated row whose divisor is a non-NULL zero, NULL check first, as
+///    Eval does. Blind evaluation of AND/OR would raise on rows Eval
+///    short-circuits, so Compile() rejects kDivMod below an AND or OR.
 ///  - Fallback: Compile() returns nullptr for any tree it cannot lower
-///    (strings, boxed columns, bool-vs-bool comparisons, non-literal
-///    divisors, unsupported operators), and FusedExpr transparently routes
-///    those trees to RexColumnar.
+///    (boxed columns, unsupported operators, such a guarded division), and
+///    FusedExpr evaluates those trees per active row through Eval. A tree
+///    either fuses whole or runs per row; a top-level AND that does not
+///    fuse narrows conjunct by conjunct.
 ///
 /// AND lowering additionally folds range pairs: a lower and an upper bound
 /// on the same column ($0 >= a AND $0 < b) fuse into one kInRange interval
@@ -56,10 +51,12 @@ enum class FuseOp : uint8_t {
   kLoadLitI64,  // dst <- broadcast imm_i64
   kLoadLitF64,  // dst <- broadcast imm_f64
   kLoadLitBool, // dst <- broadcast imm_i64 (0/1)
+  kLoadLitStr,  // dst <- broadcast string constant imm_i64
   kLoadNull,    // dst <- typed all-NULL column
   kArith,       // dst <- a (+|-|*) b, NULL-strict, null slots re-zeroed
   kArithLit,    // dst <- a (+|-|*) literal
   kDivModLit,   // dst <- a (/|%) literal  (literal non-NULL, non-zero)
+  kDivMod,      // dst <- a (/|%) b, raises on a non-NULL zero divisor
   kCmp,         // dst <- a <cmp> b as 0/1 bytes, NULL-strict
   kCmpLit,      // dst <- a <cmp> literal
   kInRange,     // dst <- lo (<|<=) a (<|<=) hi fused interval test
@@ -76,18 +73,19 @@ enum class FuseOp : uint8_t {
 };
 
 /// One instruction. `dst`/`a`/`b` are register numbers; `vtype` is the
-/// physical class of the *result* (kInt64/kDouble/kBool). For kCmp/kCmpLit/
-/// kInRange — whose result is bool — `is_f64` records the operand lane
-/// width instead. Literal operands ride in imm_i64/imm_f64; kInRange uses
-/// imm/imm2 as the lo/hi bounds with lo_strict/hi_strict picking > vs >=
-/// and < vs <=. kLoadCol reads input column `col`.
+/// physical class of the *result* (kInt64/kDouble/kBool/kString). For
+/// kCmp/kCmpLit/kInRange — whose result is bool — `lane` records the
+/// operands' class. Literal operands ride in imm_i64/imm_f64 (a string
+/// literal as an index into FuseProgram::strings(), a bool as 0/1);
+/// kInRange uses imm/imm2 as the lo/hi bounds with lo_strict/hi_strict
+/// picking > vs >= and < vs <=. kLoadCol reads input column `col`.
 struct FuseInstr {
   FuseOp op;
   uint8_t dst = 0;
   uint8_t a = 0;
   uint8_t b = 0;
   PhysType vtype = PhysType::kValue;
-  bool is_f64 = false;
+  PhysType lane = PhysType::kInt64;
   simd::Cmp cmp = simd::Cmp::kEq;
   simd::Arith arith = simd::Arith::kAdd;
   bool is_mod = false;
@@ -107,7 +105,7 @@ class FuseProgram {
  public:
   /// Lowers `node` against inputs of the given physical classes. Returns
   /// nullptr when any part of the tree is unsupported — the caller must
-  /// fall back to the per-node path. Never partially fuses a tree.
+  /// fall back to per-row evaluation. Never partially fuses a tree.
   static std::shared_ptr<const FuseProgram> Compile(
       const RexNodePtr& node, const std::vector<PhysType>& input_phys);
 
@@ -115,6 +113,10 @@ class FuseProgram {
   int num_registers() const { return num_registers_; }
   int result_reg() const { return result_reg_; }
   PhysType result_phys() const { return result_phys_; }
+  /// String constants of the kLoadLitStr / string kCmpLit instructions.
+  const std::vector<std::string>& strings() const { return strings_; }
+  /// Bytes per row of the widest register (16 once strings are loaded).
+  size_t reg_width() const { return reg_width_; }
 
   /// Human-readable listing, one instruction per line plus a `ret` footer —
   /// the golden-test surface (tests/rex_fuse_test.cc).
@@ -124,6 +126,8 @@ class FuseProgram {
   FuseProgram() = default;
 
   std::vector<FuseInstr> instrs_;
+  std::vector<std::string> strings_;
+  size_t reg_width_ = 8;
   int num_registers_ = 0;
   int result_reg_ = 0;
   PhysType result_phys_ = PhysType::kValue;
@@ -132,26 +136,31 @@ class FuseProgram {
 /// Executable wrapper owning the per-thread interpreter state (register
 /// scratch, cached program). Like ArenaPool it is NOT thread-safe: each
 /// producer thread owns its own FusedExpr for a given expression.
-///
-/// Both entry points are drop-in replacements for the RexColumnar calls of
-/// the same name: when fusion is disabled or the tree does not lower, they
-/// delegate to RexColumnar, so callers need no second code path.
 class FusedExpr {
  public:
-  explicit FusedExpr(RexNodePtr node, bool enable_fusion = true)
-      : node_(std::move(node)), enable_fusion_(enable_fusion) {}
+  explicit FusedExpr(RexNodePtr node) : node_(std::move(node)) {}
 
   const RexNodePtr& node() const { return node_; }
 
-  /// Fused analogue of RexColumnar::AppendEvalColumn (same contract).
+  /// Evaluates the expression over the *active* rows of `in` and appends
+  /// the result as a dense column (one entry per active row, no selection)
+  /// to `out`. A plain input reference aliases its column (or gathers it
+  /// under a selection), whatever its class; a fused tree writes a typed
+  /// column into out->arena (a string result points into `in`'s storage or
+  /// the pinned program); any other tree is evaluated per row through
+  /// Eval into a boxed column in out->boxed_pool. The caller must have
+  /// called out->ShareStorage(in) and set out->num_rows ==
+  /// in.ActiveCount().
   Status AppendEvalColumn(const ColumnBatch& in, ColumnBatch* out);
 
-  /// Fused analogue of RexColumnar::NarrowSelection (same contract).
-  /// Top-level ANDs whose whole tree does not fuse still narrow conjunct
-  /// by conjunct — fusing each conjunct that lowers — with the same
-  /// progressive early-exit as the per-node path.
-  Status NarrowSelection(const ColumnBatch& batch, const ArenaPtr& scratch,
-                         SelectionVector* sel);
+  /// Narrows `sel` — ascending candidate indexes into `batch`'s physical
+  /// rows — to those where the expression passes as a filter (NULL/UNKNOWN
+  /// fail), in place. A fused predicate narrows block by block; a top-level
+  /// AND that does not fuse whole narrows conjunct by conjunct (later
+  /// conjuncts only see earlier survivors, so their errors on dropped rows
+  /// are suppressed, with early exit once nothing survives); any other
+  /// predicate runs per candidate row through EvalPredicate.
+  Status NarrowSelection(const ColumnBatch& batch, SelectionVector* sel);
 
  private:
   /// Interpreter register: `data`/`nulls` point at the current block's
@@ -177,14 +186,14 @@ class FusedExpr {
   void CopyNulls(Reg* d, const Reg& s, size_t len);
   void FoldNulls(Reg* d, const Reg& a, const Reg& b, size_t len);
   /// Executes the program over one block: rows base..base+len-1 when `sel`
-  /// is null, else the rows named by sel[0..len). Total — never fails.
-  void RunBlock(const ColumnBatch& in, size_t base, const uint32_t* sel,
-                size_t len);
-  void RunDense(const ColumnBatch& in, ColumnBatch* out);
-  void RunNarrow(const ColumnBatch& batch, SelectionVector* sel);
+  /// is null, else the rows named by sel[0..len). Fails only on a division
+  /// by zero.
+  Status RunBlock(const ColumnBatch& in, size_t base, const uint32_t* sel,
+                  size_t len);
+  Status RunDense(const ColumnBatch& in, ColumnBatch* out);
+  Status RunNarrow(const ColumnBatch& batch, SelectionVector* sel);
 
   RexNodePtr node_;
-  bool enable_fusion_;
   bool compiled_ = false;
   std::vector<PhysType> compiled_phys_;
   std::shared_ptr<const FuseProgram> program_;

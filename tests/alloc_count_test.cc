@@ -25,7 +25,6 @@
 #include "exec/column_batch.h"
 #include "rel/core.h"
 #include "rex/rex_builder.h"
-#include "rex/rex_columnar.h"
 #include "rex/rex_fuse.h"
 #include "tools/frameworks.h"
 
@@ -197,8 +196,7 @@ TEST(AllocCountTest, ColumnarAggGroupCreationAllocatesLinearBytes) {
 // The fused bytecode interpreter's memory claim: evaluating a whole
 // expression tree allocates exactly the result column from the output
 // arena — every intermediate lives in the interpreter's fixed register
-// scratch — while the per-node path materializes one arena temporary per
-// operator. Measured directly via Arena::bytes_used on the same batch.
+// scratch. Measured directly via Arena::bytes_used.
 TEST(AllocCountTest, FusedEvalAddsNoArenaTemporaries) {
   TypeFactory tf;
   RexBuilder rex;
@@ -226,31 +224,83 @@ TEST(AllocCountTest, FusedEvalAddsNoArenaTemporaries) {
   auto expr = rex.MakeCall(OpKind::kPlus, {mul.value(), ref(1)});
   ASSERT_TRUE(expr.ok());
 
-  auto eval_bytes = [&](bool fuse) {
-    ColumnBatch out;
-    out.arena = std::make_shared<Arena>();
-    out.ShareStorage(in);
-    out.num_rows = in.ActiveCount();
-    Status status =
-        fuse ? FusedExpr(expr.value()).AppendEvalColumn(in, &out)
-             : RexColumnar::AppendEvalColumn(expr.value(), in, &out);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    EXPECT_EQ(out.cols.size(), 1u);
-    return out.arena->bytes_used();
-  };
-  const size_t fused_bytes = eval_bytes(true);
-  const size_t pernode_bytes = eval_bytes(false);
+  ColumnBatch out;
+  out.arena = std::make_shared<Arena>();
+  out.ShareStorage(in);
+  out.num_rows = in.ActiveCount();
+  Status status = FusedExpr(expr.value()).AppendEvalColumn(in, &out);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out.cols.size(), 1u);
   // Exactly one int64 data buffer plus one null bytemap (64-byte-aligned
   // arena starts): zero per-operator temporaries.
-  EXPECT_LE(fused_bytes, kN * 8 + kN + 2 * Arena::kAlignment);
-  // The per-node path materializes each intermediate — the contrast.
-  EXPECT_GE(pernode_bytes, fused_bytes + 2 * kN * 8);
+  EXPECT_LE(out.arena->bytes_used(), kN * 8 + kN + 2 * Arena::kAlignment);
 }
 
-// A columnar filter -> project drain with fusion on stays batch-bounded on
-// the heap too: the fused stages reuse their register scratch and compiled
-// programs across every batch, so allocations scale with batch count (~98
-// here), never row count — and never exceed the per-node path they replace.
+// String compares fuse like numeric ones: once compiled, a filter on
+// `s = 'k3'` narrows a batch without a single allocation, and the
+// projection over its survivors allocates exactly its output columns — a
+// fused int64 column with its null bytemap and the gathered string spans.
+TEST(AllocCountTest, FusedStringFilterAndProjectAllocateOnlyOutputs) {
+  TypeFactory tf;
+  RexBuilder rex;
+  auto int_t = tf.CreateSqlType(SqlTypeName::kInteger);
+  auto int_null = tf.CreateSqlType(SqlTypeName::kInteger, -1, true);
+  auto str_t = tf.CreateSqlType(SqlTypeName::kVarchar, 8);
+  auto row_type =
+      tf.CreateStructType({"id", "k", "s"}, {int_t, int_null, str_t});
+  constexpr size_t kN = 2048;  // two fused blocks
+  RowBatch rows;
+  rows.reserve(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    rows.push_back(
+        {Value::Int(static_cast<int64_t>(i)),
+         i % 3 == 0 ? Value::Null() : Value::Int(static_cast<int64_t>(i % 7)),
+         Value::String("k" + std::to_string(i % 5))});
+  }
+  auto cols = RowsToColumns(rows, *row_type);
+  ASSERT_TRUE(cols.ok());
+  ColumnBatch in = cols.value();
+  SelectionVector all(kN);
+  for (size_t i = 0; i < kN; ++i) all[i] = static_cast<uint32_t>(i);
+
+  auto ref = [&](int i) { return rex.MakeInputRef(row_type, i); };
+  auto pred = rex.MakeCall(OpKind::kEquals, {ref(2), rex.MakeStringLiteral("k3")});
+  ASSERT_TRUE(pred.ok());
+  FusedExpr filter(pred.value());
+  SelectionVector sel = all;
+  ASSERT_TRUE(filter.NarrowSelection(in, &sel).ok());  // compiles
+  sel = all;
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  Status status = filter.NarrowSelection(in, &sel);
+  g_counting.store(false, std::memory_order_relaxed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+  ASSERT_EQ(sel.size(), 409u);  // i % 5 == 3
+
+  in.sel = sel;
+  in.has_sel = true;
+  auto sum = rex.MakeCall(OpKind::kPlus, {ref(0), ref(1)});
+  ASSERT_TRUE(sum.ok());
+  auto twice = rex.MakeCall(OpKind::kTimes, {sum.value(), rex.MakeIntLiteral(2)});
+  ASSERT_TRUE(twice.ok());
+  ColumnBatch out;
+  out.arena = std::make_shared<Arena>();
+  out.ShareStorage(in);
+  out.num_rows = in.ActiveCount();
+  for (const RexNodePtr& expr : {twice.value(), ref(2)}) {
+    ASSERT_TRUE(FusedExpr(expr).AppendEvalColumn(in, &out).ok());
+  }
+  ASSERT_EQ(out.cols.size(), 2u);
+  const size_t n = in.ActiveCount();
+  EXPECT_LE(out.arena->bytes_used(),
+            n * 8 + n + n * sizeof(StringRef) + 3 * Arena::kAlignment);
+}
+
+// A columnar filter -> project drain stays batch-bounded on the heap too:
+// the fused stages reuse their register scratch and compiled programs
+// across every batch, so allocations scale with batch count (~98 here),
+// never row count.
 TEST(AllocCountTest, FusedFilterProjectDrainStaysBatchBounded) {
   TypeFactory tf;
   RexBuilder rex;
@@ -294,34 +344,24 @@ TEST(AllocCountTest, FusedFilterProjectDrainStaysBatchBounded) {
   auto proj_type = DeriveProjectRowType(exprs, {"m", "k"}, tf);
   RelNodePtr plan = EnumerableProject::Create(filtered, exprs, proj_type);
 
-  auto drain_columnar = [&](bool fuse) {
-    ExecOptions opts;
-    opts.enable_fusion = fuse;
-    auto puller = plan->TryExecuteColumnar(opts);
-    EXPECT_TRUE(puller.has_value() && puller->ok());
-    size_t out_rows = 0;
-    g_alloc_count.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    for (;;) {
-      auto batch = (puller->value())();
-      EXPECT_TRUE(batch.ok());
-      if (batch.value().AtEnd()) break;
-      out_rows += batch.value().ActiveCount();
-    }
-    g_counting.store(false, std::memory_order_relaxed);
-    return std::make_pair(out_rows,
-                          g_alloc_count.load(std::memory_order_relaxed));
-  };
-  auto [fused_rows, fused_allocs] = drain_columnar(true);
-  auto [pernode_rows, pernode_allocs] = drain_columnar(false);
-  EXPECT_EQ(fused_rows, pernode_rows);
+  auto puller = plan->TryExecuteColumnar(ExecOptions{});
+  ASSERT_TRUE(puller.has_value() && puller->ok());
+  size_t out_rows = 0;
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (;;) {
+    auto batch = (puller->value())();
+    ASSERT_TRUE(batch.ok());
+    if (batch.value().AtEnd()) break;
+    out_rows += batch.value().ActiveCount();
+  }
+  g_counting.store(false, std::memory_order_relaxed);
+  const size_t allocs = g_alloc_count.load(std::memory_order_relaxed);
   // 94k rows pass the range; the residual drops NULL-k rows (a third).
-  EXPECT_GT(fused_rows, 60000u);
+  EXPECT_GT(out_rows, 60000u);
   // ~98 batches; a handful of allocations per batch is bookkeeping, one per
   // row would be ~94k.
-  EXPECT_LT(fused_allocs, 3000u) << "fused drain allocates per row";
-  EXPECT_LE(fused_allocs, pernode_allocs + 200)
-      << "fusion must not add steady-state allocations";
+  EXPECT_LT(allocs, 3000u) << "fused drain allocates per row";
 }
 
 

@@ -10,10 +10,8 @@
 // as multisets — unordered fragments do not promise an order). A SQL-level
 // differential runs whole optimized plans both ways, and unit packs cover
 // the arena allocator, the table column decomposition, leaf predicate
-// pushdown on raw columns, the row/column conversion boundary, and the
-// ExecOptions normalization clamps. A fusion axis runs SQL plans and leaf
-// scans with `enable_fusion` (the tree-fusing bytecode interpreter plus
-// scan range fusion, rex/rex_fuse.h) on and off, which must be invisible.
+// pushdown on raw columns (range fusion included), the row/column
+// conversion boundary, and the ExecOptions normalization clamps.
 
 #include <gtest/gtest.h>
 
@@ -1176,6 +1174,81 @@ TEST_F(ColumnarParityTest, OperatorsOverDiskTable) {
   std::filesystem::remove_all(dir_path, ec);
 }
 
+// A Filter right above a scan splits the same way serially and inside
+// morsel workers: its simple conjuncts run in the leaf (a fused range over
+// MemTable slices, the unit-ranged OpenScan of a DiskTable) and only the
+// residual is evaluated on the survivors. Results match the row reference
+// at 1 and 4 threads; a residual dividing by zero on a row the pushed
+// conjuncts keep fails everywhere, and one whose zero divisor they drop
+// fails nowhere.
+TEST_F(ColumnarParityTest, PushedAndResidualFilterMatchAcrossThreads) {
+  char tmpl[] = "/tmp/calcite_colpar_push_XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string dir_path = dir;
+  constexpr size_t kN = 20000;
+  storage::DiskTableOptions dt_opts;
+  dt_opts.pool_pages = 8;
+  dt_opts.pages_per_run = 2;
+  auto disk = storage::DiskTable::Create(dir_path + "/t.db", TestRowType(tf_),
+                                         0, dt_opts);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ASSERT_TRUE((*disk)->InsertRows(MakeRows(kN)).ok());
+  ASSERT_GT((*disk)->ScanUnitCount(), 1u);
+  const std::vector<std::pair<std::string, RelNodePtr>> leaves = {
+      {"mem", Scan(kN)}, {"disk", ScanOf(*disk)}};
+  for (const auto& [name, leaf] : leaves) {
+    const RelDataTypePtr& rt = leaf->row_type();
+    // id in [100, 15000) and s = 's3' push; the residual stays a stage.
+    auto filter = [&](RexNodePtr residual) {
+      return EnumerableFilter::Create(
+          leaf,
+          rex_.MakeAnd(
+              {Call(OpKind::kGreaterThanOrEqual,
+                    {Field(rt, 0), rex_.MakeIntLiteral(100)}),
+               Call(OpKind::kLessThan,
+                    {Field(rt, 0), rex_.MakeIntLiteral(15000)}),
+               Call(OpKind::kEquals,
+                    {Field(rt, 2), rex_.MakeStringLiteral("s3")}),
+               std::move(residual)}));
+    };
+    // 100 / (id - c) > 0 divides by zero at id = c.
+    auto poison = [&](int64_t c) {
+      return Call(
+          OpKind::kGreaterThan,
+          {Call(OpKind::kDivide,
+                {rex_.MakeIntLiteral(100),
+                 Call(OpKind::kMinus, {Field(rt, 0), rex_.MakeIntLiteral(c)})}),
+           rex_.MakeIntLiteral(0)});
+    };
+    ExpectColumnarParity(
+        filter(Call(OpKind::kGreaterThan,
+                    {Call(OpKind::kPlus, {Field(rt, 1), Field(rt, 3)}),
+                     rex_.MakeDoubleLiteral(2.0)})),
+        name + " residual", AccessPath::kAuto, {1, 1024});
+    // Row 47 has s = 's3' but id < 100: the pushed range drops it first.
+    ExpectColumnarParity(filter(poison(47)), name + " dropped poison",
+                         AccessPath::kAuto, {1, 1024});
+    // Row 498 passes every pushed conjunct, so its division raises.
+    RelNodePtr raising = filter(poison(498));
+    ExecOptions row_opts;
+    row_opts.enable_columnar = false;
+    auto want = RunPlan(raising, row_opts);
+    ASSERT_FALSE(want.ok()) << name;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ExecOptions opts;
+      opts.num_threads = threads;
+      auto got = RunPlan(raising, opts);
+      ASSERT_FALSE(got.ok()) << name << " threads=" << threads;
+      EXPECT_EQ(got.status().ToString(), want.status().ToString())
+          << name << " threads=" << threads;
+    }
+  }
+  EXPECT_EQ((*disk)->buffer_pool().pinned_frames(), 0u);
+  std::error_code ec;
+  std::filesystem::remove_all(dir_path, ec);
+}
+
 TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
   // A DiskTable exposes no columnar decomposition (MaterializedColumns is
   // nullptr — decomposing would pin the whole table in RAM), so serial
@@ -1448,7 +1521,7 @@ TEST(ExecOptionsTest, NormalizedClampsBothKnobs) {
 // fully ordered (ORDER BY over a unique prefix, or a single aggregate
 // row), so even parallel grids compare byte-identically.
 
-TEST_F(ColumnBatchTest, ScanRangeFusionMatchesUnfused) {
+TEST_F(ColumnBatchTest, ScanRangeFusionMatchesRowPredicates) {
   auto row_type = TestRowType(tf_);
   std::vector<Row> rows = MakeRows(2050);
   auto cols = TableColumns::Build(rows, *row_type);
@@ -1488,22 +1561,20 @@ TEST_F(ColumnBatchTest, ScanRangeFusionMatchesUnfused) {
   ASSERT_FALSE(want.empty());
 
   for (size_t bs : {size_t{1}, size_t{7}, size_t{1024}}) {
-    for (bool fuse : {true, false}) {
-      auto pull = ScanTableColumns(cols, bs, preds, cols, fuse);
-      std::vector<Row> got;
-      for (;;) {
-        auto batch = pull();
-        ASSERT_TRUE(batch.ok());
-        if (batch.value().AtEnd()) break;
-        RowBatch boxed;
-        ColumnsToRows(batch.value(), &boxed);
-        for (Row& row : boxed) got.push_back(std::move(row));
-      }
-      ASSERT_EQ(got.size(), want.size()) << "bs=" << bs << " fuse=" << fuse;
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(RowToString(got[i]), RowToString(want[i]))
-            << "bs=" << bs << " fuse=" << fuse << " row " << i;
-      }
+    auto pull = ScanTableColumns(cols, bs, preds, cols);
+    std::vector<Row> got;
+    for (;;) {
+      auto batch = pull();
+      ASSERT_TRUE(batch.ok());
+      if (batch.value().AtEnd()) break;
+      RowBatch boxed;
+      ColumnsToRows(batch.value(), &boxed);
+      for (Row& row : boxed) got.push_back(std::move(row));
+    }
+    ASSERT_EQ(got.size(), want.size()) << "bs=" << bs;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(RowToString(got[i]), RowToString(want[i]))
+          << "bs=" << bs << " row " << i;
     }
   }
 }
@@ -1605,15 +1676,12 @@ TEST(ColumnarSqlTest, QueriesMatchWithSimdOnAndOff) {
   }
 }
 
-// The tree-fusing bytecode interpreter (rex/rex_fuse.h) must likewise be
-// invisible at the SQL level: whole optimized plans — serial and
-// morsel-parallel — produce identical grids with `enable_fusion` on (the
-// default: fused expression pipelines plus scan range fusion) and off (the
-// per-node kernel path everywhere). The queries mix fusible arithmetic
-// chains, range-pair WHERE clauses that exercise scan range fusion, NULL
-// three-valued logic, literal division, and operators outside the fused set
-// so the whole-tree fallback runs inside real plans.
-TEST(ColumnarSqlTest, QueriesMatchWithFusionOnAndOff) {
+// Plans whose expressions exercise the fused evaluator (rex/rex_fuse.h)
+// — arithmetic chains, range-pair WHERE clauses that fuse in the scan,
+// NULL three-valued logic, literal division, and operators outside the
+// fused set that run per row — produce the row reference's grids, serial
+// and morsel-parallel.
+TEST(ColumnarSqlTest, FusedExpressionQueriesMatchRowReference) {
   const std::vector<std::string> queries = {
       "SELECT saleid, (units + saleid) * 2 AS m FROM sales "
       "WHERE (units + saleid) * 2 > 8 ORDER BY saleid",
@@ -1634,7 +1702,7 @@ TEST(ColumnarSqlTest, QueriesMatchWithFusionOnAndOff) {
   {
     Connection::Config config;
     config.schema = testing::MakeTestSchema();
-    config.exec_options.enable_fusion = false;
+    config.exec_options.enable_columnar = false;
     Connection conn(std::move(config));
     for (const std::string& sql : queries) {
       auto result = conn.Query(sql);
@@ -1642,23 +1710,17 @@ TEST(ColumnarSqlTest, QueriesMatchWithFusionOnAndOff) {
       baseline.push_back(result.value().ToTable());
     }
   }
-  struct Config {
-    bool fusion;
-    size_t threads;
-  };
-  for (Config cfg : {Config{true, 1}, Config{true, 4}, Config{false, 4}}) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
     Connection::Config config;
     config.schema = testing::MakeTestSchema();
-    config.exec_options.enable_fusion = cfg.fusion;
-    config.exec_options.num_threads = cfg.threads;
+    config.exec_options.num_threads = threads;
     Connection conn(std::move(config));
     for (size_t q = 0; q < queries.size(); ++q) {
       auto result = conn.Query(queries[q]);
       ASSERT_TRUE(result.ok())
           << queries[q] << ": " << result.status().ToString();
       EXPECT_EQ(result.value().ToTable(), baseline[q])
-          << queries[q] << " fusion=" << cfg.fusion
-          << " threads=" << cfg.threads;
+          << queries[q] << " threads=" << threads;
     }
   }
 }

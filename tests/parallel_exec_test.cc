@@ -300,6 +300,17 @@ class ParallelSweepTest : public ::testing::Test {
     return rex_.MakeInputRef(row_type, i);
   }
 
+  /// `leaf` under a filter every row passes (id >= 0, pushed into the
+  /// leaf): a bare in-memory scan gives morsel workers nothing to do and
+  /// stays serial, this one still runs morsel-parallel.
+  RelNodePtr AllRows(const RelNodePtr& leaf) {
+    auto cond = rex_.MakeCall(OpKind::kGreaterThanOrEqual,
+                              {Field(leaf->row_type(), 0),
+                               rex_.MakeIntLiteral(0)});
+    EXPECT_TRUE(cond.ok());
+    return EnumerableFilter::Create(leaf, cond.value());
+  }
+
   /// scan -> filter(id < limit AND k IS NOT NULL) -> project(id, id + 7).
   RelNodePtr FilterProjectPipeline(size_t n, int64_t limit) {
     RelNodePtr leaf = ScanLeaf(n);
@@ -326,6 +337,8 @@ class ParallelSweepTest : public ::testing::Test {
 TEST_F(ParallelSweepTest, MorselScan) {
   for (size_t n : {size_t{0}, size_t{1}, size_t{1025}, size_t{20000}}) {
     ExpectThreadSweepParity(ScanLeaf(n), "scan n=" + std::to_string(n));
+    ExpectThreadSweepParity(AllRows(ScanLeaf(n)),
+                            "filtered scan n=" + std::to_string(n));
   }
 }
 
@@ -402,8 +415,8 @@ TEST_F(ParallelSweepTest, PartitionedHashJoinAllTypes) {
       JoinType::kFull,  JoinType::kSemi, JoinType::kAnti};
   for (size_t n : {size_t{0}, size_t{1}, size_t{4000}}) {
     for (size_t m : {size_t{0}, size_t{300}}) {
-      RelNodePtr left = ScanLeaf(n);
-      RelNodePtr right = ScanLeaf(m);
+      RelNodePtr left = AllRows(ScanLeaf(n));
+      RelNodePtr right = AllRows(ScanLeaf(m));
       const RelDataTypePtr& lt = left->row_type();
       const RelDataTypePtr& rt = right->row_type();
       size_t left_width = lt->fields().size();
@@ -659,6 +672,17 @@ TEST_F(ParallelSweepTest, AbandonedStreamShutsDownCleanly) {
 
 // ------------------------------ SQL level ---------------------------------
 
+/// The shared test schema plus `big` (5000 sweep rows): its fragments span
+/// several morsels and run in parallel, while the small test tables fit in
+/// one morsel and stay serial.
+SchemaPtr SchemaWithBigTable() {
+  SchemaPtr schema = testing::MakeTestSchema();
+  TypeFactory tf;
+  schema->AddTable("big", std::make_shared<MemTable>(SweepRowType(tf),
+                                                     SweepRows(5000)));
+  return schema;
+}
+
 QueryResult MustQuery(Connection* conn, const std::string& sql) {
   auto result = conn->Query(sql);
   EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
@@ -674,18 +698,24 @@ TEST(ParallelSqlTest, QueriesMatchSerialAcrossThreadCounts) {
       "SELECT products.name, COUNT(*) AS c FROM sales "
       "JOIN products USING (productId) GROUP BY products.name",
       "SELECT COUNT(*) AS c, SUM(units) AS s FROM sales",
+      "SELECT id, k FROM big WHERE k IS NOT NULL",
+      "SELECT k, COUNT(*) AS c, SUM(d) AS sd FROM big GROUP BY k",
+      "SELECT big.id, products.name FROM big "
+      "JOIN products ON big.k = products.productId WHERE big.id < 3000",
   };
   // ORDER BY over a unique key: results must match in exact order even
   // though the fragment below the sort ran in parallel.
   const std::vector<std::string> ordered_queries = {
       "SELECT saleid, units FROM sales WHERE units > 1 ORDER BY saleid",
       "SELECT deptno, COUNT(*) AS c FROM emps GROUP BY deptno ORDER BY deptno",
+      "SELECT id, s, id * 2 + k AS m FROM big "
+      "WHERE id >= 100 AND id < 4000 AND s = 's3' AND k + d > 1 ORDER BY id",
   };
   std::vector<std::vector<std::string>> unordered_base;
   std::vector<std::vector<std::string>> ordered_base;
   {
     Connection::Config config;
-    config.schema = testing::MakeTestSchema();
+    config.schema = SchemaWithBigTable();
     Connection conn(std::move(config));
     for (const auto& sql : unordered_queries) {
       unordered_base.push_back(SortedStrings(MustQuery(&conn, sql).rows));
@@ -700,7 +730,7 @@ TEST(ParallelSqlTest, QueriesMatchSerialAcrossThreadCounts) {
   }
   for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
     Connection::Config config;
-    config.schema = testing::MakeTestSchema();
+    config.schema = SchemaWithBigTable();
     config.exec_options.num_threads = threads;
     Connection conn(std::move(config));
     for (size_t q = 0; q < unordered_queries.size(); ++q) {
@@ -721,10 +751,10 @@ TEST(ParallelSqlTest, QueriesMatchSerialAcrossThreadCounts) {
 
 TEST(ParallelSqlTest, RuntimeErrorSurfacesThroughConnection) {
   Connection::Config config;
-  config.schema = testing::MakeTestSchema();
+  config.schema = SchemaWithBigTable();
   config.exec_options.num_threads = 4;
   Connection conn(std::move(config));
-  auto result = conn.Query("SELECT 100 / (saleid - 3) FROM sales");
+  auto result = conn.Query("SELECT 100 / (id - 3) FROM big");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kRuntimeError);
 }

@@ -1,17 +1,17 @@
-// Directed tests of the tree-fusing bytecode layer (rex/rex_fuse.h).
+// Directed tests of the columnar expression evaluator (rex/rex_fuse.h).
 //
 // Golden-disassembly tests pin the exact programs the lowerer emits for the
 // canonical shapes — an arithmetic chain, a NULL-propagating compare, an
 // AND of range bounds folding into one interval test, widening/narrowing
-// casts — so a lowering regression shows up as a readable bytecode diff,
-// not a downstream numeric mismatch. Register-reuse tests assert the
-// Sethi-Ullman property directly: registers scale with tree *depth*, never
-// tree *size*. Fallback tests lock the whole-tree rule: any unsupported
-// operator anywhere in the tree makes Compile return nullptr, and FusedExpr
-// transparently routes such trees (and fusion-disabled callers) through the
-// per-node path with identical results. The randomized three-way
-// differential lives in rex_kernel_fuzz_test.cc; this file is the directed
-// complement.
+// casts, string and bool compares, divisions by columns — so a lowering
+// regression shows up as a readable bytecode diff, not a downstream
+// mismatch. Register-reuse tests assert the Sethi-Ullman property
+// directly: registers scale with tree *depth*, never tree *size*. Fallback
+// tests lock the whole-tree rule: any unsupported operator anywhere in the
+// tree (or a division that may raise below an AND/OR) makes Compile return
+// nullptr, and FusedExpr evaluates such trees per row with the per-row
+// oracle's results. The randomized differential against the oracle lives
+// in rex_kernel_fuzz_test.cc; this file is the directed complement.
 
 #include "rex/rex_fuse.h"
 
@@ -23,7 +23,7 @@
 #include "exec/arena.h"
 #include "exec/column_batch.h"
 #include "rex/rex_builder.h"
-#include "rex/rex_columnar.h"
+#include "rex/rex_interpreter.h"
 #include "type/rel_data_type.h"
 #include "type/value.h"
 
@@ -95,7 +95,7 @@ TEST_F(RexFuseTest, DisassembleArithChain) {
 TEST_F(RexFuseTest, DisassembleNullPropagatingCompare) {
   // $3 > NULL stays on the general compare path: the NULL literal becomes a
   // typed all-NULL register and the strict compare's null-fold makes every
-  // row NULL — identical to the per-node LiteralDense + CompareDense pair.
+  // row NULL.
   RexNodePtr pred =
       Call(OpKind::kGreaterThan,
            {rex_.MakeInputRef(3, dbl_null_), rex_.MakeNullLiteral(dbl_null_)});
@@ -150,6 +150,68 @@ TEST_F(RexFuseTest, DisassembleCasts) {
   ExpectDisasm(rex_.MakeCast(int_null_, rex_.MakeInputRef(1, int_null_)),
                "r0 = col $1 i64\n"
                "ret r0 i64 regs=1\n");
+}
+
+TEST_F(RexFuseTest, DisassembleStringAndBoolCompares) {
+  RexNodePtr s = rex_.MakeInputRef(4, str_null_);
+  RexNodePtr f = rex_.MakeInputRef(5, bool_null_);
+  // Column vs literal folds the string constant into the compare; a
+  // literal on the left flips the operator.
+  ExpectDisasm(Call(OpKind::kEquals, {s, rex_.MakeStringLiteral("abc")}),
+               "r0 = col $4 str\n"
+               "r0 = eq.str r0 #\"abc\"\n"
+               "ret r0 bool regs=1\n");
+  ExpectDisasm(Call(OpKind::kLessThan, {rex_.MakeStringLiteral("abc"), s}),
+               "r0 = col $4 str\n"
+               "r0 = gt.str r0 #\"abc\"\n"
+               "ret r0 bool regs=1\n");
+  ExpectDisasm(Call(OpKind::kGreaterThanOrEqual, {s, s}),
+               "r0 = col $4 str\n"
+               "r1 = col $4 str\n"
+               "r1 = ge.str r0 r1\n"
+               "ret r1 bool regs=2\n");
+  ExpectDisasm(Call(OpKind::kIsNull, {s}),
+               "r0 = col $4 str\n"
+               "r0 = isnull r0\n"
+               "ret r0 bool regs=1\n");
+  ExpectDisasm(Call(OpKind::kEquals, {f, rex_.MakeBoolLiteral(true)}),
+               "r0 = col $5 bool\n"
+               "r0 = eq.bool r0 #1\n"
+               "ret r0 bool regs=1\n");
+  RexNodePtr gt = Call(OpKind::kGreaterThan,
+                       {rex_.MakeInputRef(1, int_null_), rex_.MakeIntLiteral(2)});
+  ExpectDisasm(Call(OpKind::kNotEquals, {f, gt}),
+               "r0 = col $5 bool\n"
+               "r1 = col $1 i64\n"
+               "r1 = gt.i64 r1 #2\n"
+               "r1 = ne.bool r0 r1\n"
+               "ret r1 bool regs=2\n");
+  // A string-valued tree yields a string column.
+  ExpectDisasm(rex_.MakeStringLiteral("abc"),
+               "r0 = lit.str #\"abc\"\n"
+               "ret r0 str regs=1\n");
+}
+
+TEST_F(RexFuseTest, DisassembleDivisionByColumn) {
+  RexNodePtr a = rex_.MakeInputRef(1, int_null_);
+  RexNodePtr b = rex_.MakeInputRef(2, int_null_);
+  ExpectDisasm(Call(OpKind::kDivide, {a, b}),
+               "r0 = col $1 i64\n"
+               "r1 = col $2 i64\n"
+               "r1 = div.i64 r0 r1\n"
+               "ret r1 i64 regs=2\n");
+  ExpectDisasm(Call(OpKind::kMod, {rex_.MakeInputRef(3, dbl_null_), a}),
+               "r0 = col $3 f64\n"
+               "r1 = col $1 i64\n"
+               "r2 = i64tof64 r1\n"
+               "r2 = mod.f64 r0 r2\n"
+               "ret r2 f64 regs=3\n");
+  // A zero literal divisor takes the raising instruction too.
+  ExpectDisasm(Call(OpKind::kDivide, {a, rex_.MakeIntLiteral(0)}),
+               "r0 = col $1 i64\n"
+               "r1 = lit.i64 #0\n"
+               "r1 = div.i64 r0 r1\n"
+               "ret r1 i64 regs=2\n");
 }
 
 // ------------------------------ register reuse ------------------------------
@@ -211,28 +273,34 @@ TEST_F(RexFuseTest, UnsupportedTreesDoNotCompile) {
   EXPECT_EQ(Compile(Call(OpKind::kGreaterThan, {abs, rex_.MakeIntLiteral(0)})),
             nullptr);
 
-  // Strings never lower.
+  // Incomparable classes: a string against a number.
   EXPECT_EQ(Compile(Call(OpKind::kEquals, {rex_.MakeInputRef(4, str_null_),
-                                           rex_.MakeStringLiteral("a")})),
+                                           rex_.MakeIntLiteral(1)})),
             nullptr);
 
-  // Division fuses only with a direct non-NULL non-zero literal divisor —
-  // a column divisor or a zero literal could raise at runtime, which the
-  // total bytecode interpreter must never do.
-  EXPECT_EQ(Compile(Call(OpKind::kDivide, {rex_.MakeInputRef(1, int_null_),
-                                           rex_.MakeInputRef(2, int_null_)})),
-            nullptr);
-  EXPECT_EQ(Compile(Call(OpKind::kDivide, {rex_.MakeInputRef(1, int_null_),
-                                           rex_.MakeIntLiteral(0)})),
+  // Boxed columns never lower.
+  EXPECT_EQ(FuseProgram::Compile(rex_.MakeInputRef(0, int_null_),
+                                 {PhysType::kValue}),
             nullptr);
 
-  // Bool-vs-bool comparison stays per-node.
-  EXPECT_EQ(Compile(Call(OpKind::kEquals, {rex_.MakeInputRef(5, bool_null_),
-                                           rex_.MakeBoolLiteral(true)})),
-            nullptr);
+  // A division that may raise does not fuse below an AND or OR: blind
+  // evaluation would raise on rows the per-row oracle short-circuits.
+  RexNodePtr div = Call(OpKind::kDivide, {rex_.MakeInputRef(1, int_null_),
+                                          rex_.MakeInputRef(2, int_null_)});
+  RexNodePtr positive = Call(OpKind::kGreaterThan, {div, rex_.MakeIntLiteral(0)});
+  RexNodePtr flag = rex_.MakeInputRef(5, bool_null_);
+  EXPECT_EQ(Compile(rex_.MakeAnd({flag, positive})), nullptr);
+  EXPECT_EQ(Compile(rex_.MakeOr({flag, positive})), nullptr);
+  EXPECT_NE(Compile(positive), nullptr);
+  // A non-zero literal divisor cannot raise and fuses anywhere.
+  RexNodePtr halved = Call(OpKind::kGreaterThan,
+                           {Call(OpKind::kDivide, {rex_.MakeInputRef(1, int_null_),
+                                                   rex_.MakeIntLiteral(2)}),
+                            rex_.MakeIntLiteral(0)});
+  EXPECT_NE(Compile(rex_.MakeAnd({flag, halved})), nullptr);
 }
 
-TEST_F(RexFuseTest, FusedExprFallsBackWithIdenticalResults) {
+TEST_F(RexFuseTest, FusedExprMatchesPerRowOracle) {
   // Rows with NULLs in every nullable column position.
   RowBatch rows;
   for (int i = 0; i < 50; ++i) {
@@ -247,38 +315,37 @@ TEST_F(RexFuseTest, FusedExprFallsBackWithIdenticalResults) {
   }
   auto cols = RowsToColumns(rows, *row_type_);
   ASSERT_TRUE(cols.ok()) << cols.status().ToString();
-  const ColumnBatch& in = cols.value();
+  ColumnBatch in = cols.value();
+  in.has_sel = true;
+  for (uint32_t i = 0; i < rows.size(); i += 3) in.sel.push_back(i);
 
-  // One fusible tree, one tree that must fall back (ABS inside).
+  // A fusible tree, one that runs per row (ABS inside), a plain string
+  // reference (aliased) and string-valued trees.
   RexNodePtr fusible =
       Call(OpKind::kPlus, {rex_.MakeInputRef(1, int_null_),
                            rex_.MakeInputRef(2, int_null_)});
   RexNodePtr fallback =
       Call(OpKind::kPlus, {Call(OpKind::kAbs, {rex_.MakeInputRef(1, int_null_)}),
                            rex_.MakeInputRef(2, int_null_)});
+  RexNodePtr str_ref = rex_.MakeInputRef(4, str_null_);
+  RexNodePtr str_lit = rex_.MakeStringLiteral("lit");
   ASSERT_NE(Compile(fusible), nullptr);
   ASSERT_EQ(Compile(fallback), nullptr);
 
-  for (const RexNodePtr& expr : {fusible, fallback}) {
-    // enable_fusion on and off, against the per-node reference.
-    ColumnBatch want;
-    want.arena = std::make_shared<Arena>();
-    want.ShareStorage(in);
-    want.num_rows = in.ActiveCount();
-    ASSERT_TRUE(RexColumnar::AppendEvalColumn(expr, in, &want).ok());
-    for (bool enable_fusion : {true, false}) {
-      ColumnBatch got;
-      got.arena = std::make_shared<Arena>();
-      got.ShareStorage(in);
-      got.num_rows = in.ActiveCount();
-      FusedExpr fused(expr, enable_fusion);
-      ASSERT_TRUE(fused.AppendEvalColumn(in, &got).ok());
-      ASSERT_EQ(got.cols.size(), 1u);
-      for (size_t k = 0; k < in.ActiveCount(); ++k) {
-        EXPECT_EQ(got.cols[0].GetValue(k).ToString(),
-                  want.cols[0].GetValue(k).ToString())
-            << expr->ToString() << " fusion=" << enable_fusion << " row " << k;
-      }
+  for (const RexNodePtr& expr : {fusible, fallback, str_ref, str_lit}) {
+    ColumnBatch got;
+    got.arena = std::make_shared<Arena>();
+    got.ShareStorage(in);
+    got.num_rows = in.ActiveCount();
+    // The evaluator is dropped before the column is read: a string
+    // constant must stay alive with the batch.
+    ASSERT_TRUE(FusedExpr(expr).AppendEvalColumn(in, &got).ok());
+    ASSERT_EQ(got.cols.size(), 1u);
+    for (size_t k = 0; k < in.ActiveCount(); ++k) {
+      auto want = RexInterpreter::Eval(expr, rows[in.ActiveIndex(k)]);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got.cols[0].GetValue(k).ToString(), want.value().ToString())
+          << expr->ToString() << " row " << k;
     }
   }
 }

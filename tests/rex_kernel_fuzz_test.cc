@@ -1,31 +1,31 @@
-// Randomized differential tests of the columnar expression kernels
-// (RexColumnar::AppendEvalColumn / NarrowSelection) against the per-row tree
-// interpreter (RexInterpreter::Eval, the oracle): a small seeded random
-// generator builds typed expression trees — arithmetic, comparison, logic,
-// casts over columns with ~20% NULLs — and evaluates them over the typed
-// column decomposition of the same rows, across batch sizes
-// {1, 1023, 1024, 1025} and selection vectors of every shape (absent,
-// empty, singleton, dense, sparse), so typed fast paths and the boxed
-// fallback are both diffed against row semantics. Every check additionally
-// runs the tree-fusing bytecode interpreter (rex/rex_fuse.h), making each
-// tree a three-way differential: fused-vs-per-node-vs-per-row, under both
-// SIMD dispatch modes. A directed ternary-NULL-semantics regression pack
-// locks in the three-valued-logic corners the kernels must preserve.
+// Randomized differential tests of the columnar expression evaluator
+// (FusedExpr::AppendEvalColumn / NarrowSelection, rex/rex_fuse.h) against
+// the per-row tree interpreter (RexInterpreter::Eval, the oracle): a small
+// seeded random generator builds typed expression trees — arithmetic,
+// comparison, logic, casts over columns with ~20% NULLs and NaN cells — and
+// evaluates them over the typed column decomposition of the same rows,
+// across batch sizes {1, 1023, 1024, 1025} and selection vectors of every
+// shape (absent, empty, singleton, dense, sparse), under both SIMD dispatch
+// modes, so fused bytecode programs and the per-row fallback are both
+// diffed against row semantics. A directed ternary-NULL-semantics
+// regression pack locks in the three-valued-logic corners the evaluator
+// must preserve.
 //
-// The generator is error-free by construction (division and modulo only
-// ever take a non-zero literal divisor, casts never parse arbitrary
-// strings), so a Status failure from either engine is itself a bug. It
-// also deliberately mixes fusible and unfusible operators (ABS, UPPER,
-// string compares) so the fused path's whole-tree fallback is fuzzed as
-// hard as its bytecode programs.
+// The generator mixes in divisions by columns that can be zero, so an
+// evaluation may fail: both sides must then raise the same error, or both
+// return equal results. It also deliberately mixes fusible and unfusible
+// operators (IN, LIKE, CASE, COALESCE, ABS, UPPER) so the per-row
+// whole-tree fallback is fuzzed as hard as the bytecode programs.
 //
 // REX_FUZZ_ITERS=<k> multiplies every iteration count by k — the dedicated
 // CI fuzz step runs with a raised count; the default keeps local runs fast.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -35,7 +35,6 @@
 #include "exec/column_batch.h"
 #include "exec/simd.h"
 #include "rex/rex_builder.h"
-#include "rex/rex_columnar.h"
 #include "rex/rex_fuse.h"
 #include "rex/rex_interpreter.h"
 #include "type/rel_data_type.h"
@@ -47,10 +46,26 @@ namespace {
 // Column layout of the fuzz batches:
 //   $0 id INT NOT NULL   (row index)
 //   $1 a  INT?           (~20% NULL)
-//   $2 b  INT?           (~20% NULL)
-//   $3 x  DOUBLE?        (~20% NULL)
+//   $2 b  INT?           (~20% NULL; zero in about 1 row in 30)
+//   $3 x  DOUBLE?        (~20% NULL, ~5% NaN)
 //   $4 s  VARCHAR?       (~20% NULL)
 //   $5 f  BOOLEAN?       (~20% NULL)
+//   $6 t  VARCHAR?       (~20% NULL)
+//   $7 g  BOOLEAN?       (~20% NULL)
+constexpr int kWidth = 8;
+
+/// Equal results, with every NaN equal to every other (the sign of a NaN
+/// produced by arithmetic depends on operand order).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double() && std::isnan(a.AsDouble()) &&
+      std::isnan(b.AsDouble())) {
+    return true;
+  }
+  Value x = a;
+  Value y = b;
+  return x.ToString() == y.ToString();
+}
+
 class RexKernelFuzzTest : public ::testing::Test {
  protected:
   /// Iteration scale factor: the dedicated CI fuzz step raises it via
@@ -68,8 +83,9 @@ class RexKernelFuzzTest : public ::testing::Test {
     str_null_ = tf_.CreateSqlType(SqlTypeName::kVarchar, 32, true);
     bool_null_ = tf_.CreateSqlType(SqlTypeName::kBoolean, -1, true);
     row_type_ = tf_.CreateStructType(
-        {"id", "a", "b", "x", "s", "f"},
-        {int_t_, int_null_, int_null_, dbl_null_, str_null_, bool_null_});
+        {"id", "a", "b", "x", "s", "f", "t", "g"},
+        {int_t_, int_null_, int_null_, dbl_null_, str_null_, bool_null_,
+         str_null_, bool_null_});
   }
 
   RowBatch MakeBatch(size_t n, std::mt19937* rng, int null_pct = 20) {
@@ -78,21 +94,23 @@ class RexKernelFuzzTest : public ::testing::Test {
     std::uniform_real_distribution<double> real(-4.0, 8.0);
     std::uniform_int_distribution<int> word(0, 6);
     static const char* kWords[] = {"", "a", "ab", "abc", "s1", "s10", "zz"};
+    auto maybe = [&](Value v) {
+      return pct(*rng) < null_pct ? Value::Null() : std::move(v);
+    };
     RowBatch batch;
     batch.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       Row row;
       row.push_back(Value::Int(static_cast<int64_t>(i)));
-      row.push_back(pct(*rng) < null_pct ? Value::Null()
-                                         : Value::Int(small(*rng)));
-      row.push_back(pct(*rng) < null_pct ? Value::Null()
-                                         : Value::Int(small(*rng)));
-      row.push_back(pct(*rng) < null_pct ? Value::Null()
-                                         : Value::Double(real(*rng)));
-      row.push_back(pct(*rng) < null_pct ? Value::Null()
-                                         : Value::String(kWords[word(*rng)]));
-      row.push_back(pct(*rng) < null_pct ? Value::Null()
-                                         : Value::Bool(pct(*rng) < 50));
+      row.push_back(maybe(Value::Int(small(*rng))));
+      row.push_back(maybe(Value::Int(small(*rng))));
+      row.push_back(maybe(Value::Double(
+          pct(*rng) < 5 ? std::numeric_limits<double>::quiet_NaN()
+                        : real(*rng))));
+      row.push_back(maybe(Value::String(kWords[word(*rng)])));
+      row.push_back(maybe(Value::Bool(pct(*rng) < 50)));
+      row.push_back(maybe(Value::String(kWords[word(*rng)])));
+      row.push_back(maybe(Value::Bool(pct(*rng) < 50)));
       batch.push_back(std::move(row));
     }
     return batch;
@@ -104,16 +122,27 @@ class RexKernelFuzzTest : public ::testing::Test {
     return std::uniform_int_distribution<int>(0, n - 1)(*rng);
   }
 
-  RexNodePtr NumLeaf(std::mt19937* rng) {
+  RexNodePtr Ref(int i) { return rex_.MakeInputRef(row_type_, i); }
+
+  RexNodePtr Call(OpKind op, std::vector<RexNodePtr> ops) {
+    auto call = rex_.MakeCall(op, std::move(ops));
+    EXPECT_TRUE(call.ok()) << call.status().ToString();
+    return call.value();
+  }
+
+  /// A numeric leaf; `with_x` = false keeps the NaN-bearing $3 out (a NaN
+  /// cast to INT is undefined behaviour in both engines).
+  RexNodePtr NumLeaf(std::mt19937* rng, bool with_x) {
     switch (Pick(rng, 5)) {
       case 0:
-        return rex_.MakeInputRef(row_type_, 0);
+        return Ref(0);
       case 1:
-        return rex_.MakeInputRef(row_type_, 1);
+        return Ref(1);
       case 2:
-        return rex_.MakeInputRef(row_type_, 2);
+        return Ref(2);
       case 3:
-        return rex_.MakeInputRef(row_type_, 3);
+        if (with_x) return Ref(3);
+        [[fallthrough]];
       default:
         return Pick(rng, 2) == 0
                    ? rex_.MakeIntLiteral(
@@ -124,58 +153,79 @@ class RexKernelFuzzTest : public ::testing::Test {
     }
   }
 
-  RexNodePtr GenNumeric(std::mt19937* rng, int depth) {
-    if (depth <= 0) return NumLeaf(rng);
-    switch (Pick(rng, 8)) {
+  RexNodePtr GenNumeric(std::mt19937* rng, int depth, bool with_x = true) {
+    if (depth <= 0) return NumLeaf(rng, with_x);
+    switch (Pick(rng, 10)) {
       case 0:
       case 1: {  // + - *
         static const OpKind kOps[] = {OpKind::kPlus, OpKind::kMinus,
                                       OpKind::kTimes};
-        auto call = rex_.MakeCall(kOps[Pick(rng, 3)],
-                                  {GenNumeric(rng, depth - 1),
-                                   GenNumeric(rng, depth - 1)});
-        return call.ok() ? call.value() : NumLeaf(rng);
+        return Call(kOps[Pick(rng, 3)], {GenNumeric(rng, depth - 1, with_x),
+                                         GenNumeric(rng, depth - 1, with_x)});
       }
-      case 2: {  // / and % with a guaranteed non-zero literal divisor
+      case 2: {  // / and %, by a non-zero literal or by a divisor that can
+                 // be zero ($2, an expression over it, or a zero literal)
         OpKind op = Pick(rng, 2) == 0 ? OpKind::kDivide : OpKind::kMod;
-        int64_t d = std::uniform_int_distribution<int64_t>(1, 7)(*rng);
-        if (Pick(rng, 2) == 0) d = -d;
-        auto call = rex_.MakeCall(
-            op, {GenNumeric(rng, depth - 1), rex_.MakeIntLiteral(d)});
-        return call.ok() ? call.value() : NumLeaf(rng);
+        RexNodePtr divisor;
+        switch (Pick(rng, 4)) {
+          case 0:
+            divisor = Ref(2);
+            break;
+          case 1:
+            divisor = GenNumeric(rng, depth - 1, with_x);
+            break;
+          case 2:
+            divisor = rex_.MakeIntLiteral(0);
+            break;
+          default: {
+            int64_t d = std::uniform_int_distribution<int64_t>(1, 7)(*rng);
+            divisor = rex_.MakeIntLiteral(Pick(rng, 2) == 0 ? d : -d);
+          }
+        }
+        return Call(op, {GenNumeric(rng, depth - 1, with_x), divisor});
       }
-      case 3: {  // unary minus
-        auto call = rex_.MakeCall(OpKind::kUnaryMinus,
-                                  {GenNumeric(rng, depth - 1)});
-        return call.ok() ? call.value() : NumLeaf(rng);
-      }
-      case 4:  // single-step cast (fused when the operand is a leaf)
-        return rex_.MakeCast(Pick(rng, 2) == 0 ? int_null_ : dbl_null_,
-                             GenNumeric(rng, depth - 1));
-      case 5: {  // ABS — deliberately outside the fused set (fallback path)
-        auto call = rex_.MakeCall(OpKind::kAbs, {GenNumeric(rng, depth - 1)});
-        return call.ok() ? call.value() : NumLeaf(rng);
-      }
+      case 3:  // unary minus
+        return Call(OpKind::kUnaryMinus, {GenNumeric(rng, depth - 1, with_x)});
+      case 4:  // single-step cast; a cast to INT never sees a NaN
+        return Pick(rng, 2) == 0
+                   ? rex_.MakeCast(int_null_,
+                                   GenNumeric(rng, depth - 1, false))
+                   : rex_.MakeCast(dbl_null_,
+                                   GenNumeric(rng, depth - 1, with_x));
+      case 5:  // ABS — outside the fused set (per-row fallback)
+        return Call(OpKind::kAbs, {GenNumeric(rng, depth - 1, with_x)});
+      case 6:  // CASE — per-row fallback; its arms may guard a division
+        return Call(OpKind::kCase, {GenBool(rng, depth - 1),
+                                    GenNumeric(rng, depth - 1, with_x),
+                                    GenNumeric(rng, depth - 1, with_x)});
+      case 7:  // COALESCE — per-row fallback
+        return Call(OpKind::kCoalesce, {GenNumeric(rng, depth - 1, with_x),
+                                        GenNumeric(rng, depth - 1, with_x)});
       default:
-        return NumLeaf(rng);
+        return NumLeaf(rng, with_x);
     }
   }
 
   RexNodePtr StrLeaf(std::mt19937* rng) {
-    if (Pick(rng, 2) == 0) return rex_.MakeInputRef(row_type_, 4);
-    static const char* kLits[] = {"", "a", "s1", "abc"};
-    return rex_.MakeStringLiteral(kLits[Pick(rng, 4)]);
+    switch (Pick(rng, 3)) {
+      case 0:
+        return Ref(4);
+      case 1:
+        return Ref(6);
+      default: {
+        static const char* kLits[] = {"", "a", "s1", "abc"};
+        return rex_.MakeStringLiteral(kLits[Pick(rng, 4)]);
+      }
+    }
   }
 
   RexNodePtr GenString(std::mt19937* rng, int depth) {
     if (depth <= 0) return StrLeaf(rng);
     switch (Pick(rng, 4)) {
-      case 0:  // numeric -> VARCHAR cast (fused single-step over leaves)
+      case 0:  // numeric -> VARCHAR cast (per-row fallback)
         return rex_.MakeCast(str_null_, GenNumeric(rng, depth - 1));
-      case 1: {  // UPPER — fallback path
-        auto call = rex_.MakeCall(OpKind::kUpper, {GenString(rng, depth - 1)});
-        return call.ok() ? call.value() : StrLeaf(rng);
-      }
+      case 1:  // UPPER — per-row fallback
+        return Call(OpKind::kUpper, {GenString(rng, depth - 1)});
       default:
         return StrLeaf(rng);
     }
@@ -183,29 +233,28 @@ class RexKernelFuzzTest : public ::testing::Test {
 
   RexNodePtr GenBool(std::mt19937* rng, int depth) {
     if (depth <= 0) {
-      return Pick(rng, 2) == 0 ? rex_.MakeInputRef(row_type_, 5)
-                               : rex_.MakeBoolLiteral(Pick(rng, 2) == 0);
+      switch (Pick(rng, 3)) {
+        case 0:
+          return Ref(5);
+        case 1:
+          return Ref(7);
+        default:
+          return rex_.MakeBoolLiteral(Pick(rng, 2) == 0);
+      }
     }
     static const OpKind kCmps[] = {
         OpKind::kEquals,      OpKind::kNotEquals,
         OpKind::kLessThan,    OpKind::kLessThanOrEqual,
         OpKind::kGreaterThan, OpKind::kGreaterThanOrEqual};
-    switch (Pick(rng, 8)) {
+    const OpKind cmp = kCmps[Pick(rng, 6)];
+    switch (Pick(rng, 11)) {
       case 0:
-      case 1: {  // numeric comparison
-        auto call = rex_.MakeCall(kCmps[Pick(rng, 6)],
-                                  {GenNumeric(rng, depth - 1),
-                                   GenNumeric(rng, depth - 1)});
-        if (call.ok()) return call.value();
-        break;
-      }
-      case 2: {  // string comparison
-        auto call = rex_.MakeCall(kCmps[Pick(rng, 6)],
-                                  {GenString(rng, depth - 1),
-                                   GenString(rng, depth - 1)});
-        if (call.ok()) return call.value();
-        break;
-      }
+      case 1:  // numeric comparison
+        return Call(cmp, {GenNumeric(rng, depth - 1),
+                          GenNumeric(rng, depth - 1)});
+      case 2:  // string comparison: column vs column or vs literal
+        return Call(cmp, {GenString(rng, depth - 1),
+                          GenString(rng, depth - 1)});
       case 3: {  // AND / OR over two or three operands
         std::vector<RexNodePtr> ops;
         int arity = 2 + Pick(rng, 2);
@@ -213,29 +262,29 @@ class RexKernelFuzzTest : public ::testing::Test {
         return Pick(rng, 2) == 0 ? rex_.MakeAnd(std::move(ops))
                                  : rex_.MakeOr(std::move(ops));
       }
-      case 4: {  // NOT
-        auto call = rex_.MakeCall(OpKind::kNot, {GenBool(rng, depth - 1)});
-        if (call.ok()) return call.value();
-        break;
-      }
-      case 5: {  // IS [NOT] NULL over any column
-        auto call = rex_.MakeCall(
-            Pick(rng, 2) == 0 ? OpKind::kIsNull : OpKind::kIsNotNull,
-            {rex_.MakeInputRef(row_type_, Pick(rng, 6))});
-        if (call.ok()) return call.value();
-        break;
-      }
-      case 6: {  // IS TRUE / IS FALSE
-        auto call = rex_.MakeCall(
-            Pick(rng, 2) == 0 ? OpKind::kIsTrue : OpKind::kIsFalse,
-            {GenBool(rng, depth - 1)});
-        if (call.ok()) return call.value();
-        break;
+      case 4:  // NOT
+        return Call(OpKind::kNot, {GenBool(rng, depth - 1)});
+      case 5:  // IS [NOT] NULL over any column
+        return Call(Pick(rng, 2) == 0 ? OpKind::kIsNull : OpKind::kIsNotNull,
+                    {Ref(Pick(rng, kWidth))});
+      case 6:  // IS TRUE / IS FALSE
+        return Call(Pick(rng, 2) == 0 ? OpKind::kIsTrue : OpKind::kIsFalse,
+                    {GenBool(rng, depth - 1)});
+      case 7:  // bool-vs-bool comparison
+        return Call(cmp, {GenBool(rng, depth - 1), GenBool(rng, depth - 1)});
+      case 8:  // IN over literals — per-row fallback
+        return Call(OpKind::kIn, {GenNumeric(rng, depth - 1),
+                                  rex_.MakeIntLiteral(Pick(rng, 5)),
+                                  rex_.MakeIntLiteral(Pick(rng, 20))});
+      case 9: {  // LIKE — per-row fallback
+        static const char* kPatterns[] = {"a%", "%1", "%b%", "s_"};
+        return Call(OpKind::kLike, {GenString(rng, depth - 1),
+                                    rex_.MakeStringLiteral(
+                                        kPatterns[Pick(rng, 4)])});
       }
       default:
-        break;
+        return Ref(5);
     }
-    return rex_.MakeInputRef(row_type_, 5);
   }
 
   RexNodePtr GenAny(std::mt19937* rng, int depth) {
@@ -272,6 +321,14 @@ class RexKernelFuzzTest : public ::testing::Test {
     return shapes;
   }
 
+  static SelectionVector Candidates(const std::optional<SelectionVector>& s,
+                                    size_t n) {
+    if (s.has_value()) return *s;
+    SelectionVector all(n);
+    for (uint32_t i = 0; i < n; ++i) all[i] = i;
+    return all;
+  }
+
   /// Decomposes `batch` into a typed ColumnBatch (the columnar engine's
   /// native input) using the fixture row type.
   ColumnBatch ToColumns(const RowBatch& batch) {
@@ -280,11 +337,9 @@ class RexKernelFuzzTest : public ::testing::Test {
     return std::move(cols.value());
   }
 
-  /// RexColumnar::AppendEvalColumn vs per-row Eval over the active rows.
-  /// Every expression runs under both kernel dispatch modes: the scalar
-  /// result is diffed against the per-row oracle and the SIMD result must
-  /// match the scalar one cell-for-cell (on a scalar-only build both runs
-  /// take the reference path).
+  /// FusedExpr::AppendEvalColumn vs per-row Eval over the active rows,
+  /// under both kernel dispatch modes. Either both fail with the same
+  /// error, or every cell matches.
   void CheckColumnarEval(const RexNodePtr& expr, const ColumnBatch& base,
                          const RowBatch& rows, const SelectionVector* sel,
                          const std::string& label) {
@@ -293,95 +348,81 @@ class RexKernelFuzzTest : public ::testing::Test {
       in.sel = *sel;
       in.has_sel = true;
     }
-    ColumnBatch out_scalar, out_simd;
-    for (bool enable_simd : {false, true}) {
-      simd::ScopedDispatch dispatch(enable_simd);
-      ColumnBatch& out = enable_simd ? out_simd : out_scalar;
-      out.arena = std::make_shared<Arena>();
-      out.ShareStorage(in);
-      out.num_rows = in.ActiveCount();
-      Status status = RexColumnar::AppendEvalColumn(expr, in, &out);
-      ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-      ASSERT_EQ(out.cols.size(), 1u) << label;
-    }
-    // Third engine: the tree-fusing bytecode interpreter (which falls back
-    // to the per-node path for unfusible trees — the differential holds
-    // either way), again under both dispatch modes.
-    ColumnBatch fused_scalar, fused_simd;
-    for (bool enable_simd : {false, true}) {
-      simd::ScopedDispatch dispatch(enable_simd);
-      ColumnBatch& out = enable_simd ? fused_simd : fused_scalar;
-      out.arena = std::make_shared<Arena>();
-      out.ShareStorage(in);
-      out.num_rows = in.ActiveCount();
-      FusedExpr fused(expr);
-      Status status = fused.AppendEvalColumn(in, &out);
-      ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-      ASSERT_EQ(out.cols.size(), 1u) << label;
-    }
     const size_t n = in.ActiveCount();
-    for (size_t k = 0; k < n; ++k) {
-      const Row& row = rows[in.ActiveIndex(k)];
-      auto want = RexInterpreter::Eval(expr, row);
-      ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
-      ASSERT_EQ(out_scalar.cols[0].GetValue(k).ToString(),
-                want.value().ToString())
-          << label << " row " << k << " expr " << expr->ToString();
-      ASSERT_EQ(out_simd.cols[0].GetValue(k).ToString(),
-                out_scalar.cols[0].GetValue(k).ToString())
-          << label << " simd-vs-scalar row " << k << " expr "
-          << expr->ToString();
-      ASSERT_EQ(fused_scalar.cols[0].GetValue(k).ToString(),
-                out_scalar.cols[0].GetValue(k).ToString())
-          << label << " fused-vs-per-node row " << k << " expr "
-          << expr->ToString();
-      ASSERT_EQ(fused_simd.cols[0].GetValue(k).ToString(),
-                out_scalar.cols[0].GetValue(k).ToString())
-          << label << " fused-simd-vs-per-node row " << k << " expr "
-          << expr->ToString();
+    std::vector<Value> want;
+    Status want_status;
+    for (size_t k = 0; k < n && want_status.ok(); ++k) {
+      auto v = RexInterpreter::Eval(expr, rows[in.ActiveIndex(k)]);
+      if (v.ok()) {
+        want.push_back(std::move(v).value());
+      } else {
+        want_status = v.status();
+      }
+    }
+    for (bool enable_simd : {false, true}) {
+      simd::ScopedDispatch dispatch(enable_simd);
+      ColumnBatch out;
+      out.arena = std::make_shared<Arena>();
+      out.ShareStorage(in);
+      out.num_rows = n;
+      Status status = FusedExpr(expr).AppendEvalColumn(in, &out);
+      const std::string where = label + " simd=" +
+                                std::to_string(enable_simd) + " expr " +
+                                expr->ToString();
+      ASSERT_EQ(status.ToString(), want_status.ToString()) << where;
+      if (!status.ok()) continue;
+      ASSERT_EQ(out.cols.size(), 1u) << where;
+      for (size_t k = 0; k < n; ++k) {
+        Value got = out.cols[0].GetValue(k);
+        ASSERT_TRUE(SameValue(got, want[k]))
+            << where << " row " << k << ": " << got.ToString() << " vs "
+            << want[k].ToString();
+      }
     }
   }
 
-  /// RexColumnar::NarrowSelection vs per-row EvalPredicate over the same
-  /// candidates, under both kernel dispatch modes (which must agree).
+  /// The filter semantics FusedExpr::NarrowSelection implements, per row:
+  /// a top-level AND passes when its conjuncts pass in order, later ones
+  /// evaluated only while the earlier ones pass; anything else passes
+  /// when EvalPredicate says TRUE.
+  Result<bool> OraclePasses(const RexNodePtr& pred, const Row& row) {
+    const RexCall* call = AsCall(pred);
+    if (call == nullptr || call->op() != OpKind::kAnd) {
+      return RexInterpreter::EvalPredicate(pred, row);
+    }
+    for (const RexNodePtr& conjunct : call->operands()) {
+      CALCITE_ASSIGN_OR_RETURN(bool pass, OraclePasses(conjunct, row));
+      if (!pass) return false;
+    }
+    return true;
+  }
+
+  /// FusedExpr::NarrowSelection vs the per-row filter oracle over the same
+  /// candidates, under both kernel dispatch modes.
   void CheckColumnarNarrow(const RexNodePtr& pred, const ColumnBatch& base,
                            const RowBatch& rows,
                            const SelectionVector& candidates,
                            const std::string& label) {
-    SelectionVector got_scalar, got_simd;
-    for (bool enable_simd : {false, true}) {
-      simd::ScopedDispatch dispatch(enable_simd);
-      SelectionVector& got = enable_simd ? got_simd : got_scalar;
-      got = candidates;
-      ArenaPtr scratch = std::make_shared<Arena>();
-      Status status =
-          RexColumnar::NarrowSelection(pred, base, scratch, &got);
-      ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-    }
-    // Fused leg of the differential (falls back per the whole-tree rule).
-    SelectionVector fused_scalar, fused_simd;
-    for (bool enable_simd : {false, true}) {
-      simd::ScopedDispatch dispatch(enable_simd);
-      SelectionVector& got = enable_simd ? fused_simd : fused_scalar;
-      got = candidates;
-      ArenaPtr scratch = std::make_shared<Arena>();
-      FusedExpr fused(pred);
-      Status status = fused.NarrowSelection(base, scratch, &got);
-      ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-    }
     SelectionVector want;
+    Status want_status;
     for (uint32_t idx : candidates) {
-      auto pass = RexInterpreter::EvalPredicate(pred, rows[idx]);
-      ASSERT_TRUE(pass.ok()) << label << ": " << pass.status().ToString();
+      auto pass = OraclePasses(pred, rows[idx]);
+      if (!pass.ok()) {
+        want_status = pass.status();
+        break;
+      }
       if (pass.value()) want.push_back(idx);
     }
-    ASSERT_EQ(got_scalar, want) << label << " pred " << pred->ToString();
-    ASSERT_EQ(got_simd, want)
-        << label << " simd-vs-scalar pred " << pred->ToString();
-    ASSERT_EQ(fused_scalar, want)
-        << label << " fused pred " << pred->ToString();
-    ASSERT_EQ(fused_simd, want)
-        << label << " fused-simd pred " << pred->ToString();
+    for (bool enable_simd : {false, true}) {
+      simd::ScopedDispatch dispatch(enable_simd);
+      SelectionVector got = candidates;
+      Status status = FusedExpr(pred).NarrowSelection(base, &got);
+      const std::string where = label + " simd=" +
+                                std::to_string(enable_simd) + " pred " +
+                                pred->ToString();
+      ASSERT_EQ(status.ToString(), want_status.ToString()) << where;
+      if (status.ok()) ASSERT_EQ(got, want) << where;
+    }
   }
 
   TypeFactory tf_;
@@ -421,13 +462,7 @@ TEST_F(RexKernelFuzzTest, ColumnarNarrowSelectionMatchesPerRowOracle) {
     for (int iter = 0; iter < 60 * FuzzScale(); ++iter) {
       RexNodePtr pred = GenBool(&rng, 3);
       for (size_t s = 0; s < shapes.size(); ++s) {
-        SelectionVector candidates;
-        if (shapes[s].has_value()) {
-          candidates = *shapes[s];
-        } else {
-          for (uint32_t i = 0; i < n; ++i) candidates.push_back(i);
-        }
-        CheckColumnarNarrow(pred, cols, batch, candidates,
+        CheckColumnarNarrow(pred, cols, batch, Candidates(shapes[s], n),
                             "n=" + std::to_string(n) + " iter=" +
                                 std::to_string(iter) + " sel=" +
                                 std::to_string(s));
@@ -461,25 +496,62 @@ TEST_F(RexKernelFuzzTest, SimdTailAndAlignmentShapes) {
           const SelectionVector* sel =
               shapes[s].has_value() ? &*shapes[s] : nullptr;
           CheckColumnarEval(expr, cols, batch, sel, label);
-          SelectionVector candidates;
-          if (shapes[s].has_value()) {
-            candidates = *shapes[s];
-          } else {
-            for (uint32_t i = 0; i < n; ++i) candidates.push_back(i);
-          }
-          CheckColumnarNarrow(pred, cols, batch, candidates, label);
+          CheckColumnarNarrow(pred, cols, batch, Candidates(shapes[s], n),
+                              label);
         }
       }
     }
   }
 }
 
-// The row-oracle fallbacks (FallbackDense, the last branch of
-// NarrowSelection) box only the columns an expression references. Over a
-// wide batch — five fixture batches side by side, the shape of a lifted
-// join row — a CASE around LIKE and an OR around LIKE must still match the
-// per-row oracle, and a reference past the batch width must still raise
-// Eval's out-of-range error.
+// A division whose divisor can be zero raises exactly where the per-row
+// oracle does: unguarded it fails, while a guard the oracle short-circuits
+// — an earlier AND conjunct, a CASE arm — keeps it from raising.
+TEST_F(RexKernelFuzzTest, GuardedDivisionDoesNotRaise) {
+  std::mt19937 rng(31337);
+  const size_t n = 1025;
+  RowBatch batch = MakeBatch(n, &rng);
+  size_t zero_divisors = 0;
+  for (const Row& row : batch) {
+    if (!row[1].IsNull() && !row[2].IsNull() && row[2].AsInt() == 0) {
+      ++zero_divisors;
+    }
+  }
+  ASSERT_GT(zero_divisors, 0u);
+  ColumnBatch cols = ToColumns(batch);
+  RexNodePtr zero = rex_.MakeIntLiteral(0);
+  RexNodePtr div = Call(OpKind::kDivide, {Ref(1), Ref(2)});
+  RexNodePtr guarded = rex_.MakeAnd(
+      {Call(OpKind::kNotEquals, {Ref(2), zero}),
+       Call(OpKind::kGreaterThan, {div, rex_.MakeIntLiteral(1)})});
+  RexNodePtr case_guard = Call(
+      OpKind::kCase, {Call(OpKind::kEquals, {Ref(2), zero}), zero, div});
+  for (size_t s = 0; s < SelectionShapes(n).size(); ++s) {
+    const auto shape = SelectionShapes(n)[s];
+    const std::string label = "guard sel=" + std::to_string(s);
+    CheckColumnarNarrow(guarded, cols, batch, Candidates(shape, n), label);
+    CheckColumnarEval(case_guard, cols, batch,
+                      shape.has_value() ? &*shape : nullptr, label);
+    CheckColumnarEval(div, cols, batch, shape.has_value() ? &*shape : nullptr,
+                      label);
+  }
+  SelectionVector all = Candidates(std::nullopt, n);
+  EXPECT_TRUE(FusedExpr(guarded).NarrowSelection(cols, &all).ok());
+  ColumnBatch out;
+  out.arena = std::make_shared<Arena>();
+  out.ShareStorage(cols);
+  out.num_rows = n;
+  EXPECT_TRUE(FusedExpr(case_guard).AppendEvalColumn(cols, &out).ok());
+  Status unguarded = FusedExpr(div).AppendEvalColumn(cols, &out);
+  EXPECT_FALSE(unguarded.ok());
+  EXPECT_NE(unguarded.message().find("division by zero"), std::string::npos);
+}
+
+// The per-row fallbacks box only the columns an expression references.
+// Over a wide batch — five fixture batches side by side, the shape of a
+// lifted join row — a CASE around LIKE and an OR around LIKE must still
+// match the per-row oracle, and a reference past the batch width must still
+// raise Eval's out-of-range error.
 TEST_F(RexKernelFuzzTest, WideBatchFallbacksMatchPerRowOracle) {
   std::mt19937 rng(5511);
   constexpr size_t kCopies = 5;
@@ -508,52 +580,38 @@ TEST_F(RexKernelFuzzTest, WideBatchFallbacksMatchPerRowOracle) {
     return rex_.MakeInputRef(wide_type, static_cast<int>(copy * width + col));
   };
   auto like = [&](RexNodePtr operand, const char* pattern) {
-    auto call = rex_.MakeCall(OpKind::kLike,
-                              {std::move(operand),
-                               rex_.MakeStringLiteral(pattern)});
-    EXPECT_TRUE(call.ok());
-    return call.value();
+    return Call(OpKind::kLike,
+                {std::move(operand), rex_.MakeStringLiteral(pattern)});
   };
 
-  auto when = rex_.MakeCall(OpKind::kCase, {like(ref(4, 4), "s1%"),
-                                            ref(4, 1), ref(1, 1)});
-  ASSERT_TRUE(when.ok()) << when.status().ToString();
-  auto gt = rex_.MakeCall(OpKind::kGreaterThan,
-                          {ref(4, 3), rex_.MakeDoubleLiteral(1.0)});
-  ASSERT_TRUE(gt.ok());
-  RexNodePtr pred = rex_.MakeOr({like(ref(1, 4), "a%"), gt.value()});
+  RexNodePtr when =
+      Call(OpKind::kCase, {like(ref(4, 4), "s1%"), ref(4, 1), ref(1, 1)});
+  RexNodePtr gt =
+      Call(OpKind::kGreaterThan, {ref(4, 3), rex_.MakeDoubleLiteral(1.0)});
+  RexNodePtr pred = rex_.MakeOr({like(ref(1, 4), "a%"), gt});
   for (size_t s = 0; s < SelectionShapes(n).size(); ++s) {
     const auto shape = SelectionShapes(n)[s];
     const std::string label = "wide sel=" + std::to_string(s);
-    CheckColumnarEval(when.value(), base, rows,
-                      shape.has_value() ? &*shape : nullptr, label);
-    SelectionVector candidates;
-    if (shape.has_value()) {
-      candidates = *shape;
-    } else {
-      for (uint32_t i = 0; i < n; ++i) candidates.push_back(i);
-    }
-    CheckColumnarNarrow(pred, base, rows, candidates, label);
+    CheckColumnarEval(when, base, rows, shape.has_value() ? &*shape : nullptr,
+                      label);
+    CheckColumnarNarrow(pred, base, rows, Candidates(shape, n), label);
   }
 
-  // $40 is past the 30-column batch: both fallbacks report it.
-  RexNodePtr far = rex_.MakeInputRef(40, str_null_);
-  auto upper = rex_.MakeCall(OpKind::kUpper, {far});
-  ASSERT_TRUE(upper.ok());
+  // $50 is past the 40-column batch: both fallbacks report it.
+  RexNodePtr far = rex_.MakeInputRef(50, str_null_);
   ColumnBatch out;
   out.arena = std::make_shared<Arena>();
   out.ShareStorage(base);
   out.num_rows = base.ActiveCount();
-  EXPECT_FALSE(RexColumnar::AppendEvalColumn(upper.value(), base, &out).ok());
-  SelectionVector sel = {0, 1, 2};
-  ArenaPtr scratch = std::make_shared<Arena>();
   EXPECT_FALSE(
-      RexColumnar::NarrowSelection(like(far, "x%"), base, scratch, &sel).ok());
+      FusedExpr(Call(OpKind::kUpper, {far})).AppendEvalColumn(base, &out).ok());
+  SelectionVector sel = {0, 1, 2};
+  EXPECT_FALSE(FusedExpr(like(far, "x%")).NarrowSelection(base, &sel).ok());
 }
 
 // --------------------- ternary NULL semantics pack --------------------------
 //
-// Directed regressions for the three-valued-logic corners the fused kernels
+// Directed regressions for the three-valued-logic corners the evaluator
 // must preserve; the per-row interpreter is the oracle, and the expected
 // truth-table entries are asserted explicitly so an oracle bug cannot hide
 // a kernel bug.
@@ -566,26 +624,21 @@ class TernaryNullTest : public RexKernelFuzzTest {
     return row;
   }
 
-  /// Evaluates `expr` over a one-row column batch through the per-node and
-  /// fused columnar kernels, checks both equal the per-row oracle and the
-  /// expected value.
+  /// Evaluates `expr` over a one-row column batch through FusedExpr and
+  /// checks it equals the per-row oracle and the expected value.
   void ExpectTernary(const RexNodePtr& expr, const Row& row,
                      const Value& expected) {
     Row full = Padded(row);
     ColumnBatch in = ToColumns({full});
-    for (bool fuse : {false, true}) {
-      ColumnBatch out;
-      out.arena = std::make_shared<Arena>();
-      out.ShareStorage(in);
-      out.num_rows = 1;
-      Status status = fuse ? FusedExpr(expr).AppendEvalColumn(in, &out)
-                           : RexColumnar::AppendEvalColumn(expr, in, &out);
-      ASSERT_TRUE(status.ok()) << expr->ToString() << ": "
-                               << status.ToString();
-      ASSERT_EQ(out.cols.size(), 1u);
-      EXPECT_EQ(out.cols[0].GetValue(0).ToString(), expected.ToString())
-          << expr->ToString() << " fuse=" << fuse;
-    }
+    ColumnBatch out;
+    out.arena = std::make_shared<Arena>();
+    out.ShareStorage(in);
+    out.num_rows = 1;
+    Status status = FusedExpr(expr).AppendEvalColumn(in, &out);
+    ASSERT_TRUE(status.ok()) << expr->ToString() << ": " << status.ToString();
+    ASSERT_EQ(out.cols.size(), 1u);
+    EXPECT_EQ(out.cols[0].GetValue(0).ToString(), expected.ToString())
+        << expr->ToString();
     auto oracle = RexInterpreter::Eval(expr, full);
     ASSERT_TRUE(oracle.ok());
     EXPECT_EQ(oracle.value().ToString(), expected.ToString())
@@ -596,12 +649,6 @@ class TernaryNullTest : public RexKernelFuzzTest {
   RexNodePtr NullInt() { return rex_.MakeNullLiteral(int_null_); }
   RexNodePtr True() { return rex_.MakeBoolLiteral(true); }
   RexNodePtr False() { return rex_.MakeBoolLiteral(false); }
-
-  RexNodePtr Call(OpKind op, std::vector<RexNodePtr> ops) {
-    auto call = rex_.MakeCall(op, std::move(ops));
-    EXPECT_TRUE(call.ok());
-    return call.value();
-  }
 };
 
 TEST_F(TernaryNullTest, AndOrShortCircuitWithNull) {
@@ -677,8 +724,7 @@ TEST_F(TernaryNullTest, FilterTreatsUnknownAsNotPassing) {
                          {rex_.MakeInputRef(1, int_null_),
                           rex_.MakeIntLiteral(2)});
   SelectionVector sel = {0, 1, 2};
-  ArenaPtr scratch = std::make_shared<Arena>();
-  ASSERT_TRUE(RexColumnar::NarrowSelection(pred, batch, scratch, &sel).ok());
+  ASSERT_TRUE(FusedExpr(pred).NarrowSelection(batch, &sel).ok());
   EXPECT_EQ(sel, SelectionVector({2}));
 }
 
