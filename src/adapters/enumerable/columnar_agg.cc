@@ -133,7 +133,8 @@ Status ColumnarAggBuilder::MergeFrom(const ColumnarAggBuilder& other) {
   return Status::OK();
 }
 
-RowBatch ColumnarAggBuilder::EmitBatch(size_t batch_size) {
+Result<ColumnBatch> ColumnarAggBuilder::EmitBatch(size_t batch_size,
+                                                  const RelDataType& row_type) {
   if (!finalized_) {
     // Global aggregate over empty input still produces one row.
     AddNewGroups();
@@ -155,7 +156,8 @@ RowBatch ColumnarAggBuilder::EmitBatch(size_t batch_size) {
     }
     out.push_back(std::move(result));
   }
-  return out;
+  if (out.empty()) return ColumnBatch{};
+  return RowsToColumns(out, row_type);
 }
 
 }  // namespace calcite

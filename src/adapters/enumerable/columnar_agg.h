@@ -58,10 +58,13 @@ class ColumnarAggBuilder {
   Status MergeFrom(const ColumnarAggBuilder& other);
 
   /// Emits up to `batch_size` result rows (group key columns then one value
-  /// per aggregate call, in first-seen group order). The first call
-  /// finalizes: a global aggregate over empty input materializes its one
-  /// row here. An empty batch means all groups have been emitted.
-  RowBatch EmitBatch(size_t batch_size);
+  /// per aggregate call, in first-seen group order) as a dense ColumnBatch
+  /// typed by `row_type`: the finished cells go through RowsToColumns, so a
+  /// column whose cells do not all fit its declared class (Int(2) kept as a
+  /// DOUBLE group key) stays boxed. The first call finalizes: a global
+  /// aggregate over empty input materializes its one row here. An AtEnd()
+  /// batch means all groups have been emitted.
+  Result<ColumnBatch> EmitBatch(size_t batch_size, const RelDataType& row_type);
 
  private:
   /// Appends accumulators for every group the key table opened since the

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -20,22 +21,19 @@
 
 namespace calcite {
 
-// The operators below execute as vectorized pull pipelines. With
-// ExecOptions::enable_columnar on (the default) Filter, Project, Aggregate,
-// Sort, the blocking set ops and the hash join run on columns whatever
-// their input is: LiftToColumns hands them their input as ColumnBatches —
-// parallel, natively columnar, or decoded from row batches. Sort, the set
-// ops and the join's build side keep those batches; aggregates, set ops
-// and joins resolve typed key cells in one KeyTable, and the join gathers
-// its output columns from (probe, build) row pairs. Rows are boxed only
-// where a row consumer (window, nested-loop join, QueryResult) reads them.
-// With it off, every operator runs its plain per-row reference path
+// The operators below execute as vectorized pull pipelines; the table in
+// enumerable_rels.h lists each one's columnar path and row reference.
+// ColumnarOutput picks between them for every node (the only reader of
+// ExecOptions::enable_columnar), LiftToColumns hands a columnar consumer
+// its input, and BoxedColumnarOutput boxes a columnar operator's batches
+// once for a row consumer. Blocking columnar operators keep the batches
+// they read (KeptBatches) and gather their output from them; aggregates,
+// set ops and joins resolve typed key cells in one KeyTable. With
+// enable_columnar off every operator runs its reference body
 // (RexInterpreter::Eval, HashAggState, stable_sort with CompareRows,
 // CombineSetOp, a Row-keyed hash join), the oracle the parity suites diff
-// against. Each operator implements only ExecuteBatched (plus
-// TryExecuteColumnar where it produces columns); RelNode::Execute drains
-// that same pipeline. `batch_size = 1` reproduces row-at-a-time behaviour
-// exactly (see the parity tests).
+// against. `batch_size = 1` reproduces row-at-a-time behaviour exactly
+// (see the parity tests).
 
 namespace {
 
@@ -69,20 +67,8 @@ size_t NormalizedBatchSize(const ExecOptions& opts) {
   return opts.batch_size == 0 ? 1 : opts.batch_size;
 }
 
-/// Bridges a columnar pipeline back to dense RowBatches (the conversion
-/// boundary for row-path consumers: window, nested-loop join, QueryResult).
-RowBatchPuller ColumnarToRowPuller(RelNodePtr self, ColumnBatchPuller pull) {
-  return RowBatchPuller([self, pull]() -> Result<RowBatch> {
-    auto batch = pull();
-    if (!batch.ok()) return batch.status();
-    RowBatch out;
-    ColumnsToRows(batch.value(), &out);
-    return out;
-  });
-}
-
-/// The reverse bridge: decodes a row stream into ColumnBatches one batch at
-/// a time (RowsToColumns), for columnar consumers over row producers.
+/// Decodes a row stream into ColumnBatches one batch at a time
+/// (RowsToColumns), for columnar consumers over row producers.
 ColumnBatchPuller RowToColumnarPuller(RowBatchPuller pull,
                                       RelDataTypePtr row_type) {
   return ColumnBatchPuller([pull, row_type]() -> Result<ColumnBatch> {
@@ -93,30 +79,44 @@ ColumnBatchPuller RowToColumnarPuller(RowBatchPuller pull,
   });
 }
 
+/// How `node`'s output is produced; the only read of
+/// ExecOptions::enable_columnar. With it on, a fragment the morsel executor
+/// accepts runs in parallel (num_threads > 1), otherwise the node's own
+/// columnar path runs. nullopt — with it off, or for a row operator —
+/// means the node's rows come from its ExecuteBatched body.
+std::optional<Result<ColumnBatchPuller>> ColumnarOutput(
+    const RelNode& node, const ExecOptions& opts) {
+  if (!opts.enable_columnar) return std::nullopt;
+  if (auto parallel = TryExecuteParallelColumns(node, opts)) return parallel;
+  return node.TryExecuteColumnar(opts);
+}
+
 /// Hands `node`'s output to a columnar consumer (Filter, Project,
-/// Aggregate, Sort, set ops, hash join). At num_threads > 1 a fragment the
-/// morsel executor accepts still runs in parallel (a pipeline's batches
-/// arrive unboxed, an aggregate's rows are decoded); otherwise a natively
-/// columnar producer streams its batches; anything else has its row batches
-/// decoded.
+/// Aggregate, Sort, set ops, hash join): its ColumnarOutput, or else its
+/// row batches decoded into columns.
 Result<ColumnBatchPuller> LiftToColumns(const RelNode& node,
                                         const ExecOptions& opts) {
-  if (opts.num_threads > 1) {
-    if (auto columns = TryExecuteParallelColumns(node, opts)) {
-      return std::move(*columns);
-    }
-    if (auto parallel = TryExecuteParallel(node, opts)) {
-      if (!parallel->ok()) return parallel->status();
-      return RowToColumnarPuller(std::move(*parallel).value(),
-                                 node.row_type());
-    }
-  }
-  if (auto columnar = node.TryExecuteColumnar(opts)) {
-    return std::move(*columnar);
-  }
+  if (auto columns = ColumnarOutput(node, opts)) return std::move(*columns);
   auto rows = node.ExecuteBatched(opts);
   if (!rows.ok()) return rows.status();
   return RowToColumnarPuller(std::move(rows).value(), node.row_type());
+}
+
+/// A columnar operator's ExecuteBatched prologue: its ColumnarOutput with
+/// the active rows boxed once, at the top of the columnar pipeline, for a
+/// row consumer; nullopt when the operator runs its reference body.
+std::optional<Result<RowBatchPuller>> BoxedColumnarOutput(
+    const RelNode& node, const ExecOptions& opts) {
+  auto columns = ColumnarOutput(node, opts);
+  if (!columns.has_value()) return std::nullopt;
+  if (!columns->ok()) return Result<RowBatchPuller>(columns->status());
+  ColumnBatchPuller pull = std::move(*columns).value();
+  return Result<RowBatchPuller>(RowBatchPuller([pull]() -> Result<RowBatch> {
+    CALCITE_ASSIGN_OR_RETURN(ColumnBatch batch, pull());
+    RowBatch out;
+    ColumnsToRows(batch, &out);
+    return out;
+  }));
 }
 
 }  // namespace
@@ -182,15 +182,11 @@ FilterPushdown SplitPushdown(const Filter& filter) {
 
 Result<RowBatchPuller> EnumerableTableScan::ExecuteBatched(
     const ExecOptions& opts) const {
-  if (auto parallel = TryExecuteParallel(*this, opts)) {
-    return std::move(*parallel);
-  }
   return OpenScanRows(*this, ScanPredicateList{}, opts);
 }
 
 std::optional<Result<ColumnBatchPuller>>
 EnumerableTableScan::TryExecuteColumnar(const ExecOptions& opts) const {
-  if (!opts.enable_columnar) return std::nullopt;
   TypeFactory type_factory;
   TableColumnsPtr columns = table_->MaterializedColumns(type_factory);
   if (columns == nullptr) return std::nullopt;
@@ -220,25 +216,23 @@ RelNodePtr EnumerableFilter::Copy(RelTraitSet traits,
 
 Result<RowBatchPuller> EnumerableFilter::ExecuteBatched(
     const ExecOptions& opts) const {
-  if (auto parallel = TryExecuteParallel(*this, opts)) {
-    return std::move(*parallel);
-  }
-  if (auto columnar = TryExecuteColumnar(opts)) {
-    // Survivors are boxed into rows only here, at the top of the columnar
-    // pipeline (the selection was applied on column storage).
-    if (!columnar->ok()) return columnar->status();
-    return ColumnarToRowPuller(shared_from_this(),
-                               std::move(*columnar).value());
-  }
-  // Reference path: per-row EvalPredicate over the residual conjuncts.
+  if (auto rows = BoxedColumnarOutput(*this, opts)) return std::move(*rows);
+  // Reference path: per-row EvalPredicate over the residual's conjuncts,
+  // in order, each row stopping at its first that fails — the conjunct by
+  // conjunct narrowing of the columnar path, so a later conjunct that
+  // raises is never reached for a row an earlier one drops.
   FilterPushdown split = SplitPushdown(*this);
   auto in = !split.pushed.empty()
                 ? OpenScanRows(*split.scan, std::move(split.pushed), opts)
                 : input(0)->ExecuteBatched(opts);
   if (!in.ok()) return in.status();
   RelNodePtr self = shared_from_this();  // keeps the conjuncts' owner alive
-  auto conjuncts =
-      std::make_shared<std::vector<RexNodePtr>>(std::move(split.residual));
+  auto conjuncts = std::make_shared<std::vector<RexNodePtr>>();
+  for (const RexNodePtr& residual : split.residual) {
+    for (RexNodePtr& c : RexUtil::FlattenAnd(residual)) {
+      conjuncts->push_back(std::move(c));
+    }
+  }
   RowBatchPuller pull = std::move(in).value();
   return RowBatchPuller([self, conjuncts, pull]() -> Result<RowBatch> {
     for (;;) {
@@ -263,7 +257,6 @@ Result<RowBatchPuller> EnumerableFilter::ExecuteBatched(
 
 std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
     const ExecOptions& opts) const {
-  if (!opts.enable_columnar) return std::nullopt;
   RelNodePtr self = shared_from_this();
 
   // Simple conjuncts over a scan run inside the leaf: typed loops over the
@@ -306,17 +299,7 @@ std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
           ColumnBatch cols = std::move(batch).value();
           if (cols.AtEnd()) return cols;
           if (!conjuncts->empty()) {
-            if (!cols.has_sel) {
-              cols.sel.resize(cols.num_rows);
-              for (size_t i = 0; i < cols.num_rows; ++i) {
-                cols.sel[i] = static_cast<uint32_t>(i);
-              }
-              cols.has_sel = true;
-            }
-            for (FusedExpr& pred : *conjuncts) {
-              if (cols.sel.empty()) break;
-              CALCITE_RETURN_IF_ERROR(pred.NarrowSelection(cols, &cols.sel));
-            }
+            CALCITE_RETURN_IF_ERROR(NarrowByConjuncts(conjuncts.get(), &cols));
           }
           if (cols.ActiveCount() == 0) continue;
           return cols;
@@ -342,16 +325,7 @@ RelNodePtr EnumerableProject::Copy(RelTraitSet traits,
 
 Result<RowBatchPuller> EnumerableProject::ExecuteBatched(
     const ExecOptions& opts) const {
-  if (auto parallel = TryExecuteParallel(*this, opts)) {
-    return std::move(*parallel);
-  }
-  if (auto columnar = TryExecuteColumnar(opts)) {
-    // The projected columns are boxed into rows only here, at the top of
-    // the columnar pipeline.
-    if (!columnar->ok()) return columnar->status();
-    return ColumnarToRowPuller(shared_from_this(),
-                               std::move(*columnar).value());
-  }
+  if (auto rows = BoxedColumnarOutput(*this, opts)) return std::move(*rows);
   // Reference path: per-row Eval of every expression.
   auto in = input(0)->ExecuteBatched(opts);
   if (!in.ok()) return in.status();
@@ -379,7 +353,6 @@ Result<RowBatchPuller> EnumerableProject::ExecuteBatched(
 
 std::optional<Result<ColumnBatchPuller>> EnumerableProject::TryExecuteColumnar(
     const ExecOptions& opts) const {
-  if (!opts.enable_columnar) return std::nullopt;
   auto in = LiftToColumns(*input(0), opts);
   if (!in.ok()) return in;
   RelNodePtr self = shared_from_this();  // pins exprs_ for the pipeline
@@ -420,80 +393,53 @@ namespace {
 /// reference to `in`'s storage.
 ColumnBatch CompactBatch(const ColumnBatch& in, const ArenaPtr& arena) {
   const size_t n = in.ActiveCount();
+  std::vector<uint32_t> rows(n);
+  for (size_t k = 0; k < n; ++k) {
+    rows[k] = static_cast<uint32_t>(in.ActiveIndex(k));
+  }
   ColumnBatch out;
   out.num_rows = n;
   out.arena = arena;
-  out.cols.resize(in.cols.size());
-  for (size_t c = 0; c < in.cols.size(); ++c) {
-    const ColumnVector& src = in.cols[c];
-    ColumnVector& dst = out.cols[c];
-    dst.type = src.type;
-    if (src.type == PhysType::kValue) {
-      auto vals = std::make_shared<std::vector<Value>>();
-      vals->reserve(n);
-      for (size_t k = 0; k < n; ++k) {
-        vals->push_back(src.boxed[in.ActiveIndex(k)]);
-      }
-      dst.boxed = vals->data();
-      out.boxed_pool.push_back(std::move(vals));
-      continue;
-    }
-    if (src.nulls != nullptr) {
-      uint8_t* nulls = arena->AllocateArray<uint8_t>(n);
-      for (size_t k = 0; k < n; ++k) nulls[k] = src.nulls[in.ActiveIndex(k)];
-      dst.nulls = nulls;
-    }
-    switch (src.type) {
-      case PhysType::kInt64: {
-        int64_t* d = arena->AllocateArray<int64_t>(n);
-        for (size_t k = 0; k < n; ++k) d[k] = src.i64[in.ActiveIndex(k)];
-        dst.i64 = d;
-        break;
-      }
-      case PhysType::kDouble: {
-        double* d = arena->AllocateArray<double>(n);
-        for (size_t k = 0; k < n; ++k) d[k] = src.f64[in.ActiveIndex(k)];
-        dst.f64 = d;
-        break;
-      }
-      case PhysType::kBool: {
-        uint8_t* d = arena->AllocateArray<uint8_t>(n);
-        for (size_t k = 0; k < n; ++k) d[k] = src.b8[in.ActiveIndex(k)];
-        dst.b8 = d;
-        break;
-      }
-      case PhysType::kString: {
-        StringRef* d = arena->AllocateArray<StringRef>(n);
-        size_t total = 0;
-        for (size_t k = 0; k < n; ++k) total += src.str[in.ActiveIndex(k)].size;
-        char* bytes = arena->AllocateArray<char>(total);
-        for (size_t k = 0; k < n; ++k) {
-          const StringRef s = src.str[in.ActiveIndex(k)];
-          if (s.size > 0) std::memcpy(bytes, s.data, s.size);
-          d[k] = StringRef{bytes, s.size};
-          bytes += s.size;
-        }
-        dst.str = d;
-        break;
-      }
-      case PhysType::kValue:
-        break;
+  for (const ColumnVector& src : in.cols) {
+    AppendGatheredColumn(&src, 1, nullptr, rows.data(), n, &out);
+    if (src.type != PhysType::kString) continue;
+    // The gathered spans, fresh in `arena`, still point into `in`.
+    auto* cells = const_cast<StringRef*>(out.cols.back().str);
+    size_t total = 0;
+    for (size_t k = 0; k < n; ++k) total += cells[k].size;
+    char* bytes = arena->AllocateArray<char>(total);
+    for (size_t k = 0; k < n; ++k) {
+      if (cells[k].size > 0) std::memcpy(bytes, cells[k].data, cells[k].size);
+      cells[k].data = bytes;
+      bytes += cells[k].size;
     }
   }
   return out;
 }
 
-/// The input of a blocking columnar operator, kept as the batches it
-/// arrived in (zero-copy views keep their pins) and addressed by a dense
-/// position over their active rows. Rows are boxed only when emitted.
-struct KeptBatches {
+/// The input of a blocking columnar operator (Sort, INTERSECT and EXCEPT,
+/// the hash join's build side), kept as the batches it arrived in
+/// (zero-copy views keep their pins) and addressed by a dense position
+/// over their active rows. Output columns are gathered from them.
+struct KeptBatches : std::enable_shared_from_this<KeptBatches> {
   std::vector<ColumnBatch> batches;
   std::vector<size_t> starts;  // position of each batch's first active row
   size_t size = 0;
+  std::vector<std::vector<ColumnVector>> sources;  // [column][kept batch]
+  std::vector<PhysType> types;  // declared classes (of an empty input)
   // Storage of compacted batches. Small chunks: a top-N over a selective
   // filter keeps a few rows, and a default-sized chunk per operator would
   // cost more than the rows it holds.
   ArenaPtr arena = std::make_shared<Arena>(size_t{1} << 14);
+  ArenaPool pool;                      // of emitted batches
+  std::vector<uint32_t> src_of, rows;  // Emit's located positions
+
+  explicit KeptBatches(const RelDataType& row_type) {
+    for (const RelDataTypeField& field : row_type.fields()) {
+      types.push_back(PhysTypeForRel(*field.type));
+    }
+    sources.resize(types.size());
+  }
 
   /// Keeps `batch`. One whose columns were written into its producer's
   /// pooled arena is compacted into this one instead: holding it would pin
@@ -508,24 +454,51 @@ struct KeptBatches {
     } else {
       batches.push_back(std::move(batch));
     }
+    for (size_t c = 0; c < sources.size(); ++c) {
+      sources[c].push_back(batches.back().cols[c]);
+    }
   }
 
-  /// Boxes the rows at positions order[*pos, end), at most `batch_size` of
-  /// them, advancing *pos.
-  RowBatch Emit(const std::vector<uint32_t>& order, size_t* pos, size_t end,
-                size_t batch_size) const {
-    RowBatch out;
+  /// Appends to `out` every column at physical row rows[k] of kept batch
+  /// src_of[k] — NULL where rows[k] is kNullRow — for k in [0, n), and
+  /// pins this input in `out`. A column whose kept batches disagree on its
+  /// physical class gathers boxed cells.
+  void AppendColumns(const uint32_t* batch_of, const uint32_t* row_of,
+                     size_t n, ColumnBatch* out) const {
+    for (size_t c = 0; c < sources.size(); ++c) {
+      ColumnVector nulls;  // the source of an empty input's NULL cells
+      nulls.type = types[c];
+      const bool empty = sources[c].empty();
+      AppendGatheredColumn(empty ? &nulls : sources[c].data(),
+                           empty ? 1 : sources[c].size(),
+                           batches.size() > 1 ? batch_of : nullptr, row_of,
+                           n, out);
+    }
+    out->pins.push_back(shared_from_this());
+  }
+
+  /// Gathers the rows at positions order[*pos, end), at most `batch_size`
+  /// of them, into a dense batch, advancing *pos; AtEnd() once none is
+  /// left.
+  ColumnBatch Emit(const std::vector<uint32_t>& order, size_t* pos,
+                   size_t end, size_t batch_size) {
     const size_t n = std::min(batch_size, end - *pos);
-    out.reserve(n);
-    for (size_t k = *pos; k < *pos + n; ++k) {
-      const size_t p = order[k];
+    if (n == 0) return ColumnBatch{};
+    src_of.resize(n);
+    rows.resize(n);
+    for (size_t k = 0; k < n; ++k) {
+      const size_t p = order[*pos + k];
       const size_t b = static_cast<size_t>(
           std::upper_bound(starts.begin(), starts.end(), p) - starts.begin() -
           1);
-      const ColumnBatch& batch = batches[b];
-      out.push_back(batch.GatherRow(batch.ActiveIndex(p - starts[b])));
+      src_of[k] = static_cast<uint32_t>(b);
+      rows[k] = static_cast<uint32_t>(batches[b].ActiveIndex(p - starts[b]));
     }
     *pos += n;
+    ColumnBatch out;
+    out.num_rows = n;
+    out.arena = pool.Acquire();
+    AppendColumns(src_of.data(), rows.data(), n, &out);
     return out;
   }
 };
@@ -657,8 +630,6 @@ struct ColumnarJoinState {
   std::shared_ptr<KeptBatches> build;  // pinned by every output batch
   std::vector<uint32_t> batch_of;  // build row -> kept batch
   std::vector<uint32_t> row_of;    // build row -> physical row in it
-  std::vector<std::vector<ColumnVector>> build_cols;  // [column][batch]
-  std::vector<PhysType> right_types;  // of the columns of an empty build
   std::vector<uint32_t> first;   // rows of key id: chain[first[id], first[id+1])
   std::vector<uint32_t> chain;
   std::vector<uint8_t> matched;  // RIGHT/FULL: build row had a passing pair
@@ -685,8 +656,6 @@ struct ColumnarJoinState {
 /// Drains the build side: keeps its batches, resolves their keys (NULL
 /// keys get none and never match) and lays out the CSR chains.
 Status BuildJoinSide(ColumnarJoinState* st) {
-  st->build = std::make_shared<KeptBatches>();
-  KeptBatches& kept = *st->build;
   std::vector<uint32_t> ids;
   for (;;) {
     CALCITE_ASSIGN_OR_RETURN(ColumnBatch batch, st->right_pull());
@@ -694,9 +663,9 @@ Status BuildJoinSide(ColumnarJoinState* st) {
     const std::vector<uint32_t>& batch_ids =
         st->keys.Resolve(batch, st->right_keys);
     ids.insert(ids.end(), batch_ids.begin(), batch_ids.end());
-    kept.Add(std::move(batch));
-    const ColumnBatch& added = kept.batches.back();
-    const uint32_t b = static_cast<uint32_t>(kept.batches.size() - 1);
+    st->build->Add(std::move(batch));
+    const ColumnBatch& added = st->build->batches.back();
+    const uint32_t b = static_cast<uint32_t>(st->build->batches.size() - 1);
     for (size_t k = 0; k < added.ActiveCount(); ++k) {
       st->batch_of.push_back(b);
       st->row_of.push_back(static_cast<uint32_t>(added.ActiveIndex(k)));
@@ -705,16 +674,6 @@ Status BuildJoinSide(ColumnarJoinState* st) {
   st->right_pull = nullptr;  // releases a parallel input's workers
   if (ids.size() >= kRowEnd) {
     return Status::RuntimeError("hash join build side exceeds 2^32 rows");
-  }
-  st->build_cols.resize(st->right_types.size());
-  for (size_t c = 0; c < st->build_cols.size(); ++c) {
-    for (const ColumnBatch& batch : kept.batches) {
-      st->build_cols[c].push_back(batch.cols[c]);
-    }
-    if (kept.batches.empty()) {
-      st->build_cols[c].emplace_back();
-      st->build_cols[c][0].type = st->right_types[c];
-    }
   }
   st->first.assign(st->keys.size() + 1, 0);
   for (uint32_t id : ids) {
@@ -741,7 +700,6 @@ Status BuildJoinSide(ColumnarJoinState* st) {
 /// kNullRow) to `out`, which then pins the build side.
 void AppendBuildColumns(ColumnarJoinState* st, const uint32_t* build_rows,
                         size_t n, ColumnBatch* out) {
-  const bool one_batch = st->build->batches.size() <= 1;
   st->gather_batch.resize(n);
   st->gather_row.resize(n);
   for (size_t k = 0; k < n; ++k) {
@@ -749,12 +707,8 @@ void AppendBuildColumns(ColumnarJoinState* st, const uint32_t* build_rows,
     st->gather_batch[k] = p == kNullRow ? 0 : st->batch_of[p];
     st->gather_row[k] = p == kNullRow ? kNullRow : st->row_of[p];
   }
-  for (const std::vector<ColumnVector>& srcs : st->build_cols) {
-    AppendGatheredColumn(srcs.data(), srcs.size(),
-                         one_batch ? nullptr : st->gather_batch.data(),
-                         st->gather_row.data(), n, out);
-  }
-  out->pins.push_back(st->build);
+  st->build->AppendColumns(st->gather_batch.data(), st->gather_row.data(), n,
+                           out);
 }
 
 /// A dense batch of `n` joined rows: left cells from `probe` at probe_rows
@@ -766,7 +720,7 @@ ColumnBatch GatherJoined(ColumnarJoinState* st, const ColumnBatch* probe,
   ColumnBatch out;
   out.num_rows = n;
   out.arena = st->pool.Acquire();
-  out.cols.reserve(st->left_width + st->build_cols.size());
+  out.cols.reserve(st->left_width + st->build->sources.size());
   for (size_t c = 0; c < st->left_width; ++c) {
     ColumnVector nulls;
     nulls.type = st->left_types[c];
@@ -843,17 +797,7 @@ Status EvalResidual(ColumnarJoinState* st) {
   }
   ColumnBatch cand = GatherJoined(st, &st->probe, probe_rows.data(),
                                  build_rows.data(), pairs.size());
-  cand.has_sel = true;
-  cand.sel.resize(pairs.size());
-  for (size_t s = 0; s < pairs.size(); ++s) {
-    cand.sel[s] = static_cast<uint32_t>(s);
-  }
-  Status status = Status::OK();
-  for (FusedExpr& pred : st->residual) {
-    if (cand.sel.empty()) break;
-    status = pred.NarrowSelection(cand, &cand.sel);
-    if (!status.ok()) break;
-  }
+  Status status = NarrowByConjuncts(&st->residual, &cand);
   if (status.ok()) {
     for (uint32_t t : pairs) st->pass[t] = 0;
     for (uint32_t s : cand.sel) st->pass[pairs[s]] = 1;
@@ -924,7 +868,7 @@ Result<ColumnBatch> EmitItems(ColumnarJoinState* st) {
     out.has_sel = true;
     return out;
   }
-  const size_t right_width = st->build_cols.size();
+  const size_t right_width = st->build->sources.size();
   if (ascending &&
       right_width * probe.num_rows <= (st->left_width + right_width) * n) {
     // Each probe row emits at most once: its columns are aliased and the
@@ -1080,7 +1024,6 @@ RowBatch EmitUnmatchedRight(JoinType join_type, JoinExecState* state,
 
 std::optional<Result<ColumnBatchPuller>> EnumerableHashJoin::TryExecuteColumnar(
     const ExecOptions& opts) const {
-  if (!opts.enable_columnar) return std::nullopt;
   auto st = std::make_shared<ColumnarJoinState>();
   std::vector<std::pair<int, int>> keys;
   if (!AnalyzeEquiKeys(&keys, &st->remaining)) {
@@ -1102,9 +1045,7 @@ std::optional<Result<ColumnBatchPuller>> EnumerableHashJoin::TryExecuteColumnar(
   for (const RelDataTypeField& field : left_type.fields()) {
     st->left_types.push_back(PhysTypeForRel(*field.type));
   }
-  for (const RelDataTypeField& field : input(1)->row_type()->fields()) {
-    st->right_types.push_back(PhysTypeForRel(*field.type));
-  }
+  st->build = std::make_shared<KeptBatches>(*input(1)->row_type());
   auto right = LiftToColumns(*input(1), opts);
   if (!right.ok()) return Result<ColumnBatchPuller>(right.status());
   st->right_pull = std::move(right).value();
@@ -1120,11 +1061,7 @@ std::optional<Result<ColumnBatchPuller>> EnumerableHashJoin::TryExecuteColumnar(
 
 Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
     const ExecOptions& opts) const {
-  if (auto columnar = TryExecuteColumnar(opts)) {
-    if (!columnar->ok()) return columnar->status();
-    return ColumnarToRowPuller(shared_from_this(),
-                               std::move(*columnar).value());
-  }
+  if (auto rows = BoxedColumnarOutput(*this, opts)) return std::move(*rows);
   // Reference path: boxed build rows in a Row-keyed hash table, probed by
   // boxed left rows; residuals run per combined row.
   auto keys = std::make_shared<std::vector<std::pair<int, int>>>();
@@ -1322,38 +1259,37 @@ struct HashAggState {
 
 }  // namespace
 
+std::optional<Result<ColumnBatchPuller>>
+EnumerableAggregate::TryExecuteColumnar(const ExecOptions& opts) const {
+  // Batches feed the typed accumulator adders straight from column storage
+  // — group-key probing and NULL skipping never box a cell unless the group
+  // key is genuinely new (or composite).
+  auto in = LiftToColumns(*input(0), opts);
+  if (!in.ok()) return Result<ColumnBatchPuller>(in.status());
+  RelNodePtr self = shared_from_this();  // pins the row type
+  ColumnBatchPuller pull = std::move(in).value();
+  auto builder = std::make_shared<ColumnarAggBuilder>(group_keys_, agg_calls_);
+  auto built = std::make_shared<bool>(false);
+  const size_t batch_size = NormalizedBatchSize(opts);
+  return Result<ColumnBatchPuller>(ColumnBatchPuller(
+      [self, builder, pull, built, batch_size]() -> Result<ColumnBatch> {
+        if (!*built) {
+          for (;;) {
+            CALCITE_ASSIGN_OR_RETURN(ColumnBatch batch, pull());
+            if (batch.AtEnd()) break;
+            CALCITE_RETURN_IF_ERROR(builder->Feed(batch));
+          }
+          *built = true;
+        }
+        return builder->EmitBatch(batch_size, *self->row_type());
+      }));
+}
+
 Result<RowBatchPuller> EnumerableAggregate::ExecuteBatched(
     const ExecOptions& opts) const {
-  if (auto parallel = TryExecuteParallel(*this, opts)) {
-    return std::move(*parallel);
-  }
+  if (auto rows = BoxedColumnarOutput(*this, opts)) return std::move(*rows);
   RelNodePtr self = shared_from_this();  // pins group_keys_ / agg_calls_
   const size_t batch_size = NormalizedBatchSize(opts);
-  // Columnar path: batches feed the typed accumulator adders straight from
-  // column storage — group-key probing and NULL skipping never box a cell
-  // unless the group key is genuinely new (or composite).
-  if (opts.enable_columnar) {
-    auto in = LiftToColumns(*input(0), opts);
-    if (!in.ok()) return in.status();
-    ColumnBatchPuller pull = std::move(in).value();
-    auto builder =
-        std::make_shared<ColumnarAggBuilder>(group_keys_, agg_calls_);
-    auto built = std::make_shared<bool>(false);
-    return RowBatchPuller(
-        [self, builder, pull, built, batch_size]() -> Result<RowBatch> {
-          if (!*built) {
-            for (;;) {
-              auto batch = pull();
-              if (!batch.ok()) return batch.status();
-              const ColumnBatch& cols = batch.value();
-              if (cols.AtEnd()) break;
-              CALCITE_RETURN_IF_ERROR(builder->Feed(cols));
-            }
-            *built = true;
-          }
-          return builder->EmitBatch(batch_size);
-        });
-  }
   // Reference path: per-row Add into accumulators found by a hash probe,
   // groups in first-seen key order.
   auto in = input(0)->ExecuteBatched(opts);
@@ -1551,7 +1487,7 @@ struct SortKey {
 /// Columnar-path state: the kept input and the positions to emit, in order.
 struct ColumnarSortState {
   bool built = false;
-  KeptBatches in;
+  std::shared_ptr<KeptBatches> in;
   std::vector<uint32_t> order;
   size_t pos = 0;
   size_t end = 0;
@@ -1564,7 +1500,7 @@ struct ColumnarSortState {
 /// are exactly those of stable-sorting the boxed rows with CompareRows.
 void SortKeptBatches(const RelCollation& collation, int64_t offset,
                      int64_t fetch, ColumnarSortState* state) {
-  const size_t n = state->in.size;
+  const size_t n = state->in->size;
   state->pos = std::min(n, static_cast<size_t>(std::max<int64_t>(0, offset)));
   state->end = n;
   if (fetch >= 0) {
@@ -1578,7 +1514,7 @@ void SortKeptBatches(const RelCollation& collation, int64_t offset,
   std::vector<SortKey> keys;
   keys.reserve(collation.fields().size());
   for (const FieldCollation& fc : collation.fields()) {
-    keys.emplace_back(state->in, fc);
+    keys.emplace_back(*state->in, fc);
   }
   auto compare = [&keys](uint32_t a, uint32_t b) {
     for (const SortKey& key : keys) {
@@ -1605,36 +1541,43 @@ void SortKeptBatches(const RelCollation& collation, int64_t offset,
 
 }  // namespace
 
+std::optional<Result<ColumnBatchPuller>> EnumerableSort::TryExecuteColumnar(
+    const ExecOptions& opts) const {
+  // Keep the input batches, sort a permutation of their positions on typed
+  // key arrays, and gather only the emitted rows.
+  auto in = LiftToColumns(*input(0), opts);
+  if (!in.ok()) return Result<ColumnBatchPuller>(in.status());
+  RelNodePtr self = shared_from_this();  // pins collation_
+  const EnumerableSort* node = this;
+  const size_t batch_size = NormalizedBatchSize(opts);
+  ColumnBatchPuller pull = std::move(in).value();
+  auto state = std::make_shared<ColumnarSortState>();
+  state->in = std::make_shared<KeptBatches>(*row_type());
+  return Result<ColumnBatchPuller>(ColumnBatchPuller(
+      [self, node, state, pull, batch_size]() -> Result<ColumnBatch> {
+        if (!state->built) {
+          for (;;) {
+            CALCITE_ASSIGN_OR_RETURN(ColumnBatch batch, pull());
+            if (batch.AtEnd()) break;
+            state->in->Add(std::move(batch));
+          }
+          SortKeptBatches(node->collation_, node->offset(), node->fetch(),
+                          state.get());
+          state->built = true;
+        }
+        return state->in->Emit(state->order, &state->pos, state->end,
+                               batch_size);
+      }));
+}
+
 Result<RowBatchPuller> EnumerableSort::ExecuteBatched(
     const ExecOptions& opts) const {
+  if (auto rows = BoxedColumnarOutput(*this, opts)) return std::move(*rows);
   RelNodePtr self = shared_from_this();  // pins collation_
   const EnumerableSort* node = this;
   const int64_t offset = offset_;
   const int64_t fetch = fetch_;
   const size_t batch_size = NormalizedBatchSize(opts);
-  // Columnar path: keep the input batches, sort a permutation of their
-  // positions on typed key arrays, and box only the emitted rows.
-  if (opts.enable_columnar) {
-    auto in = LiftToColumns(*input(0), opts);
-    if (!in.ok()) return in.status();
-    ColumnBatchPuller pull = std::move(in).value();
-    auto state = std::make_shared<ColumnarSortState>();
-    return RowBatchPuller([self, node, offset, fetch, state, pull,
-                           batch_size]() -> Result<RowBatch> {
-      if (!state->built) {
-        for (;;) {
-          auto batch = pull();
-          if (!batch.ok()) return batch.status();
-          if (batch.value().AtEnd()) break;
-          state->in.Add(std::move(batch).value());
-        }
-        SortKeptBatches(node->collation_, offset, fetch, state.get());
-        state->built = true;
-      }
-      return state->in.Emit(state->order, &state->pos, state->end,
-                            batch_size);
-    });
-  }
   // Reference path: box every row and stable-sort with CompareRows.
   auto in = input(0)->ExecuteBatched(opts);
   if (!in.ok()) return in.status();
@@ -1782,7 +1725,7 @@ std::vector<Row> CombineSetOp(SetOp::Kind kind, bool all,
 struct ColumnarSetOpState {
   bool built = false;
   std::unique_ptr<ColumnarAggBuilder> keys;
-  KeptBatches first;
+  std::shared_ptr<KeptBatches> first;
   std::vector<uint32_t> order;  // positions of `first` to emit
   size_t pos = 0;
 };
@@ -1817,7 +1760,7 @@ Status BuildColumnarSetOp(SetOp::Kind kind, bool all,
       if (kind == SetOp::Kind::kUnion) continue;
       if (i == 0) {
         first_ids.insert(first_ids.end(), ids.begin(), ids.end());
-        state->first.Add(std::move(batch).value());
+        state->first->Add(std::move(batch).value());
         continue;
       }
       std::vector<uint32_t>& counts =
@@ -1864,8 +1807,35 @@ Status BuildColumnarSetOp(SetOp::Kind kind, bool all,
 
 }  // namespace
 
+std::optional<Result<ColumnBatchPuller>> EnumerableSetOp::TryExecuteColumnar(
+    const ExecOptions& opts) const {
+  if (set_kind_ == Kind::kUnion && all_) return std::nullopt;
+  RelNodePtr self = shared_from_this();  // pins the row type
+  const Kind kind = set_kind_;
+  const bool all = all_;
+  std::vector<RelNodePtr> ins = inputs();
+  const size_t batch_size = NormalizedBatchSize(opts);
+  auto state = std::make_shared<ColumnarSetOpState>();
+  state->first = std::make_shared<KeptBatches>(*row_type());
+  return Result<ColumnBatchPuller>(ColumnBatchPuller(
+      [self, kind, all, ins, batch_size, state,
+       opts]() -> Result<ColumnBatch> {
+        if (!state->built) {
+          CALCITE_RETURN_IF_ERROR(
+              BuildColumnarSetOp(kind, all, ins, opts, state.get()));
+          state->built = true;
+        }
+        if (kind == Kind::kUnion) {
+          return state->keys->EmitBatch(batch_size, *self->row_type());
+        }
+        return state->first->Emit(state->order, &state->pos,
+                                  state->order.size(), batch_size);
+      }));
+}
+
 Result<RowBatchPuller> EnumerableSetOp::ExecuteBatched(
     const ExecOptions& opts) const {
+  if (auto rows = BoxedColumnarOutput(*this, opts)) return std::move(*rows);
   RelNodePtr self = shared_from_this();
   if (set_kind_ == Kind::kUnion && all_) {
     // UNION ALL streams: batches flow through from each input in turn
@@ -1895,20 +1865,6 @@ Result<RowBatchPuller> EnumerableSetOp::ExecuteBatched(
   const bool all = all_;
   std::vector<RelNodePtr> ins = inputs();
   const size_t batch_size = NormalizedBatchSize(opts);
-  if (opts.enable_columnar) {
-    auto state = std::make_shared<ColumnarSetOpState>();
-    return RowBatchPuller([self, kind, all, ins, batch_size, state,
-                           opts]() -> Result<RowBatch> {
-      if (!state->built) {
-        CALCITE_RETURN_IF_ERROR(
-            BuildColumnarSetOp(kind, all, ins, opts, state.get()));
-        state->built = true;
-      }
-      if (kind == Kind::kUnion) return state->keys->EmitBatch(batch_size);
-      return state->first.Emit(state->order, &state->pos,
-                               state->order.size(), batch_size);
-    });
-  }
   // Reference path: box every input and combine with CombineSetOp.
   auto state = std::make_shared<std::optional<RowBatchPuller>>();
   return RowBatchPuller(

@@ -16,6 +16,30 @@ namespace calcite {
 /// interface", letting Calcite "implement operators which may not be
 /// available in each adapter's backend". This is the framework's built-in
 /// execution engine; every logical operator has an enumerable counterpart.
+///
+/// Each operator has at most two execution bodies: a columnar path
+/// (TryExecuteColumnar, ColumnBatches out) and the per-row reference
+/// (ExecuteBatched). One function in enumerable_rels.cc, the only reader of
+/// ExecOptions::enable_columnar, picks the body for every node: a
+/// morsel-parallel fragment (exec/parallel/parallel_exec.h), else the
+/// columnar path, else the rows. A columnar operator's ExecuteBatched boxes
+/// that choice's batches once for a row consumer, or runs its reference
+/// body when enable_columnar is off.
+///
+///   operator          columnar path                 reference (rows)
+///   TableScan         slices of MaterializedColumns OpenScan
+///   Filter            leaf pushdown + FusedExpr     OpenScan + EvalPredicate
+///   Project           FusedExpr columns             Eval per row
+///   HashJoin          KeyTable probe + gather       Row-keyed hash table
+///   Aggregate         ColumnarAggBuilder            AggAccumulator::Add
+///   Sort              permutation of kept batches   stable_sort of rows
+///   SetOp (not        KeyTable ids + gather         CombineSetOp
+///     UNION ALL)
+///   UNION ALL, Values, Window, NestedLoopJoin, Interpreter: rows only
+///
+/// A columnar consumer reads a rows-only input decoded into columns, and a
+/// TableScan over a table with no columnar decomposition (DiskTable) the
+/// same way; a row consumer of a bare TableScan reads OpenScan.
 
 class EnumerableTableScan final : public TableScan {
  public:
@@ -27,7 +51,7 @@ class EnumerableTableScan final : public TableScan {
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
   /// Zero-copy columnar scan over the table's cached column decomposition
-  /// (when the table exposes one).
+  /// (nullopt when the table exposes none).
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const override;
 
@@ -38,10 +62,10 @@ class EnumerableTableScan final : public TableScan {
 /// Filter with leaf pushdown: when the input is a table scan, simple
 /// `column <op> literal` / NULL-test conjuncts run inside the scan
 /// (ScanTableColumns over a columnar decomposition, otherwise
-/// Table::OpenScan) before rows are materialized. With enable_columnar on
-/// the residual narrows each ColumnBatch's selection vector through
-/// FusedExpr, over whatever input LiftToColumns provides; off, it is
-/// evaluated per row (the reference).
+/// Table::OpenScan) before rows are materialized. The columnar path
+/// narrows each ColumnBatch's selection vector by the residual through
+/// FusedExpr, over whatever input LiftToColumns provides; the reference
+/// evaluates the residual's conjuncts per row, in order.
 class EnumerableFilter final : public Filter {
  public:
   static RelNodePtr Create(RelNodePtr input, RexNodePtr condition);
@@ -52,7 +76,7 @@ class EnumerableFilter final : public Filter {
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
   /// Columnar filter: rows are never compacted, only each batch's
-  /// selection shrinks. Returns a puller whenever enable_columnar is on.
+  /// selection shrinks.
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const override;
 
@@ -86,8 +110,7 @@ class EnumerableProject final : public Project {
   /// Columnar projection over any input (lifted when it is not columnar):
   /// each expression becomes one dense output column computed by FusedExpr
   /// over the input's active rows; input columns referenced verbatim are
-  /// aliased, not copied, when no selection is in play. Returns a puller
-  /// whenever enable_columnar is on.
+  /// aliased, not copied, when no selection is in play.
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const override;
 
@@ -98,14 +121,14 @@ class EnumerableProject final : public Project {
 /// Hash join over the equi-key part of the condition; any residual
 /// non-equi conjuncts are evaluated on each matched pair. "The
 /// EnumerableJoin operator implements joins by collecting rows from its
-/// child nodes and joining on the desired attributes" (§5). With
-/// enable_columnar on it never boxes a row: the build (right) side is kept
-/// as one dense ColumnBatch whose keys resolve to KeyTable ids, probe
+/// child nodes and joining on the desired attributes" (§5). Its columnar
+/// path never boxes a row: the build (right) side is kept as the batches
+/// it arrived in, whose keys resolve to KeyTable ids, probe
 /// batches look their key columns up in one pass, and the output is
 /// gathered column by column from the matched (probe, build) pairs — outer
 /// NULL extension as null bytemaps, SEMI/ANTI as a selection over the probe
-/// batch, residuals through FusedExpr. Off, it boxes both sides into a
-/// Row-keyed hash table (the reference). Both emit rows in the same order:
+/// batch, residuals through FusedExpr. The reference boxes both sides into
+/// a Row-keyed hash table. Both emit rows in the same order:
 /// probe order, build order within a key, then unmatched build rows.
 class EnumerableHashJoin final : public Join {
  public:
@@ -118,8 +141,6 @@ class EnumerableHashJoin final : public Join {
                   std::vector<RelNodePtr> inputs) const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
-  /// Columnar join over LiftToColumns's batches of both inputs. Returns a
-  /// puller whenever enable_columnar is on.
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const override;
 
@@ -146,8 +167,9 @@ class EnumerableNestedLoopJoin final : public Join {
   using Join::Join;
 };
 
-/// Hash aggregate: ColumnarAggBuilder over LiftToColumns's batches with
-/// enable_columnar on, per-row AggAccumulator::Add (the reference) off.
+/// Hash aggregate: ColumnarAggBuilder over LiftToColumns's batches, its
+/// groups emitted as ColumnBatches; the reference feeds each boxed row to
+/// AggAccumulator::Add.
 class EnumerableAggregate final : public Aggregate {
  public:
   static RelNodePtr Create(RelNodePtr input, std::vector<int> group_keys,
@@ -159,6 +181,8 @@ class EnumerableAggregate final : public Aggregate {
                   std::vector<RelNodePtr> inputs) const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
+  std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
+      const ExecOptions& opts) const override;
 
  private:
   using Aggregate::Aggregate;
@@ -167,9 +191,9 @@ class EnumerableAggregate final : public Aggregate {
 /// Sort + OFFSET/FETCH. Its trait set carries the produced collation, which
 /// is how already-sorted inputs make the sort redundant (§4's sort-removal
 /// example operates through subset membership in the cost-based planner).
-/// With enable_columnar on it sorts a permutation of its kept input batches
-/// on typed key arrays (a partial sort under a fetch) and boxes only the
-/// emitted rows; off, it stable-sorts boxed rows (the reference).
+/// Its columnar path sorts a permutation of its kept input batches on typed
+/// key arrays (a partial sort under a fetch) and gathers only the emitted
+/// rows into ColumnBatches; the reference stable-sorts boxed rows.
 class EnumerableSort final : public Sort {
  public:
   static RelNodePtr Create(RelNodePtr input, RelCollation collation,
@@ -180,15 +204,19 @@ class EnumerableSort final : public Sort {
                   std::vector<RelNodePtr> inputs) const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
+  std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
+      const ExecOptions& opts) const override;
 
  private:
   using Sort::Sort;
 };
 
-/// UNION / INTERSECT / EXCEPT. UNION ALL streams its inputs' row batches.
-/// The others, with enable_columnar on, resolve every input row to a key id
-/// in a ColumnarAggBuilder key table and box only the emitted rows; off,
-/// they box every input row into CombineSetOp (the reference).
+/// UNION / INTERSECT / EXCEPT. UNION ALL streams its inputs' row batches
+/// and has no columnar path. The others resolve every input row to a key
+/// id in a ColumnarAggBuilder key table and emit ColumnBatches: UNION the
+/// table's keys, INTERSECT and EXCEPT the surviving rows gathered from
+/// their kept first input. The reference boxes every input row into
+/// CombineSetOp.
 class EnumerableSetOp final : public SetOp {
  public:
   static RelNodePtr Create(std::vector<RelNodePtr> inputs, Kind kind, bool all,
@@ -199,6 +227,8 @@ class EnumerableSetOp final : public SetOp {
                   std::vector<RelNodePtr> inputs) const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
+  std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
+      const ExecOptions& opts) const override;
 
  private:
   using SetOp::SetOp;

@@ -171,17 +171,7 @@ Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
   for (FusedStage& stage : *stages) {
     if (batch->ActiveCount() == 0) return Status::OK();
     if (stage.is_filter) {
-      if (!batch->has_sel) {
-        batch->sel.resize(batch->num_rows);
-        for (size_t i = 0; i < batch->num_rows; ++i) {
-          batch->sel[i] = static_cast<uint32_t>(i);
-        }
-        batch->has_sel = true;
-      }
-      for (FusedExpr& pred : stage.exprs) {
-        if (batch->sel.empty()) break;
-        CALCITE_RETURN_IF_ERROR(pred.NarrowSelection(*batch, &batch->sel));
-      }
+      CALCITE_RETURN_IF_ERROR(NarrowByConjuncts(&stage.exprs, batch));
     } else {
       ColumnBatch out;
       out.arena = std::make_shared<Arena>();
@@ -325,7 +315,7 @@ Result<ColumnBatchPuller> ExecutePipelineParallel(
 /// once every morsel has been aggregated. Group output order is first-seen
 /// order across the merge — unspecified across threads (workers race for
 /// morsels).
-Result<RowBatchPuller> ExecuteAggregateParallel(
+Result<ColumnBatchPuller> ExecuteAggregateParallel(
     const Aggregate& agg, std::shared_ptr<const FragmentSource> src,
     const ExecOptions& opts) {
   RelNodePtr self = agg.shared_from_this();  // pins group_keys_/agg_calls_
@@ -333,8 +323,8 @@ Result<RowBatchPuller> ExecuteAggregateParallel(
   auto merged =
       std::make_shared<ColumnarAggBuilder>(agg.group_keys(), agg.agg_calls());
   auto built = std::make_shared<bool>(false);
-  return RowBatchPuller([self, node, src, merged, built,
-                         opts]() -> Result<RowBatch> {
+  return ColumnBatchPuller([self, node, src, merged, built,
+                            opts]() -> Result<ColumnBatch> {
     if (!*built) {
       // The scheduler lives only for the build phase; WaitIdle orders the
       // workers' writes before the merge reads the locals.
@@ -376,7 +366,7 @@ Result<RowBatchPuller> ExecuteAggregateParallel(
       }
       *built = true;
     }
-    return merged->EmitBatch(opts.batch_size);
+    return merged->EmitBatch(opts.batch_size, *node->row_type());
   });
 }
 
@@ -385,7 +375,13 @@ Result<RowBatchPuller> ExecuteAggregateParallel(
 std::optional<Result<ColumnBatchPuller>> TryExecuteParallelColumns(
     const RelNode& node, const ExecOptions& raw_opts) {
   ExecOptions opts = raw_opts.Normalized();
-  if (opts.num_threads < 2 || !opts.enable_columnar) return std::nullopt;
+  if (opts.num_threads < 2) return std::nullopt;
+  const auto* agg = dynamic_cast<const Aggregate*>(&node);
+  if (agg != nullptr && agg->convention() == Convention::Enumerable()) {
+    auto src = RecognizeMorselPipeline(*agg->input(0), opts);
+    if (src == nullptr) return std::nullopt;
+    return ExecuteAggregateParallel(*agg, std::move(src), opts);
+  }
   auto src = RecognizeMorselPipeline(node, opts);
   if (src == nullptr) return std::nullopt;
   // Zero-copy slices of an in-memory table with nothing to evaluate would
@@ -394,28 +390,6 @@ std::optional<Result<ColumnBatchPuller>> TryExecuteParallelColumns(
     return std::nullopt;
   }
   return ExecutePipelineParallel(std::move(src), opts);
-}
-
-std::optional<Result<RowBatchPuller>> TryExecuteParallel(
-    const RelNode& node, const ExecOptions& raw_opts) {
-  ExecOptions opts = raw_opts.Normalized();
-  if (opts.num_threads < 2 || !opts.enable_columnar) return std::nullopt;
-  if (const auto* agg = dynamic_cast<const Aggregate*>(&node)) {
-    auto src = RecognizeMorselPipeline(*agg->input(0), opts);
-    if (src == nullptr) return std::nullopt;
-    return ExecuteAggregateParallel(*agg, std::move(src), opts);
-  }
-  auto columns = TryExecuteParallelColumns(node, opts);
-  if (!columns.has_value()) return std::nullopt;
-  if (!columns->ok()) return Result<RowBatchPuller>(columns->status());
-  // A row consumer boxes the gathered batches on the consumer thread.
-  ColumnBatchPuller pull = std::move(*columns).value();
-  return Result<RowBatchPuller>(RowBatchPuller([pull]() -> Result<RowBatch> {
-    CALCITE_ASSIGN_OR_RETURN(ColumnBatch batch, pull());
-    RowBatch rows;
-    ColumnsToRows(batch, &rows);
-    return rows;
-  }));
 }
 
 }  // namespace calcite

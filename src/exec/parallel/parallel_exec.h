@@ -4,28 +4,25 @@
 #include <optional>
 
 #include "exec/column_batch.h"
-#include "exec/row_batch.h"
 #include "rel/rel_node.h"
 
 namespace calcite {
 
-/// Entry points of the morsel-driven parallel executor. The enumerable
-/// convention's ExecuteBatched implementations call TryExecuteParallel, and
-/// the columnar operators' input lift (LiftToColumns) calls
-/// TryExecuteParallelColumns and then TryExecuteParallel, before they build
-/// their serial pipeline: when `opts.num_threads > 1` and the plan fragment
-/// rooted at `node` has a parallel physical path, they return a puller that
-/// runs it on a worker pool and gathers the results back into the
-/// single-consumer pull protocol. The decision is made before returning:
-/// nullopt means the fragment declined and the caller runs its serial
-/// operators (whose *inputs* may still parallelize recursively). A fragment
-/// declines when num_threads is 1, when `opts.enable_columnar` is off (the
-/// serial per-row reference engine), when its shape is not
-/// parallelizable, when its leaf table has neither a columnar
-/// decomposition nor scan units (Values leaves, Scan()-only tables), when
-/// the table fits in one morsel, or — for TryExecuteParallelColumns — when
+/// Entry point of the morsel-driven parallel executor. The enumerable
+/// convention's single path choice (ColumnarOutput in
+/// adapters/enumerable/enumerable_rels.cc) calls TryExecuteParallelColumns
+/// before a node's own columnar path: when `opts.num_threads > 1` and the
+/// plan fragment rooted at `node` has a parallel physical path, it returns
+/// a puller that runs the fragment on a worker pool and gathers its
+/// ColumnBatches back into the single-consumer pull protocol. The decision is made before returning: nullopt means the
+/// fragment declined and the caller runs its serial operators (whose
+/// *inputs* may still parallelize recursively). A fragment declines when
+/// num_threads is 1, when its shape is not parallelizable, when its leaf
+/// table has neither a columnar decomposition nor scan units (Values
+/// leaves, Scan()-only tables), when the table fits in one morsel, or when
 /// it is a bare in-memory scan, whose zero-copy slices would only cross
-/// the exchange.
+/// the exchange. The caller only asks with `opts.enable_columnar` on: the
+/// serial per-row reference engine never parallelizes.
 ///
 /// Every worker is columnar: one per-worker morsel reader claims a morsel,
 /// turns it into ColumnBatches — zero-copy slices of the table's
@@ -42,9 +39,9 @@ namespace calcite {
 ///    set ops, both sides of a hash join) unboxed; only a row consumer
 ///    boxes them.
 ///  - Partitioned hash aggregate: the same pipeline shape under an
-///    Aggregate. Workers feed worker-local ColumnarAggBuilders; the consumer
-///    merges them (accumulator merge, not re-aggregation) and emits the
-///    merged groups.
+///    enumerable Aggregate. Workers feed worker-local ColumnarAggBuilders;
+///    the consumer merges them (accumulator merge, not re-aggregation) and
+///    emits the merged groups as ColumnBatches.
 /// Joins run serially over such parallel inputs.
 ///
 /// Ordering: fragments executed in parallel do not preserve row order —
@@ -57,12 +54,9 @@ namespace calcite {
 /// morsel or exchange operation, and the gather puller surfaces that first
 /// Status to the query.
 
-/// Pipeline fragments only, as the gathered ColumnBatches.
+/// The fragment rooted at `node` (a pipeline, or an aggregate over one) as
+/// gathered ColumnBatches, or nullopt when it declines.
 std::optional<Result<ColumnBatchPuller>> TryExecuteParallelColumns(
-    const RelNode& node, const ExecOptions& opts);
-
-/// Pipeline and aggregate fragments, as rows.
-std::optional<Result<RowBatchPuller>> TryExecuteParallel(
     const RelNode& node, const ExecOptions& opts);
 
 }  // namespace calcite

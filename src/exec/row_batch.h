@@ -57,15 +57,13 @@ struct ExecOptions {
   /// unordered fragments for throughput.
   size_t num_threads = 1;
 
-  /// When true (the default), Filter, Project and Aggregate always run the
-  /// column-major ColumnBatch kernels (exec/column_batch.h), at any thread
-  /// count: leaf scans produce typed column views, row-producing inputs are
-  /// decoded into columns, and rows are only materialized at the conversion
-  /// boundary. Turning it off selects the serial per-row reference engine
-  /// (RexInterpreter::Eval, per-row aggregate accumulation, row join
-  /// probes), and the morsel-parallel executor (which is columnar-only) is
-  /// bypassed whatever num_threads says. The differential parity suites
-  /// execute queries both ways.
+  /// When true (the default), every enumerable operator with a columnar
+  /// path (adapters/enumerable/enumerable_rels.h lists them) runs it at any
+  /// thread count and the morsel-parallel executor takes the fragments it
+  /// accepts; rows are boxed once, where a row consumer or the caller
+  /// pulls. Turning it off selects the serial per-row reference engine
+  /// whatever num_threads says. One function reads it (ColumnarOutput in
+  /// enumerable_rels.cc). The parity suites run queries both ways.
   bool enable_columnar = true;
 
   /// Ignored: no code reads it. Columnar expression evaluation always runs
@@ -110,17 +108,17 @@ struct ExecOptions {
 /// RowBatch is no longer the only batch currency: the hot path ships
 /// column-major ColumnBatch (exec/column_batch.h) — typed column vectors
 /// plus null bytemaps, bump-allocated from a per-query arena and freed
-/// wholesale — between converted operators (scan, filter, project,
-/// hash-aggregate, hash-join probe, every morsel-parallel worker). A
-/// RowBatchPuller is the *conversion boundary*: operators that still think
-/// in rows (sort, outer-join emit, set ops, window, QueryResult) pull row
-/// batches, and a columnar producer boxes its active rows through
-/// ColumnsToRows exactly once at that boundary; in the other direction a
-/// row producer under a columnar consumer is decoded through RowsToColumns
-/// one batch at a time. Arena lifetime rule: a
-/// ColumnBatch shares ownership of everything its columns point into
-/// (arena, boxed pool, pinned table caches), so a row batch built from it
-/// owns plain Values and has no lifetime ties.
+/// wholesale — between every operator with a columnar path (scan, filter,
+/// project, hash join, hash aggregate, sort, the set ops but UNION ALL,
+/// every morsel-parallel worker). A RowBatchPuller is the *conversion
+/// boundary*: row operators (window, nested-loop join, UNION ALL, foreign
+/// nodes) and the caller at the root pull row batches, and a columnar
+/// producer boxes its active rows through ColumnsToRows exactly once at
+/// that boundary; in the other direction a row producer under a columnar
+/// consumer is decoded through RowsToColumns one batch at a time. Arena
+/// lifetime rule: a ColumnBatch shares ownership of everything its columns
+/// point into (arena, boxed pool, pinned table caches), so a row batch
+/// built from it owns plain Values and has no lifetime ties.
 using RowBatchPuller = std::function<Result<RowBatch>()>;
 
 /// Indexes of the live rows of a ColumnBatch, strictly ascending: filters

@@ -130,9 +130,11 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
   /// logical. Enumerable operators stream natively; foreign-convention
   /// adapter nodes compute their result inside their backend and hand it
   /// over through ChunkResult — the per-row transfer the
-  /// EnumerableInterpreter's cost model charges. The returned puller shares
-  /// ownership of everything it reads (this node, its tables), so it stays
-  /// valid after the caller drops its plan reference.
+  /// EnumerableInterpreter's cost model charges. An operator with a columnar
+  /// path boxes that path's batches here once (or, with
+  /// opts.enable_columnar off, runs its per-row reference). The returned
+  /// puller shares ownership of everything it reads (this node, its
+  /// tables), so it stays valid after the caller drops its plan reference.
   virtual Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts) const {
     (void)opts;
     return Status::PlanError("operator " + op_name() +
@@ -142,14 +144,12 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
   /// Columnar batch execution: when this operator produces its output as
   /// column-major ColumnBatch streams, it returns a puller; nullopt (the
   /// default) means "no columnar output" and a columnar consumer decodes
-  /// ExecuteBatched's rows instead. The enumerable table scan (over tables
-  /// with a columnar decomposition), Filter and Project override this; the
-  /// Filter, Project and Aggregate consumers read their input through it,
-  /// and the hash-join probe runs columnar when its input offers it.
-  /// Implementations return nullopt when opts.enable_columnar is off (the
-  /// serial per-row reference engine). Same ownership contract as
-  /// ExecuteBatched: the puller shares ownership of the node, and each
-  /// yielded batch owns (or pins) everything its columns point into.
+  /// ExecuteBatched's rows instead. adapters/enumerable/enumerable_rels.h
+  /// lists the enumerable operators that override it. Implementations do
+  /// not read opts.enable_columnar: the engine's one path choice calls them
+  /// only with it on. Same ownership contract as ExecuteBatched: the puller
+  /// shares ownership of the node, and each yielded batch owns (or pins)
+  /// everything its columns point into.
   virtual std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const {
     (void)opts;

@@ -1508,4 +1508,20 @@ Status FusedExpr::NarrowSelection(const ColumnBatch& batch,
   return Status::OK();
 }
 
+Status NarrowByConjuncts(std::vector<FusedExpr>* conjuncts,
+                         ColumnBatch* batch) {
+  if (!batch->has_sel) {
+    batch->sel.resize(batch->num_rows);
+    for (size_t i = 0; i < batch->num_rows; ++i) {
+      batch->sel[i] = static_cast<uint32_t>(i);
+    }
+    batch->has_sel = true;
+  }
+  for (FusedExpr& pred : *conjuncts) {
+    if (batch->sel.empty()) break;
+    CALCITE_RETURN_IF_ERROR(pred.NarrowSelection(*batch, &batch->sel));
+  }
+  return Status::OK();
+}
+
 }  // namespace calcite

@@ -203,6 +203,13 @@ class FusedExpr {
   std::vector<std::unique_ptr<FusedExpr>> conjuncts_;
 };
 
+/// Narrows `batch` to the rows passing every one of `conjuncts`, in order:
+/// attaches a selection of all its rows when it has none, then narrows it
+/// conjunct by conjunct (a later conjunct sees only earlier survivors),
+/// stopping once no row is left.
+Status NarrowByConjuncts(std::vector<FusedExpr>* conjuncts,
+                         ColumnBatch* batch);
+
 }  // namespace calcite
 
 #endif  // CALCITE_REX_REX_FUSE_H_

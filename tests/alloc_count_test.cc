@@ -189,8 +189,10 @@ TEST(AllocCountTest, ColumnarAggGroupCreationAllocatesLinearBytes) {
   // one boxed key, a hash-table node and its slot — a few hundred bytes.
   // The quadratic pattern averages ~kGroups accumulators per group.
   EXPECT_LT(bytes, kGroups * 4096) << "group creation is not amortized";
-  RowBatch out = builder.EmitBatch(kGroups);
-  EXPECT_EQ(out.size(), kGroups);
+  auto out = builder.EmitBatch(
+      kGroups, *DeriveAggregateRowType(row_type, {0}, calls, tf));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.value().num_rows, kGroups);
 }
 
 // The fused bytecode interpreter's memory claim: evaluating a whole
@@ -491,6 +493,49 @@ TEST(AllocCountTest, TopNBoxesOnlyFetchedRows) {
   row_opts.enable_columnar = false;
   RunCounted(topn, row_opts);
   EXPECT_GT(g_alloc_count.load(std::memory_order_relaxed), kSortRows);
+}
+
+// A full sort (no fetch) hands a columnar consumer ColumnBatches gathered
+// from its kept input batches: draining it allocates per batch — kept
+// input, key and permutation arrays, one pooled arena and a few vectors
+// per output batch — never per row.
+TEST(AllocCountTest, FullSortEmitsGatheredBatches) {
+  constexpr size_t kSortRows = 50000;
+  TypeFactory tf;
+  RelNodePtr scan = ScanOfSortRows(tf, kSortRows);
+  RelNodePtr sort = EnumerableSort::Create(
+      scan, RelCollation({{1, Direction::kAscending}}), 0, -1);
+  ExecOptions opts;
+  // The first pipeline builds the table's columnar decomposition.
+  ASSERT_TRUE(sort->TryExecuteColumnar(opts).has_value());
+
+  auto puller = sort->TryExecuteColumnar(opts);
+  ASSERT_TRUE(puller.has_value() && puller->ok());
+  size_t out_rows = 0;
+  double last = -1.0;
+  bool ordered = true;
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (;;) {
+    auto batch = (puller->value())();
+    ASSERT_TRUE(batch.ok());
+    const ColumnBatch& cols = batch.value();
+    if (cols.AtEnd()) break;
+    ASSERT_EQ(cols.cols[1].type, PhysType::kDouble);
+    for (size_t k = 0; k < cols.ActiveCount(); ++k) {
+      const double x = cols.cols[1].f64[cols.ActiveIndex(k)];
+      ordered = ordered && x >= last;
+      last = x;
+    }
+    out_rows += cols.ActiveCount();
+  }
+  g_counting.store(false, std::memory_order_relaxed);
+  const size_t allocs = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(out_rows, kSortRows);
+  EXPECT_TRUE(ordered);
+  // ~49 batches in and out: a handful of allocations each; boxing every
+  // row would be 50k rows of four allocations.
+  EXPECT_LT(allocs, 1000u) << "full sort allocates per row";
 }
 
 // A window frame spanning the whole partition (no ORDER BY, default RANGE)

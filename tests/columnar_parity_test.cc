@@ -749,9 +749,8 @@ TEST_F(ColumnarParityTest, PipelineScanFilterProjectAggregate) {
 }
 
 TEST_F(ColumnarParityTest, OperatorsOverJoinAndAggregateOutputs) {
-  // Filter, Project and Aggregate over a join (which hands them its
-  // gathered ColumnBatches) and over an aggregate (whose row batches they
-  // decode into columns).
+  // Filter, Project and Aggregate over the ColumnBatches a join, a sort
+  // and the set ops gather, and over an aggregate's emitted groups.
   for (size_t n : {size_t{0}, size_t{1}, size_t{1025}}) {
     RelNodePtr left = Scan(n);
     RelNodePtr right = Scan(97);
@@ -765,6 +764,34 @@ TEST_F(ColumnarParityTest, OperatorsOverJoinAndAggregateOutputs) {
           left, right, equi, jt, DeriveJoinRowType(lt, rt, jt, tf_));
       ExpectOperatorParity(join, std::string("over ") + JoinTypeName(jt) +
                                      " join n=" + std::to_string(n));
+    }
+
+    // A sort window on a total order (id breaks every tie), so the rows
+    // it keeps do not depend on its input's order.
+    const int64_t fetch = static_cast<int64_t>(n / 2 + 1);
+    ExpectOperatorParity(
+        EnumerableSort::Create(
+            left,
+            RelCollation({{1, Direction::kDescending},
+                          {0, Direction::kAscending}}),
+            3, fetch),
+        "over sort offset 3 fetch " + std::to_string(fetch) +
+            " n=" + std::to_string(n));
+
+    // The second input's rows pass a residual (id > k): its batches carry
+    // a selection, compacted when INTERSECT or EXCEPT keeps them.
+    RelNodePtr half = Scan(n / 2 + 1);
+    RelNodePtr filtered = EnumerableFilter::Create(
+        half, Call(OpKind::kGreaterThan,
+                   {Field(half->row_type(), 0), Field(half->row_type(), 1)}));
+    for (auto kind : {SetOp::Kind::kUnion, SetOp::Kind::kIntersect,
+                      SetOp::Kind::kMinus}) {
+      for (bool all : {false, true}) {
+        ExpectOperatorParity(
+            EnumerableSetOp::Create({left, filtered}, kind, all, lt),
+            "over set op kind " + std::to_string(static_cast<int>(kind)) +
+                " all " + std::to_string(all) + " n=" + std::to_string(n));
+      }
     }
 
     // Aggregate over an aggregate: group counts per (k, s), then the number
@@ -1061,6 +1088,30 @@ TEST_F(ColumnarParityTest, SetOpsUnifyIntAndDouble) {
       }
     }
   }
+
+  // Filter, Project and Aggregate over set ops of the same mix in a wide
+  // table (TestRowType plus m). A Values input decodes each row batch on
+  // its own, so the batches INTERSECT and EXCEPT keep disagree on m's
+  // class (kDouble where a batch holds only doubles, boxed elsewhere) and
+  // their gather falls back to boxed cells; the MemTable carries m boxed.
+  const RelDataTypePtr wide = MixedRowType(tf_);
+  const std::vector<Row> mixed = MakeMixedRows(1025);
+  RelNodePtr values = EnumerableValues::Create(wide, mixed);
+  RelNodePtr table = ScanOf(std::make_shared<MemTable>(
+      wide, std::vector<Row>(mixed.begin(), mixed.begin() + 300)));
+  for (auto kind : {SetOp::Kind::kUnion, SetOp::Kind::kIntersect,
+                    SetOp::Kind::kMinus}) {
+    for (bool all : {false, true}) {
+      for (const auto& inputs : {std::vector<RelNodePtr>{values, table},
+                                 std::vector<RelNodePtr>{table, values}}) {
+        ExpectOperatorParity(
+            EnumerableSetOp::Create(inputs, kind, all, wide),
+            "over wide mixed kind " + std::to_string(static_cast<int>(kind)) +
+                " all " + std::to_string(all) + " values first " +
+                std::to_string(inputs[0] == values));
+      }
+    }
+  }
 }
 
 TEST_F(ColumnarParityTest, DistinctAggregates) {
@@ -1247,6 +1298,59 @@ TEST_F(ColumnarParityTest, PushedAndResidualFilterMatchAcrossThreads) {
   EXPECT_EQ((*disk)->buffer_pool().pinned_frames(), 0u);
   std::error_code ec;
   std::filesystem::remove_all(dir_path, ec);
+}
+
+// A residual AND stops at the first conjunct a row fails, on both engines:
+// the reference evaluates its conjuncts in order, as the columnar filter
+// narrows by them, so `10 / u` is never evaluated for the row whose x is
+// NULL. Checked over a projection and over a bare scan where no conjunct
+// pushes (the first is not `$col <op> literal`), so the whole AND is the
+// residual in both.
+TEST_F(ColumnarParityTest, ResidualAndStopsAtFirstFailingConjunct) {
+  auto int_null = tf_.CreateSqlType(SqlTypeName::kInteger, -1, true);
+  auto int_t = tf_.CreateSqlType(SqlTypeName::kInteger);
+  auto row_type = tf_.CreateStructType({"x", "u"}, {int_null, int_t});
+  RelNodePtr scan = ScanOf(std::make_shared<MemTable>(
+      row_type, std::vector<Row>{{Value::Null(), Value::Int(0)},
+                                 {Value::Int(1), Value::Int(2)}}));
+  std::vector<RexNodePtr> refs = {Field(row_type, 0), Field(row_type, 1)};
+  RelNodePtr projected = EnumerableProject::Create(
+      scan, refs, DeriveProjectRowType(refs, {"x", "u"}, tf_));
+  const RexNodePtr zero = rex_.MakeIntLiteral(0);
+  const RexNodePtr divides = Call(
+      OpKind::kGreaterThan,
+      {Call(OpKind::kDivide, {rex_.MakeIntLiteral(10), Field(row_type, 1)}),
+       zero});
+  const RexNodePtr x_positive =
+      Call(OpKind::kGreaterThan, {Field(row_type, 0), zero});
+  const RexNodePtr x_plus_zero_positive = Call(
+      OpKind::kGreaterThan,
+      {Call(OpKind::kPlus, {Field(row_type, 0), zero}), zero});
+  const std::vector<std::pair<std::string, RelNodePtr>> filters = {
+      {"project", EnumerableFilter::Create(
+                      projected, rex_.MakeAnd({x_positive, divides}))},
+      {"bare scan", EnumerableFilter::Create(
+                        scan, rex_.MakeAnd({x_plus_zero_positive, divides}))}};
+  for (const auto& [label, filter] : filters) {
+    for (bool columnar : {false, true}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        for (size_t bs : {size_t{1}, size_t{1024}}) {
+          ExecOptions opts;
+          opts.enable_columnar = columnar;
+          opts.num_threads = threads;
+          opts.batch_size = bs;
+          const std::string where = label + " columnar=" +
+                                    std::to_string(columnar) + " threads=" +
+                                    std::to_string(threads) +
+                                    " bs=" + std::to_string(bs);
+          auto got = RunPlan(filter, opts);
+          ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+          EXPECT_EQ(Strings(got.value()), std::vector<std::string>{"[1, 2]"})
+              << where;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
